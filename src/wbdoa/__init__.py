@@ -15,7 +15,6 @@ from .atoms import (
     Atom,
     AtomicDecomposition,
     ConicProblem,
-    assemble_dual_sdp,
     atomic_norm_upper,
     build_atom,
     dual_atomic_norm,

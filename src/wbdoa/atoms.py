@@ -1,4 +1,4 @@
-"""Atom set, atomic/dual atomic norms, and assembly of the dual SDP.
+"""Atom set, atomic/dual atomic norms, and the dual SDP.
 
 An atom A(f, c) = [T_1 a(f), ..., T_J a(f)] diag(c) couples one spatial
 frequency to all J subbands through a unit cross-band coefficient vector c.
@@ -9,8 +9,6 @@ semidefinite program over a dual matrix H and a Hermitian certificate Q.
 
 from __future__ import annotations
 
-import base64
-import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -18,7 +16,7 @@ import numpy as np
 from scipy.linalg import cho_factor
 
 from .focusing import FocusingSet
-from .model import WidebandScene, steering_vector, theta_to_f
+from .model import WidebandScene, steering_matrix, steering_vector, theta_to_f
 
 
 @dataclass(frozen=True)
@@ -108,8 +106,7 @@ def polynomial_norm_on_grid(Hbar: np.ndarray, grid_size: int) -> tuple:
     """Evaluate f -> ||Hbar^H a(f)||_2 on a uniform grid over [-1/2, 1/2)."""
     M = Hbar.shape[0]
     fs = np.linspace(-0.5, 0.5, grid_size, endpoint=False)
-    A = np.exp(-2j * np.pi * np.arange(M)[:, None] * fs[None, :])
-    vals = np.linalg.norm(Hbar.conj().T @ A, axis=0)
+    vals = np.linalg.norm(Hbar.conj().T @ steering_matrix(fs, M), axis=0)
     return fs, vals
 
 
@@ -148,10 +145,9 @@ def dual_atomic_norm(H: np.ndarray, focusing: FocusingSet, grid_size: int = 8192
     if vals[i] == 0.0:
         return 0.0
     step = 1.0 / grid_size
-    m = np.arange(M)
 
     def p(f):
-        return float(np.linalg.norm(Hbar.conj().T @ np.exp(-2j * np.pi * f * m)))
+        return float(np.linalg.norm(Hbar.conj().T @ steering_vector(f, M)))
 
     _, peak, _ = golden_section_max(p, fs[i] - step, fs[i] + step)
     return max(peak, float(vals[i]))
@@ -159,110 +155,47 @@ def dual_atomic_norm(H: np.ndarray, focusing: FocusingSet, grid_size: int = 8192
 
 @dataclass(frozen=True)
 class ConicProblem:
-    """Inputs of the dual SDP: data matrix, focusing set, fidelity budget."""
+    """The dual SDP of the recovery problem, ready for the solver.
+
+    Inputs are the data matrix Y (M x J), the focusing set and the fidelity
+    budget gamma.  Decision variables are H (M x J complex) and the
+    Hermitian block S = [[Q, Hbar], [Hbar^H, I_J]] of size M+J.  The affine
+    constraints are the M Toeplitz-trace conditions on Q (off-diagonal sums
+    vanish, main diagonal sums to 1), the columnwise coupling
+    Hbar(:, j) = T_j^H H(:, j), and the fixed identity lower-right block.
+    The objective maximizes Re Tr(Y^H H) - sqrt(gamma) * ||H||_F.
+    """
 
     Y: np.ndarray
     focusing: FocusingSet
     gamma: float
+    # Cholesky factors of I + 2 T_j T_j^T, used by the affine projection
+    coupling_factors: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         Y = np.asarray(self.Y, dtype=complex)
         object.__setattr__(self, "Y", Y)
-        if Y.shape != (self.focusing.M, self.focusing.J):
+        if Y.shape != (self.M, self.J):
             raise ValueError(
                 f"Y shape {Y.shape} inconsistent with focusing set "
-                f"({self.focusing.M} x {self.focusing.J})"
+                f"({self.M} x {self.J})"
             )
         if self.gamma < 0:
             raise ValueError("gamma must be nonnegative")
-
-
-@dataclass
-class SdpProgram:
-    """Solver-ready structured form of the dual SDP.
-
-    Decision variables are H (M x J complex) and the Hermitian block
-    S = [[Q, Hbar], [Hbar^H, I_J]] of size M+J.  The affine constraints are
-    the M Toeplitz-trace conditions on Q (off-diagonal sums vanish, main
-    diagonal sums to 1), the columnwise coupling Hbar(:, j) = T_j^H H(:, j),
-    and the fixed identity lower-right block.  The objective maximizes
-    Re Tr(Y^H H) - sqrt(gamma) * ||H||_F.
-    """
-
-    Y: np.ndarray
-    gamma: float
-    focusing: FocusingSet
-    M: int
-    J: int
-    _coupling_factors: list = field(default=None, repr=False)
+        object.__setattr__(self, "coupling_factors", tuple(
+            cho_factor(np.eye(self.M) + 2.0 * T @ T.T) for T in self.focusing.matrices
+        ))
 
     @property
-    def block_size(self) -> int:
-        return self.M + self.J
+    def M(self) -> int:
+        return self.focusing.M
 
-    def hbar(self, H: np.ndarray) -> np.ndarray:
-        return _hbar(H, self.focusing)
-
-    def coupling_factors(self):
-        """Cholesky factors of I + 2 T_j T_j^T, used by the affine projection."""
-        if self._coupling_factors is None:
-            self._coupling_factors = [
-                cho_factor(np.eye(self.M) + 2.0 * T @ T.T)
-                for T in self.focusing.matrices
-            ]
-        return self._coupling_factors
+    @property
+    def J(self) -> int:
+        return self.focusing.J
 
     def objective(self, H: np.ndarray) -> float:
         return float(
             np.real(np.trace(self.Y.conj().T @ H))
             - np.sqrt(self.gamma) * np.linalg.norm(H)
         )
-
-    def trace_constraint_count(self) -> int:
-        return self.M
-
-    def save(self, path):
-        """Self-describing JSON with base64 binary blobs, for regression use."""
-        def blob(a):
-            a = np.ascontiguousarray(a)
-            return {
-                "dtype": str(a.dtype),
-                "shape": list(a.shape),
-                "data": base64.b64encode(a.tobytes()).decode("ascii"),
-            }
-
-        doc = {
-            "kind": "dual-sdp",
-            "M": self.M,
-            "J": self.J,
-            "gamma": self.gamma,
-            "Y": blob(self.Y),
-            "alphas": blob(self.focusing.alphas),
-            "T": blob(self.focusing.matrices),
-        }
-        with open(path, "w") as fh:
-            json.dump(doc, fh)
-
-    @classmethod
-    def load(cls, path):
-        with open(path) as fh:
-            doc = json.load(fh)
-
-        def unblob(b):
-            a = np.frombuffer(base64.b64decode(b["data"]), dtype=np.dtype(b["dtype"]))
-            return a.reshape(b["shape"]).copy()
-
-        foc = FocusingSet(matrices=unblob(doc["T"]), alphas=unblob(doc["alphas"]))
-        return cls(Y=unblob(doc["Y"]), gamma=doc["gamma"], focusing=foc,
-                   M=doc["M"], J=doc["J"])
-
-
-def assemble_dual_sdp(problem: ConicProblem) -> SdpProgram:
-    """Turn a ConicProblem into the structured SDP the solver consumes."""
-    return SdpProgram(
-        Y=problem.Y,
-        gamma=float(problem.gamma),
-        focusing=problem.focusing,
-        M=problem.focusing.M,
-        J=problem.focusing.J,
-    )

@@ -48,7 +48,7 @@ def rss_focusing_matrices(M: int, alphas, init_angles_deg) -> list:
     init = np.asarray(init_angles_deg, dtype=float)
     if init.size == 0:
         raise ValueError("need at least one initial angle")
-    fs = np.array([theta_to_f(a) for a in init])
+    fs = theta_to_f(init)
     Phi1 = steering_matrix(fs, M)
     mats = []
     for alpha in np.asarray(alphas, dtype=float):
@@ -75,8 +75,7 @@ def music_spectrum(covariance: np.ndarray, K: int, theta_grid_deg) -> np.ndarray
     except np.linalg.LinAlgError as exc:
         raise RuntimeError("eigendecomposition of the covariance failed") from exc
     En = evecs[:, : M - K]  # noise subspace: smallest M-K eigenvalues
-    fs = np.array([theta_to_f(t) for t in theta_grid_deg])
-    A = steering_matrix(fs, M)
+    A = steering_matrix(theta_to_f(theta_grid_deg), M)
     denom = np.sum(np.abs(En.conj().T @ A) ** 2, axis=0)
     return 1.0 / np.maximum(denom, 1e-300)
 

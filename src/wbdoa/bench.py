@@ -14,7 +14,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .baselines import RssConfig, perturb_initial, rss_estimate
 from .focusing import FocusingSet, gamma_oracle, noiseless_measurements
-from .model import ArrayConfig, SubbandData, WidebandScene, synthesize_scene
+from .model import ArrayConfig, WidebandScene, subband_template, synthesize_scene
 from .recovery import RecoveryConfig, estimate_doa
 from .solver import SolverConfig
 
@@ -101,7 +101,7 @@ def rmse(estimates, truths, fail_threshold_deg: float = None,
 
 @dataclass
 class ExperimentConfig:
-    scenario: str  # rmse_vs_snr | resolution | single_run
+    scenario: str  # rmse_vs_snr | resolution
     trials: int = 100
     snr_grid_db: tuple = (0.0, 5.0, 10.0, 15.0, 20.0)
     angles_deg: tuple = (-5.0, 15.0, 40.0)
@@ -129,7 +129,7 @@ class ExperimentConfig:
             raise ValueError("trials must be at least 1")
         if not self.methods:
             raise ValueError("method list must be nonempty")
-        if self.scenario not in ("rmse_vs_snr", "resolution", "single_run"):
+        if self.scenario not in ("rmse_vs_snr", "resolution"):
             raise ValueError(f"unknown scenario {self.scenario!r}")
 
     @classmethod
@@ -216,8 +216,7 @@ def _run_trial(args):
     focusing = FocusingSet.build(alphas, cfg.M)
     seed = trial_seed(cfg.master_seed, point_index, trial_index)
     scene = random_scene(array, angles, alphas, snr_db, seed, focusing)
-    template = SubbandData(Y=np.zeros((1, cfg.J), complex), omegas=cfg.omega1 * alphas)
-    data = synthesize_scene(array, scene, template)
+    data = synthesize_scene(array, scene, subband_template(cfg.omega1, alphas))
     K = len(angles)
     if method == "wgs":
         gamma = gamma_oracle(data.Y, array, scene, focusing)
@@ -310,9 +309,7 @@ def run_resolution(cfg: ExperimentConfig) -> ResultTable:
 def run_experiment(cfg: ExperimentConfig) -> ResultTable:
     if cfg.scenario == "rmse_vs_snr":
         return run_rmse_vs_snr(cfg)
-    if cfg.scenario == "resolution":
-        return run_resolution(cfg)
-    raise ValueError(f"no table runner for scenario {cfg.scenario!r}")
+    return run_resolution(cfg)
 
 
 def _svg_plot(table: ResultTable, path, log_y: bool = False):

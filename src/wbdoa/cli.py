@@ -14,8 +14,9 @@ import numpy as np
 
 from . import bench
 from .bench import ExperimentConfig, ResultTable, default_alphas, emit_report
-from .focusing import FocusingSet, gamma_blind, gamma_oracle
-from .model import ArrayConfig, SubbandData, WidebandScene, synthesize_scene
+from .focusing import FocusingSet, gamma_bound
+from .model import (ArrayConfig, SubbandData, WidebandScene, subband_template,
+                    synthesize_scene)
 from .recovery import RecoveryConfig, estimate_doa
 from .solver import SolverConfig
 
@@ -35,7 +36,7 @@ class UsageError(Exception):
 
 
 def _scene_from_doc(doc):
-    """Build (array, scene, subband template, focusing) from a scene JSON.
+    """Build (array, scene, synthesized measurements, focusing) from a scene JSON.
 
     Schema: {"array": {"M", "c", "omega1"},
              "subbands": {"alphas": [...]} or {"J": n},
@@ -67,17 +68,15 @@ def _scene_from_doc(doc):
             scene = bench.random_scene(array, angles, alphas,
                                        None if snr is None else float(snr),
                                        seed, focusing)
+        data = synthesize_scene(array, scene, subband_template(array.omega1, alphas))
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad scene config: {exc}")
-    template = SubbandData(Y=np.zeros((1, alphas.size), complex),
-                           omegas=array.omega1 * alphas)
-    return array, scene, template, focusing
+    return array, scene, data, focusing
 
 
 def _cmd_simulate(args):
     doc = _load_json(args.config)
-    array, scene, template, _ = _scene_from_doc(doc)
-    data = synthesize_scene(array, scene, template)
+    array, scene, data, _ = _scene_from_doc(doc)
     data.save_csv(args.output)
     print(f"simulate: M={array.M} J={data.J} K={scene.K} "
           f"sigma2={scene.noise_variance:.6g} seed={scene.seed} -> {args.output}")
@@ -87,21 +86,21 @@ def _cmd_simulate(args):
 def _cmd_estimate(args):
     if args.input.endswith(".json"):
         doc = _load_json(args.input)
-        array, scene, template, focusing = _scene_from_doc(doc)
-        data = synthesize_scene(array, scene, template)
-        if args.gamma_mode == "oracle":
-            gamma = gamma_oracle(data.Y, array, scene, focusing)
-        else:
-            gamma = gamma_blind(data.Y, scene.noise_variance, focusing)
+        array, scene, data, focusing = _scene_from_doc(doc)
+        sigma2 = scene.noise_variance
     else:
-        data = SubbandData.load_csv(args.input)
+        try:
+            data = SubbandData.load_csv(args.input)
+        except (OSError, KeyError, ValueError) as exc:
+            raise UsageError(f"cannot load measurements from {args.input}: {exc}")
         focusing = FocusingSet.for_subbands(data)
-        if args.gamma_mode == "oracle":
-            raise UsageError("oracle gamma needs a scene JSON, not raw measurements")
-        if args.sigma2 is None:
-            raise UsageError("blind gamma on raw measurements needs --sigma2")
-        gamma = gamma_blind(data.Y, args.sigma2, focusing)
-    gamma = max(gamma * args.gamma_safety, 1e-10)
+        array, scene, sigma2 = None, None, args.sigma2
+    try:
+        gamma = gamma_bound(data.Y, array, focusing, mode=args.gamma_mode, scene=scene,
+                            sigma2=sigma2, safety=args.gamma_safety)
+    except ValueError as exc:
+        raise UsageError(f"cannot set gamma: {exc}")
+    gamma = max(gamma, 1e-10)
     rec = RecoveryConfig(peak_tol=args.peak_tol,
                          solver=SolverConfig(max_iter=args.max_iter))
     est = estimate_doa(data, gamma=gamma, focusing=focusing, config=rec)

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ArrayConfig, SubbandData, WidebandScene, steering_vector, theta_to_f
+from .model import (ArrayConfig, SubbandData, WidebandScene, steering_matrix,
+                    steering_vector, theta_to_f)
 
 
 def focusing_matrix(alpha: float, M: int) -> np.ndarray:
@@ -123,7 +124,7 @@ def gamma_blind(Y: np.ndarray, sigma2: float, focusing: FocusingSet,
         if p_sig == 0.0:
             continue
         # beamformer weights over the candidate grid
-        A = np.exp(-2j * np.pi * np.arange(M)[:, None] * (alpha * f_grid)[None, :])
+        A = steering_matrix(alpha * f_grid, M)
         bf = np.abs(A.conj().T @ Y[:, j]) ** 2
         w = bf / bf.sum() if bf.sum() > 0 else np.full(grid_size, 1.0 / grid_size)
         e_norms = np.array([focusing_error(alpha, f, M, T).norm ** 2 for f in f_grid])

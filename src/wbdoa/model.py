@@ -98,6 +98,8 @@ class SubbandData:
 
     def __post_init__(self):
         self.Y = np.asarray(self.Y, dtype=complex)
+        if not np.all(np.isfinite(self.Y)):
+            raise ValueError("Y must be finite (no NaN or Inf entries)")
         self.omegas = np.asarray(self.omegas, dtype=float)
         if self.alphas is None:
             self.alphas = self.omegas / self.omegas[0]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_solve
 
-from .atoms import SdpProgram
+from .atoms import ConicProblem
 
 
 @dataclass
@@ -35,7 +35,6 @@ class SolverConfig:
     rho: float = 1.0
     adapt_rho: bool = True
     check_every: int = 25
-    verbosity: int = 0
     log_path: str = None
 
     def __post_init__(self):
@@ -53,18 +52,7 @@ class ConicSolution:
     objective: float
     residuals: dict
     iterations: int
-    status: str  # Optimal | MaxIter | Infeasible
-
-    @property
-    def block(self) -> np.ndarray:
-        """The assembled LMI block [[Q, Hbar], [Hbar^H, I]]."""
-        M, J = self.H.shape
-        S = np.zeros((M + J, M + J), dtype=complex)
-        S[:M, :M] = self.Q
-        S[:M, M:] = self.Hbar
-        S[M:, :M] = self.Hbar.conj().T
-        S[M:, M:] = np.eye(J)
-        return S
+    status: str  # Optimal | MaxIter
 
 
 def complex_to_real_embed(W: np.ndarray) -> np.ndarray:
@@ -113,15 +101,14 @@ def _project_trace(Q: np.ndarray) -> np.ndarray:
     return Q
 
 
-def affine_project(block: np.ndarray, program: SdpProgram, H: np.ndarray = None):
+def affine_project(block: np.ndarray, problem: ConicProblem, H: np.ndarray):
     """Euclidean projection onto the affine constraint set.
 
-    With ``H`` given, projects the pair (block, H) jointly onto
+    Projects the pair (block, H) jointly onto
     {Q trace conditions, Hbar = columnwise T_j^H h_j, lower-right = I_J}
-    and returns (block, H).  Without ``H``, the off-diagonal blocks are
-    left untouched and only the Q and identity constraints are enforced.
+    and returns (block, H).
     """
-    M, J = program.M, program.J
+    M, J = problem.M, problem.J
     S = np.asarray(block, dtype=complex)
     if S.shape != (M + J, M + J):
         raise ValueError(f"block must be {(M + J, M + J)}, got {S.shape}")
@@ -129,36 +116,33 @@ def affine_project(block: np.ndarray, program: SdpProgram, H: np.ndarray = None)
     out = S.copy()
     out[:M, :M] = _project_trace(S[:M, :M])
     out[M:, M:] = np.eye(J)
-    if H is None:
-        return out
     Hn = np.empty_like(H)
     B = S[:M, M:]
-    factors = program.coupling_factors()
     for j in range(J):
-        G = program.focusing.matrices[j].T  # T_j real, so T_j^H = T_j^T
+        G = problem.focusing.matrices[j].T  # T_j real, so T_j^H = T_j^T
         rhs = H[:, j] + 2.0 * (G.T @ B[:, j])
-        Hn[:, j] = cho_solve(factors[j], rhs)
-    Bn = np.stack([program.focusing.matrices[j].T @ Hn[:, j] for j in range(J)], axis=1)
+        Hn[:, j] = cho_solve(problem.coupling_factors[j], rhs)
+    Bn = np.stack([problem.focusing.matrices[j].T @ Hn[:, j] for j in range(J)], axis=1)
     out[:M, M:] = Bn
     out[M:, :M] = Bn.conj().T
     return out, Hn
 
 
-def _prox_objective(V: np.ndarray, program: SdpProgram, t: float) -> np.ndarray:
+def _prox_objective(V: np.ndarray, problem: ConicProblem, t: float) -> np.ndarray:
     """prox of t * (-Re<Y, H> + sqrt(gamma)||H||_F): shift then shrink."""
-    W = V + t * program.Y
+    W = V + t * problem.Y
     nrm = np.linalg.norm(W)
-    thr = t * np.sqrt(program.gamma)
+    thr = t * np.sqrt(problem.gamma)
     if nrm <= thr:
         return np.zeros_like(W)
     return W * (1.0 - thr / nrm)
 
 
-def solve(program: SdpProgram, config: SolverConfig = None) -> ConicSolution:
+def solve(problem: ConicProblem, config: SolverConfig = None) -> ConicSolution:
     """Run the splitting iteration until the KKT residuals meet tolerance."""
     if config is None:
         config = SolverConfig()
-    M, J = program.M, program.J
+    M, J = problem.M, problem.J
     n = M + J
 
     # affine-feasible start: H = 0, Q = I/M
@@ -170,7 +154,7 @@ def solve(program: SdpProgram, config: SolverConfig = None) -> ConicSolution:
     Su = np.zeros_like(Sz)
 
     t = 1.0 / config.rho
-    scale = max(1.0, float(np.linalg.norm(program.Y)))
+    scale = max(1.0, float(np.linalg.norm(problem.Y)))
     t /= scale
 
     log_rows = []
@@ -180,10 +164,10 @@ def solve(program: SdpProgram, config: SolverConfig = None) -> ConicSolution:
     dim = np.sqrt(2.0 * (M * J + n * n))
 
     for k in range(1, config.max_iter + 1):
-        Hx = _prox_objective(Hz - Hu, program, t)
+        Hx = _prox_objective(Hz - Hu, problem, t)
         Sx = psd_project(Sz - Su)
         Hz_prev, Sz_prev = Hz, Sz
-        Sz, Hz = affine_project(Sx + Su, program, Hx + Hu)
+        Sz, Hz = affine_project(Sx + Su, problem, Hx + Hu)
         Hu = Hu + Hx - Hz
         Su = Su + Sx - Sz
 
@@ -203,11 +187,8 @@ def solve(program: SdpProgram, config: SolverConfig = None) -> ConicSolution:
             u_norm = np.sqrt(np.linalg.norm(Hu) ** 2 + np.linalg.norm(Su) ** 2) / t
             eps_pri = config.eps_abs * dim + config.eps_rel * max(x_norm, z_norm)
             eps_dual = config.eps_abs * dim + config.eps_rel * u_norm
-            if config.verbosity >= 2:
-                print(f"iter {k:6d}  obj {program.objective(Hz):+.8e}  "
-                      f"r {r_norm:.3e}  s {s_norm:.3e}  t {t:.3e}")
             if config.log_path:
-                log_rows.append((k, program.objective(Hz), r_norm, s_norm))
+                log_rows.append((k, problem.objective(Hz), r_norm, s_norm))
             if r_norm <= eps_pri and s_norm <= eps_dual:
                 status = "Optimal"
                 iters = k
@@ -229,8 +210,7 @@ def solve(program: SdpProgram, config: SolverConfig = None) -> ConicSolution:
     evals = np.linalg.eigvalsh(0.5 * (Sz + Sz.conj().T))
     residuals = {
         "psdViolation": float(max(0.0, -evals[0])),
-        "eqViolation": 0.0,  # affine-feasible iterate by construction
-        "relGap": float(r_norm / max(1.0, np.linalg.norm(program.Y))),
+        "relGap": float(r_norm / max(1.0, np.linalg.norm(problem.Y))),
         "primal": float(r_norm),
         "dual": float(s_norm),
     }
@@ -243,7 +223,7 @@ def solve(program: SdpProgram, config: SolverConfig = None) -> ConicSolution:
         H=Hz,
         Hbar=Hbar,
         Q=Q,
-        objective=program.objective(Hz),
+        objective=problem.objective(Hz),
         residuals=residuals,
         iterations=iters,
         status=status,

@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from wbdoa.atoms import ConicProblem, assemble_dual_sdp, dual_atomic_norm, polynomial_norm_on_grid
+from wbdoa.atoms import ConicProblem, dual_atomic_norm, polynomial_norm_on_grid
 from wbdoa.bench import ExperimentConfig, run_resolution, run_rmse_vs_snr
 from wbdoa.cli import cli_main
 from wbdoa.focusing import FocusingSet, gamma_oracle
@@ -94,8 +94,7 @@ def test_02_lmi_polynomial_equivalence():
                               noise_variance=0.05, seed=i)
         data = synthesize_scene(cfg, scene, tpl)
         gamma = gamma_oracle(data.Y, cfg, scene, focusing)
-        prog = assemble_dual_sdp(ConicProblem(Y=data.Y, focusing=focusing,
-                                              gamma=gamma))
+        prog = ConicProblem(Y=data.Y, focusing=focusing, gamma=gamma)
         sol = solve(prog, SolverConfig(eps_abs=1e-8, eps_rel=1e-7))
         _, vals = polynomial_norm_on_grid(sol.Hbar, 8192)
         peak = float(np.max(vals))
@@ -169,9 +168,9 @@ def test_05_solver_unit_oracles():
         oracle = Rp[:12, :12] + 1j * Rp[12:, :12]
         psd_ok &= np.max(np.abs(psd_project(W) - oracle)) < 1e-10
     focusing = FocusingSet.build([1.0, 0.8, 0.6], 6)
-    prog = assemble_dual_sdp(ConicProblem(
+    prog = ConicProblem(
         Y=rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3)),
-        focusing=focusing, gamma=1.0))
+        focusing=focusing, gamma=1.0)
     idem_ok = True
     for _ in range(20):
         S = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))

@@ -3,8 +3,7 @@ import pytest
 
 from wbdoa.atoms import (
     ConicProblem,
-    SdpProgram,
-    assemble_dual_sdp,
+    _hbar,
     atomic_norm_upper,
     build_atom,
     dual_atomic_norm,
@@ -137,13 +136,12 @@ class TestDualAtomicNorm:
             assert inner <= bound + 1e-9
 
 
-class TestSdpProgram:
-    def test_assemble_and_objective(self, focusing):
+class TestConicProblem:
+    def test_dimensions_and_objective(self, focusing):
         rng = np.random.default_rng(1)
         Y = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
-        prog = assemble_dual_sdp(ConicProblem(Y=Y, focusing=focusing, gamma=4.0))
-        assert prog.block_size == 10
-        assert prog.trace_constraint_count() == 6
+        prog = ConicProblem(Y=Y, focusing=focusing, gamma=4.0)
+        assert (prog.M, prog.J) == (6, 4)
         H = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
         expect = np.real(np.trace(Y.conj().T @ H)) - 2.0 * np.linalg.norm(H)
         assert prog.objective(H) == pytest.approx(expect, rel=1e-12)
@@ -157,20 +155,8 @@ class TestSdpProgram:
     def test_hbar_columnwise(self, focusing):
         rng = np.random.default_rng(8)
         Y = np.zeros((6, 4), dtype=complex)
-        prog = assemble_dual_sdp(ConicProblem(Y=Y, focusing=focusing, gamma=0.0))
+        prog = ConicProblem(Y=Y, focusing=focusing, gamma=0.0)
         H = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
-        Hb = prog.hbar(H)
+        Hb = _hbar(H, prog.focusing)
         for j in range(4):
             assert np.allclose(Hb[:, j], focusing.matrices[j].T @ H[:, j], atol=1e-13)
-
-    def test_save_load_round_trip(self, focusing, tmp_path):
-        rng = np.random.default_rng(4)
-        Y = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
-        prog = assemble_dual_sdp(ConicProblem(Y=Y, focusing=focusing, gamma=2.5))
-        path = tmp_path / "prog.json"
-        prog.save(path)
-        back = SdpProgram.load(path)
-        assert np.array_equal(back.Y, Y)
-        assert back.gamma == 2.5
-        assert np.array_equal(back.focusing.matrices, focusing.matrices)
-        assert (back.M, back.J) == (6, 4)

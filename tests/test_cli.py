@@ -76,6 +76,38 @@ class TestEstimate:
         cli_main(["simulate", "--config", str(scene_path), "--output", str(data_csv)])
         assert cli_main(["estimate", "--input", str(data_csv)]) == 1
 
+    def test_gamma_safety_scales_gamma(self, scene_path, capsys):
+        gammas = []
+        for safety in ("1", "2"):
+            assert cli_main(["estimate", "--input", str(scene_path),
+                             "--gamma-safety", safety]) == 0
+            out = capsys.readouterr().out
+            gammas.append(float(out.split("gamma=", 1)[1].split()[0]))
+        assert gammas[1] == pytest.approx(2.0 * gammas[0], rel=1e-5)
+
+    def test_non_finite_input(self, scene_path, tmp_path, capsys):
+        data_csv = tmp_path / "data.csv"
+        cli_main(["simulate", "--config", str(scene_path), "--output", str(data_csv)])
+        lines = data_csv.read_text().splitlines()
+        row = lines[1].split(",")
+        row[0] = "nan"
+        lines[1] = ",".join(row)
+        data_csv.write_text("\n".join(lines) + "\n")
+        assert cli_main(["estimate", "--input", str(data_csv),
+                         "--gamma-mode", "blind", "--sigma2", "0.0"]) == 1
+        assert "finite" in capsys.readouterr().err
+        # a scene JSON whose spectra hold NaN (json accepts the literal)
+        scene = dict(SCENE, scene={"angles_deg": [10.0],
+                                   "spectra": [[[float("nan"), 0.0]] + [[1.0, 0.0]] * 5]})
+        bad = tmp_path / "nan_scene.json"
+        bad.write_text(json.dumps(scene))
+        assert cli_main(["estimate", "--input", str(bad)]) == 1
+        assert "finite" in capsys.readouterr().err
+
+    def test_missing_csv(self, tmp_path):
+        assert cli_main(["estimate", "--input", str(tmp_path / "nope.csv"),
+                         "--gamma-mode", "blind", "--sigma2", "0.0"]) == 1
+
     def test_blind_needs_sigma2(self, scene_path, tmp_path):
         data_csv = tmp_path / "data.csv"
         cli_main(["simulate", "--config", str(scene_path), "--output", str(data_csv)])
@@ -116,6 +148,13 @@ class TestBenchmark:
         assert cli_main(["benchmark", "--config", str(cfg), "--output", str(out),
                          "--quick"]) == 0
         assert ResultTable.from_csv(out).rows[0]["trials"] == 20
+
+    def test_scenario_without_runner(self, tmp_path):
+        # the scenario value the config once accepted but no runner handled
+        cfg = tmp_path / "bench.json"
+        cfg.write_text(json.dumps({"scenario": "single" "_run"}))
+        assert cli_main(["benchmark", "--config", str(cfg),
+                         "--output", str(tmp_path / "t.csv")]) == 1
 
     def test_unknown_key(self, tmp_path):
         cfg = tmp_path / "bench.json"

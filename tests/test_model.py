@@ -156,6 +156,14 @@ class TestSubbandData:
         with pytest.raises(ValueError):
             SubbandData(Y=np.zeros((2, 2)), omegas=np.array([1.0, 1.0]))
 
+    def test_non_finite_rejected(self):
+        omegas = np.array([2.0, 1.0])
+        for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan)):
+            Y = np.ones((3, 2), dtype=complex)
+            Y[1, 0] = bad
+            with pytest.raises(ValueError, match="finite"):
+                SubbandData(Y=Y, omegas=omegas)
+
     def test_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
         Y = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))

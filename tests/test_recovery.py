@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from wbdoa.atoms import ConicProblem, assemble_dual_sdp, noiseless_matrix
+from wbdoa.atoms import noiseless_matrix
 from wbdoa.focusing import FocusingSet, gamma_oracle, noiseless_measurements
 from wbdoa.model import (
     ArrayConfig,
@@ -199,6 +199,21 @@ class TestEstimateDoa:
         doc = json.loads(path.read_text())
         assert doc["Khat"] == est.Khat
         assert doc["angles_deg"] == [float(t) for t in est.thetas]
+
+    def test_non_converged_solve_warns(self, pipeline_setup):
+        # the acceptance noiseless scene with a budget far too small to
+        # converge: the estimate is still returned, but not silently
+        cfg, tpl, focusing = pipeline_setup
+        rng = np.random.default_rng(0)
+        spectra = (rng.standard_normal((3, 10)) + 1j * rng.standard_normal((3, 10))) / np.sqrt(2)
+        scene = WidebandScene(angles_deg=(-5.0, 15.0, 40.0), source_spectra=spectra)
+        data = synthesize_scene(cfg, scene, tpl)
+        gamma = gamma_oracle(data.Y, cfg, scene, focusing)
+        config = RecoveryConfig(solver=SolverConfig(max_iter=50))
+        with pytest.warns(UserWarning, match="MaxIter"):
+            est = estimate_doa(data, gamma, focusing, config)
+        assert est.diagnostics["solverStatus"] == "MaxIter"
+        assert est.diagnostics["solverIterations"] == 50
 
     def test_recovery_config_tolerances(self, pipeline_setup):
         cfg, tpl, focusing = pipeline_setup

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wbdoa.atoms import ConicProblem, assemble_dual_sdp, dual_atomic_norm, noiseless_matrix
+from wbdoa.atoms import ConicProblem, dual_atomic_norm, noiseless_matrix
 from wbdoa.focusing import FocusingSet, gamma_oracle, noiseless_measurements
 from wbdoa.model import ArrayConfig, WidebandScene, steering_vector
 from wbdoa.solver import (
@@ -64,20 +64,20 @@ class TestPsdProject:
 
 
 @pytest.fixture
-def small_program():
+def small_problem():
     rng = np.random.default_rng(7)
     focusing = FocusingSet.build([1.0, 0.8, 0.6], 5)
     Y = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-    return assemble_dual_sdp(ConicProblem(Y=Y, focusing=focusing, gamma=1.0))
+    return ConicProblem(Y=Y, focusing=focusing, gamma=1.0)
 
 
 class TestAffineProject:
-    def test_constraints_satisfied(self, small_program):
+    def test_constraints_satisfied(self, small_problem):
         rng = np.random.default_rng(4)
-        n = small_program.block_size
+        n = small_problem.M + small_problem.J
         S = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         H = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-        out, Hn = affine_project(S, small_program, H)
+        out, Hn = affine_project(S, small_problem, H)
         M = 5
         Q = out[:M, :M]
         assert np.real(np.trace(Q)) == pytest.approx(1.0, abs=1e-12)
@@ -87,32 +87,32 @@ class TestAffineProject:
         assert np.allclose(out[M:, M:], np.eye(3), atol=1e-15)
         Bn = out[:M, M:]
         for j in range(3):
-            Tj = small_program.focusing.matrices[j]
+            Tj = small_problem.focusing.matrices[j]
             assert np.allclose(Bn[:, j], Tj.T @ Hn[:, j], atol=1e-11)
 
-    def test_idempotent(self, small_program):
+    def test_idempotent(self, small_problem):
         rng = np.random.default_rng(5)
-        n = small_program.block_size
+        n = small_problem.M + small_problem.J
         S = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         H = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-        S1, H1 = affine_project(S, small_program, H)
-        S2, H2 = affine_project(S1, small_program, H1)
+        S1, H1 = affine_project(S, small_problem, H)
+        S2, H2 = affine_project(S1, small_problem, H1)
         assert np.allclose(S1, S2, atol=1e-12)
         assert np.allclose(H1, H2, atol=1e-12)
 
-    def test_is_euclidean_projection(self, small_program):
+    def test_is_euclidean_projection(self, small_problem):
         # optimality of a projection onto an affine set: the residual is
         # orthogonal to every feasible-direction difference
         rng = np.random.default_rng(6)
-        n = small_program.block_size
+        n = small_problem.M + small_problem.J
         S = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         S = 0.5 * (S + S.conj().T)
         H = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-        S1, H1 = affine_project(S, small_program, H)
+        S1, H1 = affine_project(S, small_problem, H)
         for _ in range(10):
             Sf = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             Hf = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-            Sf, Hf = affine_project(0.5 * (Sf + Sf.conj().T), small_program, Hf)
+            Sf, Hf = affine_project(0.5 * (Sf + Sf.conj().T), small_problem, Hf)
             # inner product of (S - S1, H - H1) with (Sf - S1, Hf - H1),
             # counting the doubled off-diagonal copies exactly as the
             # projection metric does
@@ -127,7 +127,7 @@ class TestSolve:
         focusing = FocusingSet.build([1.0], 8)
         beta, f0 = 2.0, 0.11
         Y = beta * steering_vector(f0, 8)[:, None] / 1.0
-        prog = assemble_dual_sdp(ConicProblem(Y=Y, focusing=focusing, gamma=0.0))
+        prog = ConicProblem(Y=Y, focusing=focusing, gamma=0.0)
         sol = solve(prog, SolverConfig(eps_abs=1e-9, eps_rel=1e-8))
         assert sol.status == "Optimal"
         assert sol.objective == pytest.approx(beta, rel=1e-4)
@@ -144,16 +144,24 @@ class TestSolve:
         scene = WidebandScene(angles_deg=(-5.0, 15.0, 40.0), source_spectra=spectra)
         Y = noiseless_measurements(cfg, scene, focusing)
         gamma = gamma_oracle(Y, cfg, scene, focusing)
-        prog = assemble_dual_sdp(ConicProblem(Y=Y, focusing=focusing, gamma=gamma))
+        prog = ConicProblem(Y=Y, focusing=focusing, gamma=gamma)
         sol = solve(prog, SolverConfig(eps_abs=1e-7, eps_rel=1e-6))
         assert sol.status == "Optimal"
         assert sol.objective == pytest.approx(13.443091, rel=1e-4)
 
-    def test_solution_feasibility(self, small_program):
-        sol = solve(small_program, SolverConfig(eps_abs=1e-8, eps_rel=1e-7))
+    def test_solution_feasibility(self, small_problem):
+        sol = solve(small_problem, SolverConfig(eps_abs=1e-8, eps_rel=1e-7))
         assert sol.status == "Optimal"
-        # reported iterate is affine-feasible by construction
-        assert sol.residuals["eqViolation"] == 0.0
+        # reported iterate is affine-feasible: Toeplitz-trace sums of Q and
+        # the columnwise coupling Hbar = T_j^T H hold to rounding
+        M = 5
+        assert abs(np.real(np.trace(sol.Q)) - 1.0) < 1e-10
+        for m in range(1, M):
+            idx = np.arange(M - m)
+            assert abs(sol.Q[idx, idx + m].sum()) < 1e-10
+        for j in range(3):
+            Tj = small_problem.focusing.matrices[j]
+            assert np.allclose(sol.Hbar[:, j], Tj.T @ sol.H[:, j], rtol=0, atol=1e-10)
         assert sol.residuals["psdViolation"] < 1e-5
         # Q satisfies a(f)^H Q a(f) = 1 for every f when Toeplitz-trace
         # conditions hold
@@ -162,9 +170,9 @@ class TestSolve:
             a = steering_vector(f, 5)
             assert np.real(a.conj() @ sol.Q @ a) == pytest.approx(1.0, abs=1e-9)
 
-    def test_dual_feasibility_polynomial(self, small_program):
-        sol = solve(small_program, SolverConfig(eps_abs=1e-8, eps_rel=1e-7))
-        peak = dual_atomic_norm(sol.H, small_program.focusing)
+    def test_dual_feasibility_polynomial(self, small_problem):
+        sol = solve(small_problem, SolverConfig(eps_abs=1e-8, eps_rel=1e-7))
+        peak = dual_atomic_norm(sol.H, small_problem.focusing)
         assert peak <= 1.0 + 1e-4
 
     def test_weak_duality_against_atomic_bound(self):
@@ -174,26 +182,25 @@ class TestSolve:
         spectra = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         scene = WidebandScene(angles_deg=(-20.0, 25.0), source_spectra=spectra)
         dec = noiseless_matrix(scene, focusing)
-        prog = assemble_dual_sdp(
-            ConicProblem(Y=dec.matrix, focusing=focusing, gamma=0.0))
+        prog = ConicProblem(Y=dec.matrix, focusing=focusing, gamma=0.0)
         sol = solve(prog, SolverConfig(eps_abs=1e-8, eps_rel=1e-7))
         assert sol.objective <= dec.total_weight * (1 + 1e-4)
 
-    def test_determinism(self, small_program):
-        a = solve(small_program, SolverConfig(max_iter=500))
-        b = solve(small_program, SolverConfig(max_iter=500))
+    def test_determinism(self, small_problem):
+        a = solve(small_problem, SolverConfig(max_iter=500))
+        b = solve(small_problem, SolverConfig(max_iter=500))
         assert np.array_equal(a.H, b.H)
         assert a.objective == b.objective
         assert a.iterations == b.iterations
 
-    def test_max_iter_status(self, small_program):
-        sol = solve(small_program, SolverConfig(max_iter=10, eps_abs=1e-12,
+    def test_max_iter_status(self, small_problem):
+        sol = solve(small_problem, SolverConfig(max_iter=10, eps_abs=1e-12,
                                                 eps_rel=1e-12))
         assert sol.status == "MaxIter"
 
-    def test_log_file(self, small_program, tmp_path):
+    def test_log_file(self, small_problem, tmp_path):
         path = tmp_path / "log.csv"
-        solve(small_program, SolverConfig(log_path=str(path)))
+        solve(small_problem, SolverConfig(log_path=str(path)))
         with open(path) as fh:
             header = fh.readline().strip()
         assert header == "iteration,objective,primal_residual,dual_residual"
@@ -217,7 +224,7 @@ class TestQCertificate:
         focusing = FocusingSet.build([1.0, 0.8], 5)
         rng = np.random.default_rng(20)
         Y = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
-        prog = assemble_dual_sdp(ConicProblem(Y=Y, focusing=focusing, gamma=0.5))
+        prog = ConicProblem(Y=Y, focusing=focusing, gamma=0.5)
         sol = solve(prog, SolverConfig(eps_abs=1e-8, eps_rel=1e-7))
         Q, feasible, lam = find_q_certificate(0.99 * sol.Hbar)
         assert feasible
