@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor
 
 from .focusing import FocusingSet
 from .model import WidebandScene, steering_matrix, steering_vector, theta_to_f
@@ -169,8 +168,10 @@ class ConicProblem:
     Y: np.ndarray
     focusing: FocusingSet
     gamma: float
-    # Cholesky factors of I + 2 T_j T_j^T, used by the affine projection
-    coupling_factors: tuple = field(init=False, repr=False, compare=False)
+    # J x 2M x 2M real map taking (h_j, hbar_j) to its projection onto
+    # hbar_j = T_j^T h_j: with A_j = (I + 2 T_j T_j^T)^-1 its blocks are
+    # [[A_j, 2 A_j T_j], [T_j^T A_j, 2 T_j^T A_j T_j]]
+    coupling_map: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         Y = np.asarray(self.Y, dtype=complex)
@@ -180,11 +181,15 @@ class ConicProblem:
                 f"Y shape {Y.shape} inconsistent with focusing set "
                 f"({self.M} x {self.J})"
             )
-        if self.gamma < 0:
-            raise ValueError("gamma must be nonnegative")
-        object.__setattr__(self, "coupling_factors", tuple(
-            cho_factor(np.eye(self.M) + 2.0 * T @ T.T) for T in self.focusing.matrices
-        ))
+        if not np.all(np.isfinite(Y)):
+            raise ValueError("Y must be finite")
+        if not (np.isfinite(self.gamma) and self.gamma >= 0):
+            raise ValueError("gamma must be finite and nonnegative")
+        T = self.focusing.matrices
+        Tt = T.transpose(0, 2, 1)
+        eye = np.broadcast_to(np.eye(self.M), T.shape)
+        top = np.linalg.solve(eye + 2.0 * T @ Tt, np.concatenate([eye, 2.0 * T], axis=2))
+        object.__setattr__(self, "coupling_map", np.concatenate([top, Tt @ top], axis=1))
 
     @property
     def M(self) -> int:

@@ -140,8 +140,10 @@ def gamma_bound(Y: np.ndarray, cfg: ArrayConfig, focusing: FocusingSet,
     ``oracle`` mode needs the true scene and returns the exact realized
     power; ``blind`` mode needs only sigma2 and uses the heuristic bound.
     ``safety`` multiplies the result (under-estimating gamma can make the
-    recovery problem infeasible in noise).
+    recovery problem infeasible in noise) and must be finite and positive.
     """
+    if not (np.isfinite(safety) and safety > 0):
+        raise ValueError(f"safety must be finite and positive, got {safety}")
     if mode == "oracle":
         if scene is None:
             raise ValueError("oracle mode requires the true scene")

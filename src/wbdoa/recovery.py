@@ -34,8 +34,7 @@ class DualPolynomial:
     Hbar: np.ndarray
 
     def __call__(self, f):
-        M = self.Hbar.shape[0]
-        return float(np.linalg.norm(self.Hbar.conj().T @ steering_vector(f, M)))
+        return float(np.linalg.norm(self.vector(f)))
 
     def vector(self, f) -> np.ndarray:
         """The J-vector [hbar_1^H a(f), ..., hbar_J^H a(f)]."""
@@ -217,10 +216,7 @@ def estimate_doa(subbands: SubbandData, gamma: float,
     peak_values = [poly(f) for f in fs]
     # model order: atoms far below the dominant amplitude absorb the
     # fidelity budget (focusing error, noise) and are not reported as sources
-    if betas.size:
-        keep = betas >= config.amp_floor * betas.max()
-    else:
-        keep = np.zeros(0, dtype=bool)
+    keep = betas >= config.amp_floor * betas.max(initial=0.0)
     minor = [
         {"f": float(f), "theta_deg": f_to_theta(f), "beta": float(b)}
         for f, b, k in zip(fs, betas, keep) if not k

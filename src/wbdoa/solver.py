@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .atoms import ConicProblem
 
@@ -42,6 +42,10 @@ class SolverConfig:
             raise ValueError("max_iter must be at least 1")
         if self.eps_abs <= 0 or self.eps_rel <= 0:
             raise ValueError("tolerances must be positive")
+        if not (np.isfinite(self.rho) and self.rho > 0):
+            raise ValueError("rho must be finite and positive")
+        if self.check_every < 1:
+            raise ValueError("check_every must be at least 1")
 
 
 @dataclass
@@ -81,24 +85,34 @@ def psd_project(W: np.ndarray) -> np.ndarray:
     return (V * evals[pos]) @ V.conj().T
 
 
+@lru_cache(maxsize=None)
+def _diagonal_offsets(M: int):
+    """Diagonal index c - r + M - 1 of every entry of an M x M matrix,
+    flattened, and the length M - |m| of each diagonal m = 1-M..M-1."""
+    r, c = np.indices((M, M))
+    idx = (c - r + M - 1).ravel()
+    lengths = M - np.abs(np.arange(1 - M, M))
+    idx.flags.writeable = lengths.flags.writeable = False
+    return idx, lengths
+
+
 def _project_trace(Q: np.ndarray) -> np.ndarray:
     """Project a Hermitian Q onto sum_n Q[n, n+m] = delta_{m0}, all m.
 
     Each diagonal is independent; the correction is spread uniformly along
     the diagonal and mirrored conjugate below.
     """
-    Q = Q.copy()
     M = Q.shape[0]
-    idx = np.arange(M)
-    # main diagonal: real, sums to 1
-    dsum = np.real(np.trace(Q))
-    Q[idx, idx] = np.real(Q[idx, idx]) - (dsum - 1.0) / M
-    for m in range(1, M):
-        n = np.arange(M - m)
-        s = Q[n, n + m].sum() / (M - m)
-        Q[n, n + m] -= s
-        Q[n + m, n] -= np.conj(s)
-    return Q
+    idx, lengths = _diagonal_offsets(M)
+    flat = Q.ravel()
+    sums = (np.bincount(idx, flat.real, 2 * M - 1)
+            + 1j * np.bincount(idx, flat.imag, 2 * M - 1))
+    # mean of each diagonal m >= 0; the main diagonal is real and sums to 1
+    upper = sums[M - 1:] / lengths[M - 1:]
+    upper[0] = (sums[M - 1].real - 1.0) / M
+    out = Q - np.concatenate([upper[:0:-1].conj(), upper])[idx].reshape(M, M)
+    out.flat[::M + 1] = out.flat[::M + 1].real
+    return out
 
 
 def affine_project(block: np.ndarray, problem: ConicProblem, H: np.ndarray):
@@ -106,7 +120,8 @@ def affine_project(block: np.ndarray, problem: ConicProblem, H: np.ndarray):
 
     Projects the pair (block, H) jointly onto
     {Q trace conditions, Hbar = columnwise T_j^H h_j, lower-right = I_J}
-    and returns (block, H).
+    and returns (block, H).  The coupling part applies the problem's
+    precomputed map to the real and imaginary parts of all J bins at once.
     """
     M, J = problem.M, problem.J
     S = np.asarray(block, dtype=complex)
@@ -116,13 +131,10 @@ def affine_project(block: np.ndarray, problem: ConicProblem, H: np.ndarray):
     out = S.copy()
     out[:M, :M] = _project_trace(S[:M, :M])
     out[M:, M:] = np.eye(J)
-    Hn = np.empty_like(H)
-    B = S[:M, M:]
-    for j in range(J):
-        G = problem.focusing.matrices[j].T  # T_j real, so T_j^H = T_j^T
-        rhs = H[:, j] + 2.0 * (G.T @ B[:, j])
-        Hn[:, j] = cho_solve(problem.coupling_factors[j], rhs)
-    Bn = np.stack([problem.focusing.matrices[j].T @ Hn[:, j] for j in range(J)], axis=1)
+    X = np.concatenate([H, S[:M, M:]]).T  # J x 2M, row j = (h_j, hbar_j)
+    P = problem.coupling_map @ np.stack([X.real, X.imag], axis=2)
+    Z = (P[:, :, 0] + 1j * P[:, :, 1]).T
+    Hn, Bn = Z[:M], Z[M:]
     out[:M, M:] = Bn
     out[M:, :M] = Bn.conj().T
     return out, Hn
@@ -136,6 +148,11 @@ def _prox_objective(V: np.ndarray, problem: ConicProblem, t: float) -> np.ndarra
     if nrm <= thr:
         return np.zeros_like(W)
     return W * (1.0 - thr / nrm)
+
+
+def _pair_norm(H: np.ndarray, S: np.ndarray) -> float:
+    """Euclidean norm of the pair (H, S)."""
+    return np.sqrt(np.linalg.norm(H) ** 2 + np.linalg.norm(S) ** 2)
 
 
 def solve(problem: ConicProblem, config: SolverConfig = None) -> ConicSolution:
@@ -153,9 +170,7 @@ def solve(problem: ConicProblem, config: SolverConfig = None) -> ConicSolution:
     Hu = np.zeros_like(Hz)
     Su = np.zeros_like(Sz)
 
-    t = 1.0 / config.rho
-    scale = max(1.0, float(np.linalg.norm(problem.Y)))
-    t /= scale
+    t = 1.0 / config.rho / max(1.0, float(np.linalg.norm(problem.Y)))
 
     log_rows = []
     status = "MaxIter"
@@ -172,19 +187,10 @@ def solve(problem: ConicProblem, config: SolverConfig = None) -> ConicSolution:
         Su = Su + Sx - Sz
 
         if k % config.check_every == 0 or k == config.max_iter:
-            r_norm = np.sqrt(
-                np.linalg.norm(Hx - Hz) ** 2 + np.linalg.norm(Sx - Sz) ** 2
-            )
-            s_norm = (
-                np.sqrt(
-                    np.linalg.norm(Hz - Hz_prev) ** 2
-                    + np.linalg.norm(Sz - Sz_prev) ** 2
-                )
-                / t
-            )
-            x_norm = np.sqrt(np.linalg.norm(Hx) ** 2 + np.linalg.norm(Sx) ** 2)
-            z_norm = np.sqrt(np.linalg.norm(Hz) ** 2 + np.linalg.norm(Sz) ** 2)
-            u_norm = np.sqrt(np.linalg.norm(Hu) ** 2 + np.linalg.norm(Su) ** 2) / t
+            r_norm = _pair_norm(Hx - Hz, Sx - Sz)
+            s_norm = _pair_norm(Hz - Hz_prev, Sz - Sz_prev) / t
+            x_norm, z_norm = _pair_norm(Hx, Sx), _pair_norm(Hz, Sz)
+            u_norm = _pair_norm(Hu, Su) / t
             eps_pri = config.eps_abs * dim + config.eps_rel * max(x_norm, z_norm)
             eps_dual = config.eps_abs * dim + config.eps_rel * u_norm
             if config.log_path:
@@ -194,16 +200,12 @@ def solve(problem: ConicProblem, config: SolverConfig = None) -> ConicSolution:
                 iters = k
                 break
             if config.adapt_rho and k < config.max_iter // 2:
-                if r_norm > 10.0 * s_norm:
-                    t_new = t / 2.0
-                elif s_norm > 10.0 * r_norm:
-                    t_new = t * 2.0
-                else:
-                    t_new = t
-                if t_new != t:
-                    Hu *= t_new / t
-                    Su *= t_new / t
-                    t = t_new
+                step = (0.5 if r_norm > 10.0 * s_norm
+                        else 2.0 if s_norm > 10.0 * r_norm else 1.0)
+                if step != 1.0:
+                    Hu *= step
+                    Su *= step
+                    t *= step
 
     Q = Sz[:M, :M].copy()
     Hbar = Sz[:M, M:].copy()
@@ -239,23 +241,18 @@ def find_q_certificate(Hbar: np.ndarray, max_iter: int = 20000, tol: float = 1e-
     """
     M, J = Hbar.shape
     n = M + J
-    S = np.zeros((n, n), dtype=complex)
-    S[:M, :M] = np.eye(M) / M
-    S[:M, M:] = Hbar
-    S[M:, :M] = Hbar.conj().T
-    S[M:, M:] = np.eye(J)
-
-    def onto_affine(S):
-        out = S.copy()
-        out[:M, :M] = _project_trace(0.5 * (S[:M, :M] + S[:M, :M].conj().T))
-        out[:M, M:] = Hbar
-        out[M:, :M] = Hbar.conj().T
-        out[M:, M:] = np.eye(J)
-        return out
-
+    # the fixed blocks of the affine set, with the start Q = I/M
+    S0 = np.zeros((n, n), dtype=complex)
+    S0[:M, :M] = np.eye(M) / M
+    S0[:M, M:] = Hbar
+    S0[M:, :M] = Hbar.conj().T
+    S0[M:, M:] = np.eye(J)
+    S = S0
     lam_min = -np.inf
     for _ in range(max_iter):
-        S = onto_affine(psd_project(S))
+        Q = psd_project(S)[:M, :M]
+        S = S0.copy()
+        S[:M, :M] = _project_trace(0.5 * (Q + Q.conj().T))
         lam_min = float(np.linalg.eigvalsh(S)[0])
         if lam_min >= -tol:
             return S[:M, :M].copy(), True, lam_min

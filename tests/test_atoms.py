@@ -152,6 +152,18 @@ class TestConicProblem:
         with pytest.raises(ValueError):
             ConicProblem(Y=np.zeros((6, 4)), focusing=focusing, gamma=-1.0)
 
+    @pytest.mark.parametrize("bad_y, gamma", [
+        (True, 1.0),           # NaN entry in Y
+        (False, float("nan")),
+        (False, float("inf")),
+    ])
+    def test_non_finite_rejected(self, focusing, bad_y, gamma):
+        Y = np.ones((6, 4), dtype=complex)
+        if bad_y:
+            Y[2, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            ConicProblem(Y=Y, focusing=focusing, gamma=gamma)
+
     def test_hbar_columnwise(self, focusing):
         rng = np.random.default_rng(8)
         Y = np.zeros((6, 4), dtype=complex)

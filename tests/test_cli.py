@@ -85,6 +85,12 @@ class TestEstimate:
             gammas.append(float(out.split("gamma=", 1)[1].split()[0]))
         assert gammas[1] == pytest.approx(2.0 * gammas[0], rel=1e-5)
 
+    @pytest.mark.parametrize("safety", ["nan", "inf", "-1", "0"])
+    def test_bad_gamma_safety(self, scene_path, capsys, safety):
+        assert cli_main(["estimate", "--input", str(scene_path),
+                         "--gamma-safety", safety]) == 1
+        assert "safety" in capsys.readouterr().err
+
     def test_non_finite_input(self, scene_path, tmp_path, capsys):
         data_csv = tmp_path / "data.csv"
         cli_main(["simulate", "--config", str(scene_path), "--output", str(data_csv)])

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve
 
 from wbdoa.atoms import ConicProblem, dual_atomic_norm, noiseless_matrix
 from wbdoa.focusing import FocusingSet, gamma_oracle, noiseless_measurements
@@ -7,6 +10,7 @@ from wbdoa.model import ArrayConfig, WidebandScene, steering_vector
 from wbdoa.solver import (
     ConicSolution,
     SolverConfig,
+    _project_trace,
     affine_project,
     complex_to_real_embed,
     find_q_certificate,
@@ -120,6 +124,73 @@ class TestAffineProject:
             assert abs(ip) < 1e-9
 
 
+def _loop_project_trace(Q):
+    """Reference: one diagonal at a time, as a plain loop."""
+    Q = Q.copy()
+    M = Q.shape[0]
+    idx = np.arange(M)
+    dsum = np.real(np.trace(Q))
+    Q[idx, idx] = np.real(Q[idx, idx]) - (dsum - 1.0) / M
+    for m in range(1, M):
+        n = np.arange(M - m)
+        s = Q[n, n + m].sum() / (M - m)
+        Q[n, n + m] -= s
+        Q[n + m, n] -= np.conj(s)
+    return Q
+
+
+def _per_bin_affine_project(block, problem, H):
+    """Reference: one Cholesky solve of (I + 2 T_j T_j^T) h = h_j + 2 T_j hbar_j
+    per bin, then hbar = T_j^T h."""
+    M, J = problem.M, problem.J
+    S = 0.5 * (block + block.conj().T)
+    out = S.copy()
+    out[:M, :M] = _loop_project_trace(S[:M, :M])
+    out[M:, M:] = np.eye(J)
+    Hn = np.empty_like(H)
+    for j in range(J):
+        T = problem.focusing.matrices[j]
+        factor = cho_factor(np.eye(M) + 2.0 * T @ T.T)
+        Hn[:, j] = cho_solve(factor, H[:, j] + 2.0 * (T @ S[:M, M + j]))
+    Bn = np.stack([problem.focusing.matrices[j].T @ Hn[:, j] for j in range(J)], axis=1)
+    out[:M, M:] = Bn
+    out[M:, :M] = Bn.conj().T
+    return out, Hn
+
+
+def _crandn(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _rel_err(got, ref):
+    return np.linalg.norm(got - ref) / max(np.linalg.norm(ref), 1e-300)
+
+
+class TestProjectionOracles:
+    @settings(max_examples=60, deadline=None)
+    @given(M=st.integers(1, 48), seed=st.integers(0, 2**32 - 1))
+    def test_trace_matches_loop(self, M, seed):
+        A = _crandn(np.random.default_rng(seed), M, M)
+        Q = A + A.conj().T
+        assert _rel_err(_project_trace(Q), _loop_project_trace(Q)) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(M=st.integers(2, 48),
+           alphas=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=19),
+           seed=st.integers(0, 2**32 - 1))
+    def test_affine_matches_per_bin_solves(self, M, alphas, seed):
+        rng = np.random.default_rng(seed)
+        J = len(alphas)
+        problem = ConicProblem(Y=_crandn(rng, M, J),
+                               focusing=FocusingSet.build(alphas, M), gamma=1.0)
+        A = _crandn(rng, M + J, M + J)
+        block, H = A + A.conj().T, _crandn(rng, M, J)
+        got_S, got_H = affine_project(block, problem, H)
+        ref_S, ref_H = _per_bin_affine_project(block, problem, H)
+        assert _rel_err(got_S, ref_S) <= 1e-12
+        assert _rel_err(got_H, ref_H) <= 1e-12
+
+
 class TestSolve:
     def test_single_narrowband_atom(self):
         # one source, single band, gamma = 0: the dual optimum attains
@@ -215,6 +286,14 @@ class TestSolve:
             SolverConfig(max_iter=0)
         with pytest.raises(ValueError):
             SolverConfig(eps_abs=-1.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("rho", 0.0), ("rho", -1.0), ("rho", float("nan")), ("rho", float("inf")),
+        ("check_every", 0), ("check_every", -5),
+    ])
+    def test_step_and_check_validation(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(**{field: value})
 
 
 class TestQCertificate:
