@@ -15,6 +15,7 @@ from .atoms import (
     Atom,
     AtomicDecomposition,
     ConicProblem,
+    DualPolynomial,
     atomic_norm_upper,
     build_atom,
     dual_atomic_norm,
@@ -30,9 +31,7 @@ from .solver import (
 )
 from .recovery import (
     DoaEstimate,
-    DualPolynomial,
     RecoveryConfig,
-    dual_polynomial,
     estimate_doa,
     locate_frequencies,
     recover_amplitudes,

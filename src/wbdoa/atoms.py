@@ -35,10 +35,7 @@ def build_atom(f: float, c, focusing: FocusingSet) -> Atom:
     if nrm < 1e-12:
         raise ValueError("coefficient vector must be nonzero")
     c = c / nrm
-    M = focusing.M
-    a = steering_vector(f, M)
-    cols = [c[j] * (focusing.matrices[j] @ a) for j in range(focusing.J)]
-    return Atom(f=float(f), c=c, matrix=np.stack(cols, axis=1))
+    return Atom(f=float(f), c=c, matrix=c * focusing.columns(f))
 
 
 @dataclass(frozen=True)
@@ -95,18 +92,30 @@ def atomic_norm_upper(X: np.ndarray, decomposition: AtomicDecomposition) -> floa
 
 
 def _hbar(H: np.ndarray, focusing: FocusingSet) -> np.ndarray:
-    """Columnwise map h_j -> T_j^H h_j."""
-    return np.stack(
-        [focusing.matrices[j].conj().T @ H[:, j] for j in range(focusing.J)], axis=1
-    )
+    """Columnwise map h_j -> T_j^H h_j (T_j is real)."""
+    return (focusing.matrices.transpose(0, 2, 1) @ H.T[:, :, None])[:, :, 0].T
 
 
-def polynomial_norm_on_grid(Hbar: np.ndarray, grid_size: int) -> tuple:
-    """Evaluate f -> ||Hbar^H a(f)||_2 on a uniform grid over [-1/2, 1/2)."""
-    M = Hbar.shape[0]
-    fs = np.linspace(-0.5, 0.5, grid_size, endpoint=False)
-    vals = np.linalg.norm(Hbar.conj().T @ steering_matrix(fs, M), axis=0)
-    return fs, vals
+@dataclass(frozen=True)
+class DualPolynomial:
+    """Wrapper around Hbar evaluating P(f) = ||Hbar^H a(f)||_2."""
+
+    Hbar: np.ndarray
+
+    def __call__(self, f):
+        return float(np.linalg.norm(self.vector(f)))
+
+    def vector(self, f) -> np.ndarray:
+        """The J-vector [hbar_1^H a(f), ..., hbar_J^H a(f)]."""
+        return self.Hbar.conj().T @ steering_vector(f, self.Hbar.shape[0])
+
+    def on_grid(self, grid_size: int) -> tuple:
+        """(fs, P(fs)) on a uniform grid over [-1/2, 1/2) of at least 4*M points."""
+        M = self.Hbar.shape[0]
+        if grid_size < 4 * M:
+            raise ValueError(f"grid_size must be at least 4*M = {4 * M}")
+        fs = np.linspace(-0.5, 0.5, grid_size, endpoint=False)
+        return fs, np.linalg.norm(self.Hbar.conj().T @ steering_matrix(fs, M), axis=0)
 
 
 def golden_section_max(fun, lo, hi, tol=1e-12, max_iter=200):
@@ -135,20 +144,13 @@ def golden_section_max(fun, lo, hi, tol=1e-12, max_iter=200):
 
 def dual_atomic_norm(H: np.ndarray, focusing: FocusingSet, grid_size: int = 8192) -> float:
     """max_f ||Hbar^H a(f)||_2, by dense grid plus golden-section refinement."""
-    M = focusing.M
-    if grid_size < 4 * M:
-        raise ValueError(f"grid_size must be at least 4*M = {4 * M}")
-    Hbar = _hbar(np.asarray(H, dtype=complex), focusing)
-    fs, vals = polynomial_norm_on_grid(Hbar, grid_size)
+    poly = DualPolynomial(Hbar=_hbar(np.asarray(H, dtype=complex), focusing))
+    fs, vals = poly.on_grid(grid_size)
     i = int(np.argmax(vals))
     if vals[i] == 0.0:
         return 0.0
     step = 1.0 / grid_size
-
-    def p(f):
-        return float(np.linalg.norm(Hbar.conj().T @ steering_vector(f, M)))
-
-    _, peak, _ = golden_section_max(p, fs[i] - step, fs[i] + step)
+    _, peak, _ = golden_section_max(poly, fs[i] - step, fs[i] + step)
     return max(peak, float(vals[i]))
 
 

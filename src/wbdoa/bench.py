@@ -129,8 +129,16 @@ class ExperimentConfig:
             raise ValueError("trials must be at least 1")
         if not self.methods:
             raise ValueError("method list must be nonempty")
+        if not set(self.methods) <= {"wgs", "rss"}:
+            raise ValueError(f"methods must be wgs and/or rss, got {list(self.methods)}")
         if self.scenario not in ("rmse_vs_snr", "resolution"):
             raise ValueError(f"unknown scenario {self.scenario!r}")
+        # raise here, not mid-study, on what every trial would reject
+        ArrayConfig(M=self.M, c=self.c, omega1=self.omega1)
+        default_alphas(self.J)
+        K = len(self.angles_deg) if self.scenario == "rmse_vs_snr" else 2
+        if "rss" in self.methods and self.J < K + 1:
+            raise ValueError(f"rss needs J >= K+1 = {K + 1} bins, got J={self.J}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -203,11 +211,6 @@ class ResultTable:
             json.dump(doc, fh, indent=2)
 
 
-def _solver_config(cfg: ExperimentConfig) -> SolverConfig:
-    return SolverConfig(max_iter=cfg.solver_max_iter, eps_abs=cfg.solver_eps_abs,
-                        eps_rel=cfg.solver_eps_rel)
-
-
 def _run_trial(args):
     """One (method, scene) trial; module-level for process pools."""
     cfg, method, angles, snr_db, point_index, trial_index = args
@@ -221,8 +224,9 @@ def _run_trial(args):
     if method == "wgs":
         gamma = gamma_oracle(data.Y, array, scene, focusing)
         min_sep = cfg.min_separation_f if cfg.min_separation_f is not None else 0.2 / cfg.M
-        rec = RecoveryConfig(peak_tol=cfg.peak_tol, min_separation=min_sep,
-                             solver=_solver_config(cfg))
+        solver = SolverConfig(max_iter=cfg.solver_max_iter, eps_abs=cfg.solver_eps_abs,
+                              eps_rel=cfg.solver_eps_rel)
+        rec = RecoveryConfig(peak_tol=cfg.peak_tol, min_separation=min_sep, solver=solver)
         est = estimate_doa(data, gamma=max(gamma, 1e-10), focusing=focusing, config=rec)
         thetas = est.thetas
         if est.Khat > K:

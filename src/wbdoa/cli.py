@@ -96,13 +96,13 @@ def _cmd_estimate(args):
         focusing = FocusingSet.for_subbands(data)
         array, scene, sigma2 = None, None, args.sigma2
     try:
+        rec = RecoveryConfig(peak_tol=args.peak_tol,
+                             solver=SolverConfig(max_iter=args.max_iter))
         gamma = gamma_bound(data.Y, array, focusing, mode=args.gamma_mode, scene=scene,
                             sigma2=sigma2, safety=args.gamma_safety)
     except ValueError as exc:
-        raise UsageError(f"cannot set gamma: {exc}")
+        raise UsageError(f"bad estimate option: {exc}")
     gamma = max(gamma, 1e-10)
-    rec = RecoveryConfig(peak_tol=args.peak_tol,
-                         solver=SolverConfig(max_iter=args.max_iter))
     est = estimate_doa(data, gamma=gamma, focusing=focusing, config=rec)
     print(f"estimate: gamma={gamma:.6g} mode={args.gamma_mode} Khat={est.Khat} "
           f"angles={[round(t, 4) for t in est.thetas]}")

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (ArrayConfig, SubbandData, WidebandScene, steering_matrix,
-                    steering_vector, theta_to_f)
+from .model import ArrayConfig, SubbandData, WidebandScene, steering_vector, theta_to_f
 
 
 def focusing_matrix(alpha: float, M: int) -> np.ndarray:
@@ -57,37 +56,23 @@ class FocusingSet:
     def M(self) -> int:
         return self.matrices.shape[1]
 
-    def to_csv(self, path):
-        """Dump all J matrices stacked vertically for inspection."""
-        np.savetxt(path, self.matrices.reshape(-1, self.M), delimiter=",",
-                   header=f"J={self.J},M={self.M}")
+    def columns(self, f: float) -> np.ndarray:
+        """The M x J matrix [T_1 a(f), ..., T_J a(f)] at one spatial frequency."""
+        return (self.matrices @ steering_vector(f, self.M)).T
 
 
-@dataclass(frozen=True)
-class FocusingError:
-    """The residual vector e_j(f) = a(alpha*f) - T_j a(f) and its norm."""
-
-    vector: np.ndarray
-    norm: float
-
-
-def focusing_error(alpha: float, f: float, M: int, T: np.ndarray = None) -> FocusingError:
-    """Exact residual of the linear focusing model at spatial frequency f."""
-    if T is None:
-        T = focusing_matrix(alpha, M)
-    vec = steering_vector(alpha * f, M) - T @ steering_vector(f, M)
-    return FocusingError(vector=vec, norm=float(np.linalg.norm(vec)))
+def focusing_error(f: float, focusing: FocusingSet) -> np.ndarray:
+    """The M x J residual of the linear focusing model at spatial frequency
+    f: column j is e_j(f) = a(alpha_j f) - T_j a(f)."""
+    return steering_vector(focusing.alphas * f, focusing.M).T - focusing.columns(f)
 
 
 def noiseless_measurements(cfg: ArrayConfig, scene: WidebandScene,
                            focusing: FocusingSet) -> np.ndarray:
     """The focused-model matrix sum_k s_k(omega_j) * T_j a(f_k), column-wise."""
-    M, J = cfg.M, focusing.J
-    X = np.zeros((M, J), dtype=complex)
-    fs = [theta_to_f(th) for th in scene.angles_deg]
-    for j in range(J):
-        for k, f in enumerate(fs):
-            X[:, j] += scene.source_spectra[k, j] * (focusing.matrices[j] @ steering_vector(f, M))
+    X = np.zeros((cfg.M, focusing.J), dtype=complex)
+    for th, s in zip(scene.angles_deg, scene.source_spectra):
+        X += s * focusing.columns(theta_to_f(th))
     return X
 
 
@@ -110,26 +95,21 @@ def gamma_blind(Y: np.ndarray, sigma2: float, focusing: FocusingSet,
     spreading the estimated per-band signal power over a coarse grid of
     candidate spatial frequencies, weighted by a conventional beamformer.
     """
-    if sigma2 < 0:
-        raise ValueError("noise variance must be nonnegative")
+    if not (np.isfinite(sigma2) and sigma2 >= 0):
+        raise ValueError(f"noise variance must be finite and nonnegative, got {sigma2}")
     M, J = Y.shape
     noise_power = M * J * sigma2
     f_grid = np.linspace(-0.5, 0.5, grid_size, endpoint=False)
-    err_power = 0.0
-    for j in range(J):
-        alpha = focusing.alphas[j]
-        T = focusing.matrices[j]
-        # per-band signal power estimate (||a||^2 = M)
-        p_sig = max(float(np.linalg.norm(Y[:, j]) ** 2) - M * sigma2, 0.0) / M
-        if p_sig == 0.0:
-            continue
-        # beamformer weights over the candidate grid
-        A = steering_matrix(alpha * f_grid, M)
-        bf = np.abs(A.conj().T @ Y[:, j]) ** 2
-        w = bf / bf.sum() if bf.sum() > 0 else np.full(grid_size, 1.0 / grid_size)
-        e_norms = np.array([focusing_error(alpha, f, M, T).norm ** 2 for f in f_grid])
-        err_power += p_sig * float(w @ e_norms)
-    return noise_power + err_power
+    # per-band signal power estimate (||a||^2 = M)
+    p_sig = np.maximum(np.linalg.norm(Y, axis=0) ** 2 - M * sigma2, 0.0) / M
+    # beamformer weights over the candidate grid, one row per band
+    A = steering_vector(focusing.alphas[:, None] * f_grid, M)  # J x grid x M
+    bf = np.abs(A.conj() @ Y.T[:, :, None])[:, :, 0] ** 2
+    total = bf.sum(axis=1, keepdims=True)
+    w = np.divide(bf, total, out=np.full_like(bf, 1.0 / grid_size), where=total > 0)
+    e_norms = np.stack([np.linalg.norm(focusing_error(f, focusing), axis=0) ** 2
+                        for f in f_grid], axis=1)  # J x grid
+    return noise_power + float(p_sig @ np.sum(w * e_norms, axis=1))
 
 
 def gamma_bound(Y: np.ndarray, cfg: ArrayConfig, focusing: FocusingSet,
@@ -154,4 +134,7 @@ def gamma_bound(Y: np.ndarray, cfg: ArrayConfig, focusing: FocusingSet,
         g = gamma_blind(Y, sigma2, focusing)
     else:
         raise ValueError(f"unknown gamma mode {mode!r}")
-    return safety * g
+    g = safety * g
+    if not np.isfinite(g):
+        raise ValueError(f"gamma overflows to {g}")
+    return g

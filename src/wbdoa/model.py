@@ -173,11 +173,11 @@ def f_to_theta(f):
 
 
 def steering_vector(f, M: int) -> np.ndarray:
-    """Steering vector a(f) with entries exp(-i*2*pi*f*m), m = 0..M-1."""
+    """Steering vector a(f) with entries exp(-i*2*pi*f*m), m = 0..M-1; an
+    array of frequencies gives one vector per entry along a new last axis."""
     if M < 1:
         raise ValueError("M must be at least 1")
-    m = np.arange(M)
-    return np.exp(-2j * np.pi * f * m)
+    return np.exp(-2j * np.pi * np.asarray(f)[..., None] * np.arange(M))
 
 
 def steering_matrix(fs, M: int) -> np.ndarray:
@@ -211,10 +211,8 @@ def synthesize_scene(cfg: ArrayConfig, scene: WidebandScene, subbands: SubbandDa
             f"scene spectra have {scene.source_spectra.shape[1]} bins, subbands have {J}"
         )
     Y = np.zeros((cfg.M, J), dtype=complex)
-    fs = np.array([theta_to_f(th) for th in scene.angles_deg])
-    for j in range(J):
-        for k in range(scene.K):
-            Y[:, j] += steering_vector(alphas[j] * fs[k], cfg.M) * scene.source_spectra[k, j]
+    for th, s in zip(scene.angles_deg, scene.source_spectra):
+        Y += steering_vector(alphas * theta_to_f(th), cfg.M).T * s
     if scene.noise_variance > 0:
         rng = np.random.default_rng(scene.seed)
         scale = np.sqrt(scene.noise_variance / 2.0)

@@ -16,33 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import nnls
 
-from .atoms import (
-    ConicProblem,
-    build_atom,
-    golden_section_max,
-    polynomial_norm_on_grid,
-)
+from .atoms import ConicProblem, DualPolynomial, build_atom, golden_section_max
 from .focusing import FocusingSet
-from .model import SubbandData, f_to_theta, steering_vector
-from .solver import ConicSolution, SolverConfig, solve
-
-
-@dataclass(frozen=True)
-class DualPolynomial:
-    """Wrapper around Hbar evaluating P(f) = ||Hbar^H a(f)||_2."""
-
-    Hbar: np.ndarray
-
-    def __call__(self, f):
-        return float(np.linalg.norm(self.vector(f)))
-
-    def vector(self, f) -> np.ndarray:
-        """The J-vector [hbar_1^H a(f), ..., hbar_J^H a(f)]."""
-        M = self.Hbar.shape[0]
-        return self.Hbar.conj().T @ steering_vector(f, M)
-
-    def on_grid(self, grid_size: int):
-        return polynomial_norm_on_grid(self.Hbar, grid_size)
+from .model import SubbandData, f_to_theta
+from .solver import SolverConfig, solve
 
 
 @dataclass
@@ -70,13 +47,6 @@ class DoaEstimate:
             json.dump(doc, fh, indent=2)
 
 
-def dual_polynomial(solution: ConicSolution) -> DualPolynomial:
-    """Dual polynomial of an Optimal solve; refuses non-optimal input."""
-    if solution.status != "Optimal":
-        raise ValueError(f"solution status is {solution.status}, need Optimal")
-    return DualPolynomial(Hbar=solution.Hbar.copy())
-
-
 def locate_frequencies(poly: DualPolynomial, peak_tol: float = 0.05,
                        min_separation: float = None, grid_size: int = 8192) -> np.ndarray:
     """Spatial frequencies where P peaks within peak_tol of 1.
@@ -87,14 +57,9 @@ def locate_frequencies(poly: DualPolynomial, peak_tol: float = 0.05,
     """
     if not (0 < peak_tol < 0.5):
         raise ValueError("peak_tol must lie in (0, 0.5)")
-    M = poly.Hbar.shape[0]
-    if grid_size < 4 * M:
-        raise ValueError(f"grid_size must be at least 4*M = {4 * M}")
     if min_separation is None:
-        min_separation = 0.5 / M
+        min_separation = 0.5 / poly.Hbar.shape[0]
     fs, vals = poly.on_grid(grid_size)
-    if np.max(vals) < 1.0 - peak_tol:
-        return np.array([])
     # local maxima on the circular grid
     left = np.roll(vals, 1)
     right = np.roll(vals, -1)
@@ -169,6 +134,15 @@ class RecoveryConfig:
     # error rather than indicate a source; they stay in diagnostics
     amp_floor: float = 0.05
     solver: SolverConfig = None
+
+    def __post_init__(self):
+        if not (0 < self.peak_tol < 0.5):
+            raise ValueError(f"peak_tol must lie in (0, 0.5), got {self.peak_tol}")
+        if not (0 <= self.amp_floor <= 1):
+            raise ValueError(f"amp_floor must lie in [0, 1], got {self.amp_floor}")
+        if not (self.min_separation is None or 0 <= self.min_separation < np.inf):
+            raise ValueError("min_separation must be None or finite and nonnegative, "
+                             f"got {self.min_separation}")
 
 
 def primal_reconstruction(Y: np.ndarray, H: np.ndarray, gamma: float) -> np.ndarray:

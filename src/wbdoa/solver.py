@@ -18,7 +18,6 @@ hold exactly and only the PSD violation is a residual.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -33,9 +32,7 @@ class SolverConfig:
     eps_abs: float = 1e-7
     eps_rel: float = 1e-6
     rho: float = 1.0
-    adapt_rho: bool = True
     check_every: int = 25
-    log_path: str = None
 
     def __post_init__(self):
         if self.max_iter < 1:
@@ -79,8 +76,6 @@ def psd_project(W: np.ndarray) -> np.ndarray:
     if evals[0] >= 0:
         return W
     pos = evals > 0
-    if not np.any(pos):
-        return np.zeros_like(W)
     V = evecs[:, pos]
     return (V * evals[pos]) @ V.conj().T
 
@@ -172,10 +167,7 @@ def solve(problem: ConicProblem, config: SolverConfig = None) -> ConicSolution:
 
     t = 1.0 / config.rho / max(1.0, float(np.linalg.norm(problem.Y)))
 
-    log_rows = []
     status = "MaxIter"
-    iters = config.max_iter
-    r_norm = s_norm = np.inf
     dim = np.sqrt(2.0 * (M * J + n * n))
 
     for k in range(1, config.max_iter + 1):
@@ -193,13 +185,10 @@ def solve(problem: ConicProblem, config: SolverConfig = None) -> ConicSolution:
             u_norm = _pair_norm(Hu, Su) / t
             eps_pri = config.eps_abs * dim + config.eps_rel * max(x_norm, z_norm)
             eps_dual = config.eps_abs * dim + config.eps_rel * u_norm
-            if config.log_path:
-                log_rows.append((k, problem.objective(Hz), r_norm, s_norm))
             if r_norm <= eps_pri and s_norm <= eps_dual:
                 status = "Optimal"
-                iters = k
                 break
-            if config.adapt_rho and k < config.max_iter // 2:
+            if k < config.max_iter // 2:
                 step = (0.5 if r_norm > 10.0 * s_norm
                         else 2.0 if s_norm > 10.0 * r_norm else 1.0)
                 if step != 1.0:
@@ -207,8 +196,6 @@ def solve(problem: ConicProblem, config: SolverConfig = None) -> ConicSolution:
                     Su *= step
                     t *= step
 
-    Q = Sz[:M, :M].copy()
-    Hbar = Sz[:M, M:].copy()
     evals = np.linalg.eigvalsh(0.5 * (Sz + Sz.conj().T))
     residuals = {
         "psdViolation": float(max(0.0, -evals[0])),
@@ -216,18 +203,13 @@ def solve(problem: ConicProblem, config: SolverConfig = None) -> ConicSolution:
         "primal": float(r_norm),
         "dual": float(s_norm),
     }
-    if config.log_path and log_rows:
-        with open(config.log_path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["iteration", "objective", "primal_residual", "dual_residual"])
-            w.writerows(log_rows)
     return ConicSolution(
         H=Hz,
-        Hbar=Hbar,
-        Q=Q,
+        Hbar=Sz[:M, M:].copy(),
+        Q=Sz[:M, :M].copy(),
         objective=problem.objective(Hz),
         residuals=residuals,
-        iterations=iters,
+        iterations=k,
         status=status,
     )
 

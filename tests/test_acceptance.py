@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from wbdoa.atoms import ConicProblem, dual_atomic_norm, polynomial_norm_on_grid
+from wbdoa.atoms import ConicProblem, DualPolynomial, dual_atomic_norm
 from wbdoa.bench import ExperimentConfig, run_resolution, run_rmse_vs_snr
 from wbdoa.cli import cli_main
 from wbdoa.focusing import FocusingSet, gamma_oracle
@@ -96,13 +96,13 @@ def test_02_lmi_polynomial_equivalence():
         gamma = gamma_oracle(data.Y, cfg, scene, focusing)
         prog = ConicProblem(Y=data.Y, focusing=focusing, gamma=gamma)
         sol = solve(prog, SolverConfig(eps_abs=1e-8, eps_rel=1e-7))
-        _, vals = polynomial_norm_on_grid(sol.Hbar, 8192)
+        _, vals = DualPolynomial(sol.Hbar).on_grid(8192)
         peak = float(np.max(vals))
         worst = max(worst, peak)
         forward_ok &= peak <= 1.0 + 1e-4
         hbars.append(sol.Hbar)
     for Hbar in hbars:
-        _, vals = polynomial_norm_on_grid(Hbar, 8192)
+        _, vals = DualPolynomial(Hbar).on_grid(8192)
         scaled = 0.99 * Hbar / float(np.max(vals))
         Q, feasible, lam = find_q_certificate(scaled)
         worst_lam = min(worst_lam, lam)
@@ -203,7 +203,7 @@ def test_06_dual_norm_oracle():
         got = dual_atomic_norm(H, focusing)
         Hbar = np.stack([focusing.matrices[j].conj().T @ H[:, j] for j in range(2)],
                         axis=1)
-        _, vals = polynomial_norm_on_grid(Hbar, 1_000_000)
+        _, vals = DualPolynomial(Hbar).on_grid(1_000_000)
         worst = max(worst, abs(got - float(np.max(vals))))
     ok = worst < 1e-6
     assert _report("dual-norm brute-force oracle", ok, f"worst |diff|={worst:.2e}")

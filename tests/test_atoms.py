@@ -3,13 +3,13 @@ import pytest
 
 from wbdoa.atoms import (
     ConicProblem,
+    DualPolynomial,
     _hbar,
     atomic_norm_upper,
     build_atom,
     dual_atomic_norm,
     golden_section_max,
     noiseless_matrix,
-    polynomial_norm_on_grid,
 )
 from wbdoa.focusing import FocusingSet
 from wbdoa.model import WidebandScene, steering_vector, theta_to_f
@@ -108,9 +108,9 @@ class TestDualAtomicNorm:
         for _ in range(5):
             H = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
             got = dual_atomic_norm(H, focusing)
-            fs, vals = polynomial_norm_on_grid(
+            fs, vals = DualPolynomial(
                 np.stack([focusing.matrices[j].conj().T @ H[:, j] for j in range(2)],
-                         axis=1), 1_000_000)
+                         axis=1)).on_grid(1_000_000)
             oracle = float(np.max(vals))
             assert got >= oracle - 1e-12
             assert got == pytest.approx(oracle, abs=1e-6)

@@ -142,6 +142,23 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(scenario="resolution", methods=())
 
+    @pytest.mark.parametrize("change", [
+        {"M": 1},
+        {"J": 25},
+        {"methods": ("music",)},
+        {"methods": ("wgs", "music")},
+        {"methods": ("rss",), "J": 3},  # three sources need J >= 4
+        {"scenario": "resolution", "methods": ("rss",), "J": 2},  # a pair needs J >= 3
+    ], ids=["M1", "J25", "music", "wgs-music", "rss-J3", "resolution-rss-J2"])
+    def test_rejects_what_no_runner_can_use(self, change):
+        with pytest.raises(ValueError):
+            ExperimentConfig(**{"scenario": "rmse_vs_snr", **change})
+
+    def test_rss_bin_count_boundary(self):
+        ExperimentConfig(scenario="rmse_vs_snr", methods=("rss",), J=4)
+        ExperimentConfig(scenario="resolution", methods=("rss",), J=3)
+        ExperimentConfig(scenario="rmse_vs_snr", methods=("wgs",), J=1)
+
 
 class TestResultTable:
     def _table(self):

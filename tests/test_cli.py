@@ -110,6 +110,20 @@ class TestEstimate:
         assert cli_main(["estimate", "--input", str(bad)]) == 1
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option, message", [
+        (["--sigma2", "nan"], "noise variance"),
+        (["--sigma2", "inf"], "noise variance"),
+        (["--sigma2", "1e308"], "gamma overflows"),
+        (["--peak-tol", "0.7"], "peak_tol"),
+        (["--max-iter", "0"], "max_iter"),
+    ], ids=["sigma2-nan", "sigma2-inf", "sigma2-overflow", "peak-tol", "max-iter"])
+    def test_bad_estimate_option(self, scene_path, tmp_path, capsys, option, message):
+        data_csv = tmp_path / "data.csv"
+        cli_main(["simulate", "--config", str(scene_path), "--output", str(data_csv)])
+        assert cli_main(["estimate", "--input", str(data_csv), "--gamma-mode", "blind",
+                         "--sigma2", "0.01", *option]) == 1
+        assert message in capsys.readouterr().err
+
     def test_missing_csv(self, tmp_path):
         assert cli_main(["estimate", "--input", str(tmp_path / "nope.csv"),
                          "--gamma-mode", "blind", "--sigma2", "0.0"]) == 1
@@ -161,6 +175,16 @@ class TestBenchmark:
         cfg.write_text(json.dumps({"scenario": "single" "_run"}))
         assert cli_main(["benchmark", "--config", str(cfg),
                          "--output", str(tmp_path / "t.csv")]) == 1
+
+    @pytest.mark.parametrize("change", [
+        {"M": 1}, {"J": 25}, {"methods": ["music"]}, {"methods": ["rss"], "J": 3},
+    ], ids=["M1", "J25", "music", "rss-J3"])
+    def test_config_no_runner_can_use(self, tmp_path, capsys, change):
+        cfg = tmp_path / "bench.json"
+        cfg.write_text(json.dumps({"scenario": "rmse_vs_snr", **change}))
+        assert cli_main(["benchmark", "--config", str(cfg), "--quick",
+                         "--output", str(tmp_path / "t.csv")]) == 1
+        assert "bad experiment config" in capsys.readouterr().err
 
     def test_unknown_key(self, tmp_path):
         cfg = tmp_path / "bench.json"

@@ -64,34 +64,37 @@ class TestFocusingSet:
         fs = FocusingSet.for_subbands(data)
         assert np.allclose(fs.alphas, [1.0, 0.5])
 
-    def test_csv_dump(self, tmp_path):
-        fs = FocusingSet.build([1.0, 0.75], 3)
-        path = tmp_path / "T.csv"
-        fs.to_csv(path)
-        assert path.exists()
-        flat = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert flat.shape == (2 * 3, 3)
+    def test_columns(self):
+        # column j is T_j a(f), to the bit
+        fs = FocusingSet.build([1.0, 0.9, 0.75], 7)
+        cols = fs.columns(0.21)
+        assert cols.shape == (7, 3)
+        for j in range(3):
+            assert np.array_equal(cols[:, j], fs.matrices[j] @ steering_vector(0.21, 7))
 
 
 class TestFocusingError:
     def test_zero_at_alpha_one(self):
-        err = focusing_error(1.0, 0.2, 8)
-        assert err.norm < 1e-14
+        err = focusing_error(0.2, FocusingSet.build([1.0], 8))
+        assert np.linalg.norm(err) < 1e-14
 
     def test_definition(self):
-        alpha, f, M = 0.8, 0.15, 10
-        T = focusing_matrix(alpha, M)
-        err = focusing_error(alpha, f, M)
-        expect = steering_vector(alpha * f, M) - T @ steering_vector(f, M)
-        assert np.allclose(err.vector, expect, atol=1e-14)
+        # every bin at once: column j is a(alpha_j f) - T_j a(f)
+        f, M = 0.15, 10
+        alphas = np.array([1.0, 0.9, 0.8, 0.6])
+        err = focusing_error(f, FocusingSet.build(alphas, M))
+        assert err.shape == (M, alphas.size)
+        for j, alpha in enumerate(alphas):
+            expect = (steering_vector(alpha * f, M)
+                      - focusing_matrix(alpha, M) @ steering_vector(f, M))
+            assert np.allclose(err[:, j], expect, atol=1e-14)
 
     def test_small_for_moderate_band(self):
         # worst error over the design band stays well below the signal norm
         M = 16
-        for alpha in np.arange(20, 10, -1) / 20:
-            for f in np.linspace(-0.45, 0.45, 41):
-                e = np.linalg.norm(focusing_error(alpha, f, M).vector)
-                assert e < np.sqrt(M)
+        focusing = FocusingSet.build(np.arange(20, 10, -1) / 20, M)
+        for f in np.linspace(-0.45, 0.45, 41):
+            assert np.all(np.linalg.norm(focusing_error(f, focusing), axis=0) < np.sqrt(M))
 
 
 @pytest.fixture

@@ -17,14 +17,13 @@ from wbdoa.model import (
 from wbdoa.recovery import (
     DualPolynomial,
     RecoveryConfig,
-    dual_polynomial,
     estimate_doa,
     locate_frequencies,
     primal_reconstruction,
     recover_amplitudes,
     recover_coefficients,
 )
-from wbdoa.solver import ConicSolution, SolverConfig, solve
+from wbdoa.solver import SolverConfig
 
 
 class TestDualPolynomial:
@@ -46,12 +45,21 @@ class TestDualPolynomial:
         for f, v in zip(fs[:8], vals[:8]):
             assert v == pytest.approx(poly(f), rel=1e-12)
 
-    def test_requires_optimal_status(self):
-        sol = ConicSolution(H=np.zeros((3, 1)), Hbar=np.zeros((3, 1)),
-                            Q=np.eye(3) / 3, objective=0.0, residuals={},
-                            iterations=1, status="MaxIter")
+
+class TestRecoveryConfig:
+    @pytest.mark.parametrize("kwargs", [
+        {"peak_tol": 0.7}, {"peak_tol": 0.0}, {"amp_floor": -0.1}, {"amp_floor": 1.5},
+        {"min_separation": -1e-3}, {"min_separation": float("nan")},
+        {"min_separation": float("inf")},
+    ], ids=["peak-tol-high", "peak-tol-zero", "amp-floor-negative", "amp-floor-high",
+            "min-sep-negative", "min-sep-nan", "min-sep-inf"])
+    def test_rejects_out_of_range(self, kwargs):
         with pytest.raises(ValueError):
-            dual_polynomial(sol)
+            RecoveryConfig(**kwargs)
+
+    def test_accepts_edges(self):
+        RecoveryConfig(amp_floor=0.0, min_separation=0.0)
+        RecoveryConfig(amp_floor=1.0, min_separation=None)
 
 
 class TestLocateFrequencies:

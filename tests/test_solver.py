@@ -191,6 +191,22 @@ class TestProjectionOracles:
         assert _rel_err(got_H, ref_H) <= 1e-12
 
 
+class TestPsdProjectProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 40), scale=st.sampled_from([1e-3, 1.0, 1e3]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_cone_idempotence_and_moreau(self, n, scale, seed):
+        A = scale * _crandn(np.random.default_rng(seed), n, n)
+        W = A + A.conj().T
+        P, N = psd_project(W), psd_project(-W)
+        size = np.linalg.norm(W)
+        assert np.linalg.eigvalsh(0.5 * (P + P.conj().T))[0] >= -1e-12 * size
+        assert _rel_err(psd_project(P), P) <= 1e-12
+        # Moreau: W = P(W) - P(-W) with the two parts orthogonal
+        assert _rel_err(P - N, W) <= 1e-12
+        assert abs(np.vdot(P, N)) <= 1e-12 * size ** 2
+
+
 class TestSolve:
     def test_single_narrowband_atom(self):
         # one source, single band, gamma = 0: the dual optimum attains
@@ -268,18 +284,6 @@ class TestSolve:
         sol = solve(small_problem, SolverConfig(max_iter=10, eps_abs=1e-12,
                                                 eps_rel=1e-12))
         assert sol.status == "MaxIter"
-
-    def test_log_file(self, small_problem, tmp_path):
-        path = tmp_path / "log.csv"
-        solve(small_problem, SolverConfig(log_path=str(path)))
-        with open(path) as fh:
-            header = fh.readline().strip()
-        assert header == "iteration,objective,primal_residual,dual_residual"
-        rows = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert rows.ndim == 2 and rows.shape[0] >= 2
-        # residuals trend downward: the final check beats the first
-        assert max(rows[-1, 2], rows[-1, 3]) < max(rows[0, 2], rows[0, 3])
-        assert np.all(np.diff(rows[:, 0]) > 0)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
