@@ -34,6 +34,7 @@ from .recovery import (
     RecoveryConfig,
     estimate_doa,
     locate_frequencies,
+    merge_atoms,
     recover_amplitudes,
     recover_coefficients,
 )

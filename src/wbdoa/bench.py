@@ -115,10 +115,6 @@ class ExperimentConfig:
     methods: tuple = ("wgs", "rss")
     master_seed: int = 0
     init_err_deg: float = 2.0
-    peak_tol: float = 0.05
-    # peak-merge radius in f units; sub-Rayleigh so the resolution sweep
-    # can separate closely spaced pairs (None = 0.2 / M)
-    min_separation_f: float = None
     solver_eps_abs: float = 1e-6
     solver_eps_rel: float = 1e-5
     solver_max_iter: int = 20000
@@ -223,10 +219,10 @@ def _run_trial(args):
     K = len(angles)
     if method == "wgs":
         gamma = gamma_oracle(data.Y, array, scene, focusing)
-        min_sep = cfg.min_separation_f if cfg.min_separation_f is not None else 0.2 / cfg.M
         solver = SolverConfig(max_iter=cfg.solver_max_iter, eps_abs=cfg.solver_eps_abs,
                               eps_rel=cfg.solver_eps_rel)
-        rec = RecoveryConfig(peak_tol=cfg.peak_tol, min_separation=min_sep, solver=solver)
+        # sub-Rayleigh merge radius (f units): the resolution sweep separates close pairs
+        rec = RecoveryConfig(min_separation=0.2 / cfg.M, solver=solver)
         est = estimate_doa(data, gamma=max(gamma, 1e-10), focusing=focusing, config=rec)
         thetas = est.thetas
         if est.Khat > K:

@@ -105,7 +105,7 @@ def _cmd_estimate(args):
     gamma = max(gamma, 1e-10)
     est = estimate_doa(data, gamma=gamma, focusing=focusing, config=rec)
     print(f"estimate: gamma={gamma:.6g} mode={args.gamma_mode} Khat={est.Khat} "
-          f"angles={[round(t, 4) for t in est.thetas]}")
+          f"angles={[round(float(t), 4) for t in est.thetas]}")
     if args.output:
         est.to_json(args.output)
     else:

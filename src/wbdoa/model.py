@@ -76,8 +76,9 @@ class WidebandScene:
             raise ValueError(
                 f"spectra rows ({spectra.shape[0]}) must match source count ({len(angles)})"
             )
-        if self.noise_variance < 0:
-            raise ValueError("noise variance must be nonnegative")
+        if not (np.isfinite(self.noise_variance) and self.noise_variance >= 0):
+            raise ValueError("noise variance must be finite and nonnegative, "
+                             f"got {self.noise_variance}")
 
     @property
     def K(self) -> int:

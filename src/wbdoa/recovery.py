@@ -4,7 +4,8 @@ At the dual optimum the polynomial P(f) = ||Hbar^H a(f)||_2 touches 1
 exactly at the recovered spatial frequencies.  Peaks of P near 1 give the
 frequency estimates, evaluating the polynomial vector there gives the
 cross-band coefficient directions, and a nonnegative least squares fit on
-the located atoms gives the amplitudes.
+the located atoms gives the amplitudes.  Atoms closer than the merge
+radius are then merged by amplitude into one.
 """
 
 from __future__ import annotations
@@ -47,56 +48,72 @@ class DoaEstimate:
             json.dump(doc, fh, indent=2)
 
 
+# atoms below this fraction of the largest merged amplitude absorb the fidelity
+# budget (focusing error, noise), not a source; they go to diagnostics["minorAtoms"]
+AMP_FLOOR = 0.05
+
+
+def _wrap(f):
+    """Frequency offset(s) wrapped into [-1/2, 1/2)."""
+    return (f + 0.5) % 1.0 - 0.5
+
+
 def locate_frequencies(poly: DualPolynomial, peak_tol: float = 0.05,
-                       min_separation: float = None, grid_size: int = 8192) -> np.ndarray:
-    """Spatial frequencies where P peaks within peak_tol of 1.
+                       grid_size: int = 8192) -> np.ndarray:
+    """Spatial frequencies where P peaks within peak_tol of 1, sorted.
 
     Grid local maxima above 1 - peak_tol are refined by golden-section
-    ascent; peaks closer than min_separation are merged keeping the larger
-    value.  Returns sorted frequencies (possibly empty).
+    ascent.  Every refined peak is returned except one within a grid step
+    of a kept one (equal adjacent samples would give NNLS a duplicate atom).
     """
     if not (0 < peak_tol < 0.5):
         raise ValueError("peak_tol must lie in (0, 0.5)")
-    if min_separation is None:
-        min_separation = 0.5 / poly.Hbar.shape[0]
     fs, vals = poly.on_grid(grid_size)
     # local maxima on the circular grid
     left = np.roll(vals, 1)
     right = np.roll(vals, -1)
     cand = np.nonzero((vals >= left) & (vals >= right) & (vals >= 1.0 - peak_tol))[0]
     step = 1.0 / grid_size
-    peaks = []
-    for i in cand:
-        f_hat, p_hat, _ = golden_section_max(poly, fs[i] - step, fs[i] + step, tol=1e-10)
-        # wrap back into [-1/2, 1/2]
-        f_hat = (f_hat + 0.5) % 1.0 - 0.5
-        peaks.append((f_hat, p_hat))
-    # merge near-duplicates (circular distance), keep the larger peak
-    peaks.sort(key=lambda t: -t[1])
     kept = []
-    for f_hat, p_hat in peaks:
-        dup = any(min(abs(f_hat - g), 1.0 - abs(f_hat - g)) < min_separation
-                  for g, _ in kept)
-        if not dup:
-            kept.append((f_hat, p_hat))
-    return np.array(sorted(f for f, _ in kept))
+    for i in cand:
+        f_hat = _wrap(golden_section_max(poly, fs[i] - step, fs[i] + step, tol=1e-10)[0])
+        if all(abs(_wrap(f_hat - g)) >= step for g in kept):
+            kept.append(f_hat)
+    return np.array(sorted(kept))
 
 
 def recover_coefficients(poly: DualPolynomial, fs) -> list:
     """Unit cross-band coefficient vectors at the located frequencies.
 
     The raw vector is the conjugate of the polynomial vector at f_hat; its
-    norm is 1 at exact optimality and it is renormalized here.  Vectors
-    with norm below 0.5 are kept but flagged unreliable.
+    norm is P(f_hat), 1 at exact optimality, and it is renormalized here.
     """
-    cs, unreliable = [], []
-    for i, f in enumerate(fs):
-        v = poly.vector(f).conj()
-        nrm = np.linalg.norm(v)
-        if nrm < 0.5:
-            unreliable.append(i)
-        cs.append(v / nrm if nrm > 0 else v)
-    return cs, unreliable
+    vs = [poly.vector(f).conj() for f in fs]
+    norms = [np.linalg.norm(v) for v in vs]
+    return [v / nrm if nrm > 0 else v for v, nrm in zip(vs, norms)]
+
+
+def merge_atoms(fs, betas, cs, min_separation: float):
+    """Merge atoms closer than min_separation (circular distance), heaviest first.
+
+    A group becomes one atom at its amplitude-weighted mean frequency
+    (unwrapped around the heaviest member) with the summed amplitude and
+    the heaviest member's c.  Returns (fs, betas, cs) sorted by frequency.
+    """
+    fs, betas = np.asarray(fs, dtype=float), np.asarray(betas, dtype=float)
+    free = np.ones(fs.size, dtype=bool)
+    merged = []
+    for i in np.argsort(-betas, kind="stable"):
+        if free[i]:
+            offsets = _wrap(fs - fs[i])
+            group = free & (np.abs(offsets) < min_separation)
+            free &= ~group
+            weight = betas[group].sum()
+            shift = offsets[group] @ betas[group] / weight if weight > 0 else 0.0
+            merged.append((_wrap(fs[i] + shift), weight, i))
+    merged.sort()
+    return (np.array([f for f, _, _ in merged]), np.array([b for _, b, _ in merged]),
+            [cs[i] for _, _, i in merged])
 
 
 def recover_amplitudes(Y: np.ndarray, fs, cs, focusing: FocusingSet) -> np.ndarray:
@@ -128,18 +145,14 @@ def recover_amplitudes(Y: np.ndarray, fs, cs, focusing: FocusingSet) -> np.ndarr
 @dataclass
 class RecoveryConfig:
     peak_tol: float = 0.05
+    # merge radius of merge_atoms in f units (None = 0.5 / M)
     min_separation: float = None
     grid_size: int = 8192
-    # atoms below this fraction of the largest amplitude absorb focusing
-    # error rather than indicate a source; they stay in diagnostics
-    amp_floor: float = 0.05
     solver: SolverConfig = None
 
     def __post_init__(self):
         if not (0 < self.peak_tol < 0.5):
             raise ValueError(f"peak_tol must lie in (0, 0.5), got {self.peak_tol}")
-        if not (0 <= self.amp_floor <= 1):
-            raise ValueError(f"amp_floor must lie in [0, 1], got {self.amp_floor}")
         if not (self.min_separation is None or 0 <= self.min_separation < np.inf):
             raise ValueError("min_separation must be None or finite and nonnegative, "
                              f"got {self.min_separation}")
@@ -160,10 +173,11 @@ def primal_reconstruction(Y: np.ndarray, H: np.ndarray, gamma: float) -> np.ndar
 def estimate_doa(subbands: SubbandData, gamma: float,
                  focusing: FocusingSet = None,
                  config: RecoveryConfig = None) -> DoaEstimate:
-    """Full pipeline: focusing, dual SDP, peak localization, amplitudes.
+    """Full pipeline: focusing, dual SDP, peak localization, amplitudes, merge.
 
-    The duality gap |sum beta_hat - dual objective| is attached as a
-    quality diagnostic; near zero on noiseless data by strong duality.
+    The duality gap |sum beta_hat - dual objective| of the fit on every
+    peak, and relGap (gap / dual objective), are attached as quality
+    diagnostics; near zero on noiseless data by strong duality.
     A solve that stops short of Optimal raises a UserWarning; the estimate
     is still returned, with the status in its diagnostics.
     """
@@ -178,41 +192,35 @@ def estimate_doa(subbands: SubbandData, gamma: float,
                       f"{solution.iterations} iterations; the estimate is built from "
                       f"a non-converged dual")
     poly = DualPolynomial(Hbar=solution.Hbar)
-    fs = locate_frequencies(poly, peak_tol=config.peak_tol,
-                            min_separation=config.min_separation,
-                            grid_size=config.grid_size)
-    cs, unreliable = recover_coefficients(poly, fs)
+    fs = locate_frequencies(poly, peak_tol=config.peak_tol, grid_size=config.grid_size)
+    cs = recover_coefficients(poly, fs)
     X_opt = primal_reconstruction(subbands.Y, solution.H, gamma)
     betas = recover_amplitudes(X_opt, fs, cs, focusing)
-    # strong-duality check over the full decomposition of X_opt
+    # strong-duality check over the full decomposition of X_opt, before merging
     total = float(np.sum(betas))
     gap = abs(total - solution.objective)
     peak_values = [poly(f) for f in fs]
-    # model order: atoms far below the dominant amplitude absorb the
-    # fidelity budget (focusing error, noise) and are not reported as sources
-    keep = betas >= config.amp_floor * betas.max(initial=0.0)
+    radius = config.min_separation if config.min_separation is not None else 0.5 / subbands.M
+    fs, betas, cs = merge_atoms(fs, betas, cs, radius)
+    keep = betas >= AMP_FLOOR * betas.max(initial=0.0)
     minor = [
         {"f": float(f), "theta_deg": f_to_theta(f), "beta": float(b)}
         for f, b, k in zip(fs, betas, keep) if not k
     ]
-    fs_kept = fs[keep]
-    betas_kept = betas[keep]
-    cs_kept = [c for c, k in zip(cs, keep) if k]
-    thetas = np.array([f_to_theta(f) for f in fs_kept])
     return DoaEstimate(
-        fs=fs_kept,
-        thetas=thetas,
-        cs=cs_kept,
-        betas=betas_kept,
-        Khat=fs_kept.size,
+        fs=fs[keep],
+        thetas=np.array([f_to_theta(f) for f in fs[keep]]),
+        cs=[c for c, k in zip(cs, keep) if k],
+        betas=betas[keep],
+        Khat=int(keep.sum()),
         diagnostics={
             "dualityGap": gap,
+            "relGap": gap / solution.objective if solution.objective else 0.0,
             "dualObjective": solution.objective,
             "totalAmplitude": total,
             "peakValues": peak_values,
             "minorAtoms": minor,
             "solverStatus": solution.status,
             "solverIterations": solution.iterations,
-            "unreliablePeaks": unreliable,
         },
     )

@@ -199,7 +199,6 @@ def solve(problem: ConicProblem, config: SolverConfig = None) -> ConicSolution:
     evals = np.linalg.eigvalsh(0.5 * (Sz + Sz.conj().T))
     residuals = {
         "psdViolation": float(max(0.0, -evals[0])),
-        "relGap": float(r_norm / max(1.0, np.linalg.norm(problem.Y))),
         "primal": float(r_norm),
         "dual": float(s_norm),
     }

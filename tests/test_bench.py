@@ -131,8 +131,9 @@ class TestExperimentConfig:
         assert back == cfg
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig.from_dict({"scenario": "resolution", "bogus": 1})
+        for key, value in (("bogus", 1), ("peak_tol", 0.05), ("min_separation_f", 0.01)):
+            with pytest.raises(ValueError, match="unknown config keys"):
+                ExperimentConfig.from_dict({"scenario": "resolution", key: value})
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -57,7 +57,9 @@ class TestEstimate:
         doc = json.loads(out.read_text())
         got = sorted(doc["angles_deg"])
         assert np.allclose(got, [-5.0, 15.0, 40.0], atol=1.0)
-        assert "Khat" in capsys.readouterr().out.replace("Khat=", "Khat")
+        stdout = capsys.readouterr().out
+        assert "Khat=3" in stdout
+        assert "np.float64" not in stdout
 
     def test_blind_from_csv(self, scene_path, tmp_path):
         data_csv = tmp_path / "data.csv"
@@ -106,6 +108,12 @@ class TestEstimate:
         scene = dict(SCENE, scene={"angles_deg": [10.0],
                                    "spectra": [[[float("nan"), 0.0]] + [[1.0, 0.0]] * 5]})
         bad = tmp_path / "nan_scene.json"
+        bad.write_text(json.dumps(scene))
+        assert cli_main(["estimate", "--input", str(bad)]) == 1
+        assert "finite" in capsys.readouterr().err
+        # a NaN noise variance with explicit spectra
+        scene = dict(SCENE, scene={"angles_deg": [10.0], "noise_variance": float("nan"),
+                                   "spectra": [[[1.0, 0.0]] * 6]})
         bad.write_text(json.dumps(scene))
         assert cli_main(["estimate", "--input", str(bad)]) == 1
         assert "finite" in capsys.readouterr().err

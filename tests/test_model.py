@@ -143,6 +143,12 @@ class TestSynthesizeScene:
         expect = arr.M * 4 * sigma2
         assert abs(mean - expect) < 0.05 * expect
 
+    @pytest.mark.parametrize("sigma2", [float("nan"), float("inf"), -1.0])
+    def test_bad_noise_variance_rejected(self, sigma2):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            WidebandScene(angles_deg=(5.0,), source_spectra=np.ones((1, 4)),
+                          noise_variance=sigma2)
+
     def test_dimension_mismatch(self, arr, template):
         scene = WidebandScene(angles_deg=(5.0,), source_spectra=np.ones((1, 7)))
         with pytest.raises(ValueError):
