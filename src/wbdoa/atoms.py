@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -114,8 +115,17 @@ class DualPolynomial:
         M = self.Hbar.shape[0]
         if grid_size < 4 * M:
             raise ValueError(f"grid_size must be at least 4*M = {4 * M}")
-        fs = np.linspace(-0.5, 0.5, grid_size, endpoint=False)
-        return fs, np.linalg.norm(self.Hbar.conj().T @ steering_matrix(fs, M), axis=0)
+        fs, A = _grid(grid_size, M)
+        return fs, np.linalg.norm(self.Hbar.conj().T @ A, axis=0)
+
+
+@lru_cache(maxsize=1)
+def _grid(grid_size: int, M: int) -> tuple:
+    """Read-only (fs, steering_matrix(fs, M)); one entry, so a huge grid is not kept."""
+    fs = np.linspace(-0.5, 0.5, grid_size, endpoint=False)
+    A = steering_matrix(fs, M)
+    fs.flags.writeable = A.flags.writeable = False
+    return fs, A
 
 
 def golden_section_max(fun, lo, hi, tol=1e-12, max_iter=200):

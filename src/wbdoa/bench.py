@@ -57,18 +57,17 @@ def random_scene(cfg: ArrayConfig, angles_deg, alphas, snr_db, seed: int,
 
 
 def match_errors(estimate_deg, truth_deg):
-    """Minimum-cost assignment of estimated to true angles.
-
-    Returns the per-source absolute errors, or None when there are fewer
-    estimates than truths."""
+    """Assignment of estimated to true angles with the least squared error
+    (an absolute cost can tie a crossed matching with the sorted one, and a
+    crossed pick inflates the RMSE).  Returns the per-source absolute
+    errors, or None when there are fewer estimates than truths."""
     est = np.asarray(estimate_deg, dtype=float)
     tru = np.asarray(truth_deg, dtype=float)
     if est.size < tru.size:
         return None
-    cost = np.abs(est[:, None] - tru[None, :])
-    rows, cols = linear_sum_assignment(cost)
+    rows, cols = linear_sum_assignment((est[:, None] - tru[None, :]) ** 2)
     errs = np.empty(tru.size)
-    errs[cols] = cost[rows, cols]
+    errs[cols] = np.abs(est[rows] - tru[cols])
     return errs
 
 
@@ -132,6 +131,14 @@ class ExperimentConfig:
         # raise here, not mid-study, on what every trial would reject
         ArrayConfig(M=self.M, c=self.c, omega1=self.omega1)
         default_alphas(self.J)
+        SolverConfig(max_iter=self.solver_max_iter, eps_abs=self.solver_eps_abs,
+                     eps_rel=self.solver_eps_rel)
+        for name in ("snr_grid_db", "delta_theta_list", "resolution_snr_db"):
+            values = np.atleast_1d(getattr(self, name))
+            if values.size == 0 or not np.all(np.isfinite(values)):
+                raise ValueError(f"{name} must be nonempty and finite")
+        if not (np.isfinite(self.init_err_deg) and self.init_err_deg >= 0):
+            raise ValueError("init_err_deg must be finite and nonnegative")
         K = len(self.angles_deg) if self.scenario == "rmse_vs_snr" else 2
         if "rss" in self.methods and self.J < K + 1:
             raise ValueError(f"rss needs J >= K+1 = {K + 1} bins, got J={self.J}")

@@ -94,6 +94,14 @@ class TestMatchErrors:
     def test_too_few(self):
         assert match_errors([10.0], [0.0, 20.0]) is None
 
+    def test_least_squares_not_least_absolute(self):
+        # a 0 dB trial that missed the 40 deg source: pairing -4.1 with 40 and
+        # 14.75 with 15 costs the same absolute error as the sorted pairing
+        # up to rounding, but a far larger squared error
+        est = [-7.934449132222361, -4.1002088218584145, 14.748559786464707]
+        truth = [-5.0, 15.0, 40.0]
+        assert np.allclose(match_errors(est, truth), np.abs(np.subtract(est, truth)))
+
 
 class TestRmse:
     def test_hand_computed(self):
@@ -150,7 +158,20 @@ class TestExperimentConfig:
         {"methods": ("wgs", "music")},
         {"methods": ("rss",), "J": 3},  # three sources need J >= 4
         {"scenario": "resolution", "methods": ("rss",), "J": 2},  # a pair needs J >= 3
-    ], ids=["M1", "J25", "music", "wgs-music", "rss-J3", "resolution-rss-J2"])
+        {"solver_max_iter": 0},
+        {"solver_eps_abs": 0.0},
+        {"snr_grid_db": ()},
+        {"snr_grid_db": (float("nan"),)},
+        {"snr_grid_db": (float("-inf"),)},
+        {"scenario": "resolution", "delta_theta_list": ()},
+        {"scenario": "resolution", "delta_theta_list": (float("inf"),)},
+        {"scenario": "resolution", "resolution_snr_db": float("-inf")},
+        {"methods": ("rss",), "init_err_deg": -1.0},
+        {"methods": ("rss",), "init_err_deg": float("nan")},
+    ], ids=["M1", "J25", "music", "wgs-music", "rss-J3", "resolution-rss-J2",
+            "max-iter-0", "eps-abs-0", "snr-empty", "snr-nan", "snr-minus-inf",
+            "delta-empty", "delta-inf", "resolution-snr-minus-inf",
+            "init-err-negative", "init-err-nan"])
     def test_rejects_what_no_runner_can_use(self, change):
         with pytest.raises(ValueError):
             ExperimentConfig(**{"scenario": "rmse_vs_snr", **change})

@@ -4,8 +4,10 @@ module-level bindings, and it builds its inputs with the package's config
 classes.  A refactor that drops one of those names makes the benchmark
 lose a span, or makes the snr_sweep study record no operations so that
 every planned one counts as failed; one that drops a config field makes
-every operation raise.  These tests read spans.py and workloads.py as
-text, without importing or changing them."""
+every operation raise; one that drops a field of the solve result makes
+the traced run's certificate fail every solve.  These tests read
+spans.py, workloads.py and run.py as text, without importing or changing
+them, and parse solver.py for the calls the projection spans wrap."""
 
 import ast
 import dataclasses
@@ -16,10 +18,13 @@ import wbdoa.baselines
 import wbdoa.bench
 import wbdoa.model
 import wbdoa.recovery
+import wbdoa.solver
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SPANS = PERFBENCH / "spans.py"
 WORKLOADS = PERFBENCH / "workloads.py"
+RUN = PERFBENCH / "run.py"
+SOLVER = Path(wbdoa.solver.__file__)
 CONFIG_CLASSES = {
     "ExperimentConfig": wbdoa.bench.ExperimentConfig,
     "RecoveryConfig": wbdoa.recovery.RecoveryConfig,
@@ -75,3 +80,37 @@ def test_workload_config_keywords_are_fields():
                     for kw in node.keywords if kw.arg is not None and kw.arg not in fields]
     assert seen
     assert unknown == []
+
+
+def test_solve_result_has_what_the_traced_run_reads():
+    # the traced run sums iterations and status over every solve result and
+    # checks the certificate on its H, Hbar and Q
+    read = set()
+    for node in ast.walk(ast.parse(RUN.read_text())):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "solution"):
+            read.add(node.attr)
+        elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
+                and isinstance(node.args[1], ast.Constant)):
+            read.add(node.args[1].value)
+    wanted = {"H", "Hbar", "Q", "iterations", "status"}
+    assert wanted <= read
+    assert wanted <= {f.name for f in dataclasses.fields(wbdoa.solver.ConicSolution)}
+
+
+def test_solve_calls_the_projections_through_module_globals():
+    # the psd_project and affine_project spans patch the module attributes,
+    # so they see a call from solve only through the bare global name
+    tree = ast.parse(SOLVER.read_text())
+    solve = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "solve")
+    called, bound = set(), set()
+    for node in ast.walk(solve):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            called.add(node.func.id)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+        elif isinstance(node, ast.arg):
+            bound.add(node.arg)
+    assert {"psd_project", "affine_project"} <= called
+    assert not {"psd_project", "affine_project"} & bound

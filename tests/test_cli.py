@@ -186,7 +186,13 @@ class TestBenchmark:
 
     @pytest.mark.parametrize("change", [
         {"M": 1}, {"J": 25}, {"methods": ["music"]}, {"methods": ["rss"], "J": 3},
-    ], ids=["M1", "J25", "music", "rss-J3"])
+        {"solver_max_iter": 0}, {"snr_grid_db": []}, {"snr_grid_db": [float("nan")]},
+        {"snr_grid_db": [float("-inf")]}, {"methods": ["rss"], "init_err_deg": -1},
+        {"scenario": "resolution", "delta_theta_list": []},
+        {"scenario": "resolution", "resolution_snr_db": float("nan")},
+    ], ids=["M1", "J25", "music", "rss-J3", "max-iter-0", "snr-empty", "snr-nan",
+            "snr-minus-inf", "init-err-negative", "resolution-delta-empty",
+            "resolution-snr-nan"])
     def test_config_no_runner_can_use(self, tmp_path, capsys, change):
         cfg = tmp_path / "bench.json"
         cfg.write_text(json.dumps({"scenario": "rmse_vs_snr", **change}))

@@ -9,6 +9,7 @@ from wbdoa.model import (
     ArrayConfig,
     SubbandData,
     WidebandScene,
+    steering_matrix,
     steering_vector,
     subband_template,
     synthesize_scene,
@@ -45,6 +46,18 @@ class TestDualPolynomial:
         fs, vals = poly.on_grid(64)
         for f, v in zip(fs[:8], vals[:8]):
             assert v == pytest.approx(poly(f), rel=1e-12)
+
+    def test_on_grid_cached_grid_is_exact_and_read_only(self):
+        rng = np.random.default_rng(2)
+        fs = np.linspace(-0.5, 0.5, 256, endpoint=False)
+        for _ in range(2):
+            Hbar = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
+            grid, vals = DualPolynomial(Hbar=Hbar).on_grid(256)
+            assert np.array_equal(grid, fs)
+            assert np.array_equal(
+                vals, np.linalg.norm(Hbar.conj().T @ steering_matrix(fs, 8), axis=0))
+        with pytest.raises(ValueError):
+            grid[0] = 0.0
 
 
 class TestRecoveryConfig:

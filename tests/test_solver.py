@@ -6,7 +6,13 @@ from scipy.linalg import cho_factor, cho_solve
 
 from wbdoa.atoms import ConicProblem, dual_atomic_norm, noiseless_matrix
 from wbdoa.focusing import FocusingSet, gamma_oracle, noiseless_measurements
-from wbdoa.model import ArrayConfig, WidebandScene, steering_vector
+from wbdoa.model import (
+    ArrayConfig,
+    WidebandScene,
+    steering_vector,
+    subband_template,
+    synthesize_scene,
+)
 from wbdoa.solver import (
     ConicSolution,
     SolverConfig,
@@ -298,6 +304,47 @@ class TestSolve:
     def test_step_and_check_validation(self, field, value):
         with pytest.raises(ValueError, match=field):
             SolverConfig(**{field: value})
+
+
+def _acceptance_problem():
+    # the noiseless three-source scene of the acceptance test_01
+    cfg = ArrayConfig(M=16, c=1500.0, omega1=2 * np.pi * 1000)
+    alphas = np.arange(20, 10, -1) / 20
+    focusing = FocusingSet.build(alphas, cfg.M)
+    rng = np.random.default_rng(0)
+    spectra = (rng.standard_normal((3, 10)) + 1j * rng.standard_normal((3, 10))) / np.sqrt(2)
+    scene = WidebandScene(angles_deg=(-5.0, 15.0, 40.0), source_spectra=spectra)
+    data = synthesize_scene(cfg, scene, subband_template(cfg.omega1, alphas))
+    gamma = gamma_oracle(data.Y, cfg, scene, focusing)
+    return ConicProblem(Y=data.Y, focusing=focusing, gamma=gamma)
+
+
+class TestConvergence:
+    """Over-relaxation and tolerance-scaled residual balancing."""
+
+    def test_acceptance_scene_iterations(self):
+        sol = solve(_acceptance_problem())
+        assert sol.status == "Optimal"
+        assert sol.iterations <= 450
+
+    def test_acceptance_scene_objective_accuracy(self):
+        prob = _acceptance_problem()
+        sol = solve(prob)
+        ref = solve(prob, SolverConfig(eps_abs=1e-10, eps_rel=1e-9))
+        assert ref.status == "Optimal"
+        assert sol.objective == pytest.approx(ref.objective, rel=1e-5)
+
+    def test_step_size_bound_keeps_divergent_solve_finite(self):
+        # random data with gamma = 1 has fidelity mass outside range(T_j):
+        # the dual is unbounded, and an unbounded step size drives the
+        # objective past 1e23 within this budget
+        focusing = FocusingSet.build(np.arange(20, 10, -1) / 20, 16)
+        rng = np.random.default_rng(0)
+        Y = rng.standard_normal((16, 10)) + 1j * rng.standard_normal((16, 10))
+        sol = solve(ConicProblem(Y=Y, focusing=focusing, gamma=1.0),
+                    SolverConfig(max_iter=10000))
+        assert sol.status == "MaxIter"
+        assert np.isfinite(sol.objective) and sol.objective < 1e8
 
 
 class TestQCertificate:
