@@ -11,16 +11,7 @@ from .model import (
     theta_to_f,
 )
 from .focusing import FocusingSet, focusing_error, focusing_matrix, gamma_bound
-from .atoms import (
-    Atom,
-    AtomicDecomposition,
-    ConicProblem,
-    DualPolynomial,
-    atomic_norm_upper,
-    build_atom,
-    dual_atomic_norm,
-    noiseless_matrix,
-)
+from .atoms import ConicProblem, DualPolynomial, build_atom, dual_atomic_norm
 from .solver import (
     ConicSolution,
     SolverConfig,

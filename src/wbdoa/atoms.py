@@ -9,87 +9,23 @@ semidefinite program over a dual matrix H and a Hermitian certificate Q.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .focusing import FocusingSet
-from .model import WidebandScene, steering_matrix, steering_vector, theta_to_f
+from .model import steering_matrix, steering_vector
 
 
-@dataclass(frozen=True)
-class Atom:
-    """One atom: spatial frequency f, unit coefficient vector c, and the
-    M x J matrix with column j equal to c_j * T_j a(f)."""
-
-    f: float
-    c: np.ndarray
-    matrix: np.ndarray
-
-
-def build_atom(f: float, c, focusing: FocusingSet) -> Atom:
-    """Construct A(f, c); c is renormalized to unit l2 norm."""
+def build_atom(f: float, c, focusing: FocusingSet) -> np.ndarray:
+    """The M x J matrix A(f, c) = [c_1 T_1 a(f), ..., c_J T_J a(f)]; c is
+    renormalized to unit l2 norm."""
     c = np.asarray(c, dtype=complex).ravel()
     nrm = np.linalg.norm(c)
     if nrm < 1e-12:
         raise ValueError("coefficient vector must be nonzero")
-    c = c / nrm
-    return Atom(f=float(f), c=c, matrix=c * focusing.columns(f))
-
-
-@dataclass(frozen=True)
-class AtomicDecomposition:
-    """A weighted atom sum X = sum_k beta_k A(f_k, c_k)."""
-
-    betas: np.ndarray
-    atoms: tuple
-    matrix: np.ndarray
-
-    @property
-    def total_weight(self) -> float:
-        return float(np.sum(self.betas))
-
-
-def noiseless_matrix(scene: WidebandScene, focusing: FocusingSet) -> AtomicDecomposition:
-    """Exact atomic decomposition of the focused noiseless data matrix.
-
-    beta_k is the l2 norm of source k's cross-band spectrum and c_k its
-    unit direction; sources with an all-zero spectrum are dropped.
-    """
-    if scene.K < 1:
-        raise ValueError("scene must contain at least one source")
-    betas, atoms = [], []
-    for k, theta in enumerate(scene.angles_deg):
-        s = scene.source_spectra[k]
-        beta = float(np.linalg.norm(s))
-        if beta == 0.0:
-            warnings.warn(f"source {k} at {theta} deg has zero spectrum; dropped")
-            continue
-        atoms.append(build_atom(theta_to_f(theta), s / beta, focusing))
-        betas.append(beta)
-    betas = np.asarray(betas)
-    X = sum(b * at.matrix for b, at in zip(betas, atoms)) if atoms else \
-        np.zeros((focusing.M, focusing.J), dtype=complex)
-    return AtomicDecomposition(betas=betas, atoms=tuple(atoms), matrix=X)
-
-
-def atomic_norm_upper(X: np.ndarray, decomposition: AtomicDecomposition) -> float:
-    """Certified upper bound sum_k beta_k on the atomic norm of X.
-
-    The decomposition must actually reconstruct X; otherwise the
-    certificate is rejected.
-    """
-    X = np.asarray(X, dtype=complex)
-    if decomposition.betas.size == 0:
-        if np.linalg.norm(X) > 0:
-            raise ValueError("empty decomposition cannot certify a nonzero matrix")
-        return 0.0
-    resid = np.linalg.norm(X - decomposition.matrix)
-    if resid > 1e-6 * max(np.linalg.norm(X), 1e-300):
-        raise ValueError(f"decomposition residual {resid:.3e} too large for certificate")
-    return decomposition.total_weight
+    return c / nrm * focusing.columns(f)
 
 
 def _hbar(H: np.ndarray, focusing: FocusingSet) -> np.ndarray:
@@ -152,14 +88,14 @@ def golden_section_max(fun, lo, hi, tol=1e-12, max_iter=200):
     return x, fun(x), b - a
 
 
-def dual_atomic_norm(H: np.ndarray, focusing: FocusingSet, grid_size: int = 8192) -> float:
-    """max_f ||Hbar^H a(f)||_2, by dense grid plus golden-section refinement."""
+def dual_atomic_norm(H: np.ndarray, focusing: FocusingSet) -> float:
+    """max_f ||Hbar^H a(f)||_2, by an 8192-point grid plus golden-section refinement."""
     poly = DualPolynomial(Hbar=_hbar(np.asarray(H, dtype=complex), focusing))
-    fs, vals = poly.on_grid(grid_size)
+    fs, vals = poly.on_grid(8192)
     i = int(np.argmax(vals))
     if vals[i] == 0.0:
         return 0.0
-    step = 1.0 / grid_size
+    step = 1.0 / 8192
     _, peak, _ = golden_section_max(poly, fs[i] - step, fs[i] + step)
     return max(peak, float(vals[i]))
 

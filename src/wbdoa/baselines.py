@@ -12,22 +12,22 @@ import numpy as np
 
 from .model import SubbandData, steering_matrix, theta_to_f
 
+# MUSIC scan step over (-89.9, 89.9) degrees, refined parabolically
+MUSIC_GRID_DEG = 0.01
+
 
 @dataclass(frozen=True)
 class RssConfig:
-    """Known source count, initial DOA guesses, and MUSIC scan resolution."""
+    """Known source count and initial DOA guesses."""
 
     K: int
     init_angles_deg: tuple
-    music_grid_deg: float = 0.01
 
     def __post_init__(self):
         object.__setattr__(self, "init_angles_deg",
                            tuple(float(a) for a in self.init_angles_deg))
         if len(self.init_angles_deg) != self.K:
             raise ValueError("need exactly K initial angles")
-        if self.music_grid_deg <= 0:
-            raise ValueError("music grid must be positive")
 
 
 def perturb_initial(true_angles_deg, max_err_deg: float, seed: int):
@@ -105,7 +105,7 @@ def rss_estimate(subbands: SubbandData, cfg: RssConfig) -> np.ndarray:
         z = mats[j] @ subbands.Y[:, j]
         R += np.outer(z, z.conj())
     R /= J
-    grid = np.arange(-89.9, 89.9 + cfg.music_grid_deg / 2, cfg.music_grid_deg)
+    grid = np.arange(-89.9, 89.9 + MUSIC_GRID_DEG / 2, MUSIC_GRID_DEG)
     spec = music_spectrum(R, cfg.K, grid)
     # local maxima, take the K largest, refine by parabolic interpolation
     # on log-spectrum (sharper near MUSIC poles)

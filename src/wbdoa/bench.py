@@ -71,9 +71,8 @@ def match_errors(estimate_deg, truth_deg):
     return errs
 
 
-def rmse(estimates, truths, fail_threshold_deg: float = None,
-         return_failures: bool = False):
-    """Pooled RMSE in degrees over trials and sources.
+def rmse(estimates, truths, fail_threshold_deg: float = None):
+    """Pooled RMSE in degrees over trials and sources, and the failure count.
 
     A trial fails when it has fewer estimates than truths or (if a
     threshold is given) its own RMSE exceeds the threshold; failed trials
@@ -93,9 +92,7 @@ def rmse(estimates, truths, fail_threshold_deg: float = None,
             continue
         sq.extend(errs ** 2)
     value = float(np.sqrt(np.mean(sq))) if sq else float("nan")
-    if return_failures:
-        return value, failures
-    return value
+    return value, failures
 
 
 @dataclass
@@ -120,8 +117,10 @@ class ExperimentConfig:
     workers: int = None
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
+        for name, low in (("trials", 1), ("master_seed", 0)):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, np.integer)) and value >= low):
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         if not self.methods:
             raise ValueError("method list must be nonempty")
         if not set(self.methods) <= {"wgs", "rss"}:
@@ -137,6 +136,14 @@ class ExperimentConfig:
             values = np.atleast_1d(getattr(self, name))
             if values.size == 0 or not np.all(np.isfinite(values)):
                 raise ValueError(f"{name} must be nonempty and finite")
+        if min(self.delta_theta_list) <= 0:
+            raise ValueError("delta_theta_list entries must be positive")
+        pairs = [(self.theta1_deg - d, self.theta1_deg) for d in self.delta_theta_list]
+        for angles in (self.angles_deg, *pairs):
+            a = np.asarray(angles, dtype=float)
+            if a.size == 0 or not np.all(np.abs(a) < 90) or np.unique(a).size < a.size:
+                raise ValueError(f"source angles {list(angles)} must be nonempty, "
+                                 "distinct and inside (-90, 90)")
         if not (np.isfinite(self.init_err_deg) and self.init_err_deg >= 0):
             raise ValueError("init_err_deg must be finite and nonnegative")
         K = len(self.angles_deg) if self.scenario == "rmse_vs_snr" else 2
@@ -272,7 +279,7 @@ def run_rmse_vs_snr(cfg: ExperimentConfig) -> ResultTable:
     for pi, snr in enumerate(cfg.snr_grid_db):
         for method in cfg.methods:
             ests, dt = _run_point(cfg, method, cfg.angles_deg, snr, pi, workers)
-            val, failures = rmse(ests, cfg.angles_deg, return_failures=True)
+            val, failures = rmse(ests, cfg.angles_deg)
             table.add(method, float(snr), val, failures / cfg.trials, cfg.trials, dt)
     return table
 
@@ -304,8 +311,7 @@ def run_resolution(cfg: ExperimentConfig) -> ResultTable:
                     if x - keep[-1] > 0.1:
                         keep.append(x)
                 cleaned.append(np.asarray(keep))
-            val, failures = rmse(cleaned, angles, fail_threshold_deg=dtheta / 2,
-                                 return_failures=True)
+            val, failures = rmse(cleaned, angles, fail_threshold_deg=dtheta / 2)
             fail_rate = failures / cfg.trials
             if fail_rate >= FAIL_RATE_CUT:
                 val = float("nan")
@@ -368,13 +374,12 @@ def _svg_plot(table: ResultTable, path, log_y: bool = False):
         fh.write("\n".join(parts) + "\n")
 
 
-def emit_report(table: ResultTable, fmt: str, path, include_runtime: bool = False,
-                log_y: bool = False):
+def emit_report(table: ResultTable, fmt: str, path, log_y: bool = False):
     """Write the table as csv, json, or an SVG line plot."""
     if not table.rows:
         raise ValueError("refusing to emit an empty table")
     if fmt == "csv":
-        table.to_csv(path, include_runtime=include_runtime)
+        table.to_csv(path)
     elif fmt == "json":
         table.to_json(path)
     elif fmt == "svg":

@@ -87,26 +87,25 @@ def gamma_oracle(Y: np.ndarray, cfg: ArrayConfig, scene: WidebandScene,
     return float(np.linalg.norm(Y - X) ** 2)
 
 
-def gamma_blind(Y: np.ndarray, sigma2: float, focusing: FocusingSet,
-                grid_size: int = 64) -> float:
+def gamma_blind(Y: np.ndarray, sigma2: float, focusing: FocusingSet) -> float:
     """Heuristic gamma when the scene is unknown.
 
     Noise power is taken as M*J*sigma2.  Focusing-error power is bounded by
-    spreading the estimated per-band signal power over a coarse grid of
-    candidate spatial frequencies, weighted by a conventional beamformer.
+    spreading the estimated per-band signal power over a coarse 64-point grid
+    of candidate spatial frequencies, weighted by a conventional beamformer.
     """
     if not (np.isfinite(sigma2) and sigma2 >= 0):
         raise ValueError(f"noise variance must be finite and nonnegative, got {sigma2}")
     M, J = Y.shape
     noise_power = M * J * sigma2
-    f_grid = np.linspace(-0.5, 0.5, grid_size, endpoint=False)
+    f_grid = np.linspace(-0.5, 0.5, 64, endpoint=False)
     # per-band signal power estimate (||a||^2 = M)
     p_sig = np.maximum(np.linalg.norm(Y, axis=0) ** 2 - M * sigma2, 0.0) / M
     # beamformer weights over the candidate grid, one row per band
     A = steering_vector(focusing.alphas[:, None] * f_grid, M)  # J x grid x M
     bf = np.abs(A.conj() @ Y.T[:, :, None])[:, :, 0] ** 2
     total = bf.sum(axis=1, keepdims=True)
-    w = np.divide(bf, total, out=np.full_like(bf, 1.0 / grid_size), where=total > 0)
+    w = np.divide(bf, total, out=np.full_like(bf, 1.0 / f_grid.size), where=total > 0)
     e_norms = np.stack([np.linalg.norm(focusing_error(f, focusing), axis=0) ** 2
                         for f in f_grid], axis=1)  # J x grid
     return noise_power + float(p_sig @ np.sum(w * e_norms, axis=1))

@@ -29,8 +29,11 @@ class DoaEstimate:
     thetas: np.ndarray
     cs: list
     betas: np.ndarray
-    Khat: int
     diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def Khat(self) -> int:
+        return len(self.thetas)
 
     def to_json(self, path=None):
         doc = {
@@ -126,7 +129,7 @@ def recover_amplitudes(Y: np.ndarray, fs, cs, focusing: FocusingSet) -> np.ndarr
     if K == 0:
         return np.array([])
     cols = np.stack(
-        [build_atom(f, c, focusing).matrix.ravel() for f, c in zip(fs, cs)], axis=1
+        [build_atom(f, c, focusing).ravel() for f, c in zip(fs, cs)], axis=1
     )
     A = np.vstack([cols.real, cols.imag])
     b = np.concatenate([np.asarray(Y, complex).ravel().real,
@@ -212,7 +215,6 @@ def estimate_doa(subbands: SubbandData, gamma: float,
         thetas=np.array([f_to_theta(f) for f in fs[keep]]),
         cs=[c for c, k in zip(cs, keep) if k],
         betas=betas[keep],
-        Khat=int(keep.sum()),
         diagnostics={
             "dualityGap": gap,
             "relGap": gap / solution.objective if solution.objective else 0.0,

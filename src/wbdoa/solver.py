@@ -29,6 +29,8 @@ from .atoms import ConicProblem
 
 # x-step relaxation alpha: x_hat = alpha x + (1 - alpha) z_prev
 RELAXATION = 1.8
+# iterations between residual checks (and step-size updates)
+CHECK_EVERY = 25
 
 
 @dataclass
@@ -36,18 +38,12 @@ class SolverConfig:
     max_iter: int = 50000
     eps_abs: float = 1e-7
     eps_rel: float = 1e-6
-    rho: float = 1.0
-    check_every: int = 25
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        if self.eps_abs <= 0 or self.eps_rel <= 0:
-            raise ValueError("tolerances must be positive")
-        if not (np.isfinite(self.rho) and self.rho > 0):
-            raise ValueError("rho must be finite and positive")
-        if self.check_every < 1:
-            raise ValueError("check_every must be at least 1")
+        if not (isinstance(self.max_iter, (int, np.integer)) and self.max_iter >= 1):
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+        if not all(np.isfinite(e) and e > 0 for e in (self.eps_abs, self.eps_rel)):
+            raise ValueError("tolerances eps_abs and eps_rel must be finite and positive")
 
 
 @dataclass
@@ -170,7 +166,7 @@ def solve(problem: ConicProblem, config: SolverConfig = None) -> ConicSolution:
     Hu = np.zeros_like(Hz)
     Su = np.zeros_like(Sz)
 
-    t0 = t = 1.0 / config.rho / max(1.0, float(np.linalg.norm(problem.Y)))
+    t0 = t = 1.0 / max(1.0, float(np.linalg.norm(problem.Y)))
 
     status = "MaxIter"
     dim = np.sqrt(2.0 * (M * J + n * n))
@@ -185,7 +181,7 @@ def solve(problem: ConicProblem, config: SolverConfig = None) -> ConicSolution:
         Hu = Hu + Hx_hat - Hz
         Su = Su + Sx_hat - Sz
 
-        if k % config.check_every == 0 or k == config.max_iter:
+        if k % CHECK_EVERY == 0 or k == config.max_iter:
             r_norm = _pair_norm(Hx - Hz, Sx - Sz)
             s_norm = _pair_norm(Hz - Hz_prev, Sz - Sz_prev) / t
             x_norm, z_norm = _pair_norm(Hx, Sx), _pair_norm(Hz, Sz)

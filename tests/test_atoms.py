@@ -5,14 +5,14 @@ from wbdoa.atoms import (
     ConicProblem,
     DualPolynomial,
     _hbar,
-    atomic_norm_upper,
     build_atom,
     dual_atomic_norm,
     golden_section_max,
-    noiseless_matrix,
 )
-from wbdoa.focusing import FocusingSet
-from wbdoa.model import WidebandScene, steering_vector, theta_to_f
+from wbdoa.focusing import FocusingSet, noiseless_measurements
+from wbdoa.model import ArrayConfig, WidebandScene, steering_vector, theta_to_f
+
+ARRAY = ArrayConfig(M=6, c=1500.0, omega1=2 * np.pi * 1000.0)
 
 
 @pytest.fixture
@@ -25,9 +25,10 @@ class TestBuildAtom:
         # ||A(f, c)||_F^2 = sum_j |c_j|^2 ||T_j a(f)||^2; at f = 0 and
         # alpha = 1 the first column alone has norm sqrt(M) |c_0|
         atom = build_atom(0.0, np.array([1, 0, 0, 0]), focusing)
-        assert np.linalg.norm(atom.matrix) == pytest.approx(np.sqrt(6))
-        assert np.allclose(atom.matrix[:, 0], np.ones(6))
-        assert np.allclose(atom.matrix[:, 1:], 0.0)
+        assert atom.shape == (6, 4)
+        assert np.linalg.norm(atom) == pytest.approx(np.sqrt(6))
+        assert np.allclose(atom[:, 0], np.ones(6))
+        assert np.allclose(atom[:, 1:], 0.0)
 
     def test_column_oracle(self, focusing):
         rng = np.random.default_rng(2)
@@ -37,46 +38,35 @@ class TestBuildAtom:
         cu = c / np.linalg.norm(c)
         for j in range(4):
             expect = cu[j] * focusing.matrices[j] @ steering_vector(f, 6)
-            assert np.allclose(atom.matrix[:, j], expect, atol=1e-13)
+            assert np.allclose(atom[:, j], expect, atol=1e-13)
 
     def test_renormalizes(self, focusing):
+        # 5 * ones(4) has norm 10, so every column is scaled by 1/2
         atom = build_atom(0.1, 5.0 * np.ones(4), focusing)
-        assert np.linalg.norm(atom.c) == pytest.approx(1.0)
+        assert np.allclose(atom, 0.5 * focusing.columns(0.1), rtol=0, atol=1e-15)
 
     def test_zero_coefficients_rejected(self, focusing):
         with pytest.raises(ValueError):
             build_atom(0.1, np.zeros(4), focusing)
 
 
-class TestNoiselessMatrix:
-    def test_matches_direct_loop(self, focusing):
+class TestPlantedAtoms:
+    def test_weighted_atom_sum_is_noiseless_measurements(self, focusing):
+        # with weights ||s_k|| and directions s_k / ||s_k||, the planted
+        # atoms sum to the noiseless data matrix of a direct loop
         rng = np.random.default_rng(9)
         spectra = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
         scene = WidebandScene(angles_deg=(-30.0, 0.0, 45.0), source_spectra=spectra)
-        dec = noiseless_matrix(scene, focusing)
-        # direct loop over sources and bands
         X = np.zeros((6, 4), dtype=complex)
         for k, th in enumerate(scene.angles_deg):
             a = steering_vector(theta_to_f(th), 6)
             for j in range(4):
                 X[:, j] += spectra[k, j] * focusing.matrices[j] @ a
-        assert np.allclose(dec.matrix, X, atol=1e-12)
-        assert np.allclose(dec.betas, np.linalg.norm(spectra, axis=1))
-
-    def test_zero_spectrum_dropped(self, focusing):
-        spectra = np.vstack([np.ones(4), np.zeros(4)])
-        scene = WidebandScene(angles_deg=(10.0, 20.0), source_spectra=spectra)
-        with pytest.warns(UserWarning):
-            dec = noiseless_matrix(scene, focusing)
-        assert dec.betas.size == 1
-
-    def test_atomic_norm_upper(self, focusing):
-        spectra = np.array([[1.0, 2.0, 2.0, 0.0], [0.0, 3.0, 0.0, 4.0]])
-        scene = WidebandScene(angles_deg=(-5.0, 25.0), source_spectra=spectra)
-        dec = noiseless_matrix(scene, focusing)
-        assert atomic_norm_upper(dec.matrix, dec) == pytest.approx(3.0 + 5.0)
-        with pytest.raises(ValueError):
-            atomic_norm_upper(dec.matrix + 1.0, dec)
+        weights = np.linalg.norm(spectra, axis=1)
+        atoms = sum(w * build_atom(theta_to_f(th), s / w, focusing)
+                    for w, th, s in zip(weights, scene.angles_deg, spectra))
+        assert np.allclose(atoms, X, atol=1e-12)
+        assert np.allclose(noiseless_measurements(ARRAY, scene, focusing), X, atol=1e-12)
 
 
 class TestGoldenSection:
@@ -128,11 +118,12 @@ class TestDualAtomicNorm:
         rng = np.random.default_rng(29)
         spectra = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
         scene = WidebandScene(angles_deg=(-15.0, 30.0), source_spectra=spectra)
-        dec = noiseless_matrix(scene, focusing)
+        X = noiseless_measurements(ARRAY, scene, focusing)
+        weight = np.linalg.norm(spectra, axis=1).sum()
         for _ in range(20):
             H = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
-            inner = np.real(np.trace(dec.matrix.conj().T @ H))
-            bound = dec.total_weight * dual_atomic_norm(H, focusing)
+            inner = np.real(np.trace(X.conj().T @ H))
+            bound = weight * dual_atomic_norm(H, focusing)
             assert inner <= bound + 1e-9
 
 

@@ -25,10 +25,6 @@ class TestRssConfig:
         with pytest.raises(ValueError):
             RssConfig(K=2, init_angles_deg=(10.0,))
 
-    def test_bad_grid(self):
-        with pytest.raises(ValueError):
-            RssConfig(K=1, init_angles_deg=(10.0,), music_grid_deg=0.0)
-
 
 class TestPerturbInitial:
     def test_deterministic(self):

@@ -108,23 +108,23 @@ class TestRmse:
         # two trials, two sources: errors (1, 1) and (0, 2);
         # pooled rmse = sqrt((1 + 1 + 0 + 4) / 4)
         ests = [[-4.0, 16.0], [-5.0, 17.0]]
-        val = rmse(ests, [-5.0, 15.0])
+        val, fails = rmse(ests, [-5.0, 15.0])
         assert val == pytest.approx(np.sqrt(6.0 / 4.0), rel=1e-12)
+        assert fails == 0
 
     def test_failures_counted(self):
         ests = [[-5.0, 15.0], [0.0]]
-        val, fails = rmse(ests, [-5.0, 15.0], return_failures=True)
+        val, fails = rmse(ests, [-5.0, 15.0])
         assert fails == 1
         assert val == pytest.approx(0.0, abs=1e-12)
 
     def test_threshold_failures(self):
         ests = [[-5.0, 15.0], [-5.0, 35.0]]
-        val, fails = rmse(ests, [-5.0, 15.0], fail_threshold_deg=5.0,
-                          return_failures=True)
+        val, fails = rmse(ests, [-5.0, 15.0], fail_threshold_deg=5.0)
         assert fails == 1
 
     def test_all_failed_is_nan(self):
-        val, fails = rmse([[0.0]], [-5.0, 15.0], return_failures=True)
+        val, fails = rmse([[0.0]], [-5.0, 15.0])
         assert np.isnan(val) and fails == 1
 
     def test_empty_rejected(self):
@@ -168,10 +168,26 @@ class TestExperimentConfig:
         {"scenario": "resolution", "resolution_snr_db": float("-inf")},
         {"methods": ("rss",), "init_err_deg": -1.0},
         {"methods": ("rss",), "init_err_deg": float("nan")},
+        {"solver_eps_abs": float("nan")},
+        {"solver_eps_rel": float("inf")},
+        {"solver_max_iter": 1.5},
+        {"angles_deg": ()},
+        {"angles_deg": (float("nan"),)},
+        {"angles_deg": (95.0,)},
+        {"angles_deg": (5.0, 5.0)},
+        {"scenario": "resolution", "theta1_deg": float("nan")},
+        {"master_seed": -1},
+        {"trials": 1.5},
+        {"scenario": "resolution", "delta_theta_list": (-3.0,)},
+        {"scenario": "resolution", "delta_theta_list": (0.0,)},
+        {"scenario": "resolution", "theta1_deg": -85.0, "delta_theta_list": (5.0,)},
     ], ids=["M1", "J25", "music", "wgs-music", "rss-J3", "resolution-rss-J2",
             "max-iter-0", "eps-abs-0", "snr-empty", "snr-nan", "snr-minus-inf",
             "delta-empty", "delta-inf", "resolution-snr-minus-inf",
-            "init-err-negative", "init-err-nan"])
+            "init-err-negative", "init-err-nan", "eps-abs-nan", "eps-rel-inf",
+            "max-iter-fraction", "angles-empty", "angles-nan", "angles-95",
+            "angles-repeated", "theta1-nan", "seed-negative", "trials-fraction",
+            "delta-negative", "delta-zero", "delta-past-endfire"])
     def test_rejects_what_no_runner_can_use(self, change):
         with pytest.raises(ValueError):
             ExperimentConfig(**{"scenario": "rmse_vs_snr", **change})

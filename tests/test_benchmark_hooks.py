@@ -66,10 +66,18 @@ def test_study_bindings_are_patchable():
 
 
 def test_workload_config_keywords_are_fields():
-    seen, unknown = set(), []
+    # a workload's solver_config={...} dict reaches SolverConfig(**...)
+    solver_fields = {f.name for f in dataclasses.fields(wbdoa.solver.SolverConfig)}
+    seen, solver_dicts, unknown = set(), 0, []
     for node in ast.walk(ast.parse(WORKLOADS.read_text())):
         if not isinstance(node, ast.Call):
             continue
+        for kw in node.keywords:
+            if kw.arg == "solver_config" and isinstance(kw.value, ast.Dict):
+                solver_dicts += 1
+                unknown += [f"solver_config key {key!r} at line {node.lineno}"
+                            for key in map(ast.literal_eval, kw.value.keys)
+                            if key not in solver_fields]
         func = node.func
         name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
         if name not in CONFIG_CLASSES:
@@ -78,7 +86,7 @@ def test_workload_config_keywords_are_fields():
         fields = {f.name for f in dataclasses.fields(CONFIG_CLASSES[name])}
         unknown += [f"{name}({kw.arg}=...) at line {node.lineno}"
                     for kw in node.keywords if kw.arg is not None and kw.arg not in fields]
-    assert seen
+    assert seen and solver_dicts
     assert unknown == []
 
 

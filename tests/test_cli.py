@@ -190,9 +190,18 @@ class TestBenchmark:
         {"snr_grid_db": [float("-inf")]}, {"methods": ["rss"], "init_err_deg": -1},
         {"scenario": "resolution", "delta_theta_list": []},
         {"scenario": "resolution", "resolution_snr_db": float("nan")},
+        {"solver_eps_abs": float("nan")}, {"solver_max_iter": 1.5},
+        {"angles_deg": []}, {"angles_deg": [float("nan")]}, {"angles_deg": [95]},
+        {"angles_deg": [5, 5]}, {"scenario": "resolution", "theta1_deg": float("nan")},
+        {"master_seed": -1}, {"trials": 1.5},
+        {"scenario": "resolution", "delta_theta_list": [-3]},
+        {"scenario": "resolution", "theta1_deg": -85, "delta_theta_list": [5]},
     ], ids=["M1", "J25", "music", "rss-J3", "max-iter-0", "snr-empty", "snr-nan",
             "snr-minus-inf", "init-err-negative", "resolution-delta-empty",
-            "resolution-snr-nan"])
+            "resolution-snr-nan", "eps-abs-nan", "max-iter-fraction", "angles-empty",
+            "angles-nan", "angles-95", "angles-repeated", "resolution-theta1-nan",
+            "seed-negative", "trials-fraction", "resolution-delta-negative",
+            "resolution-delta-past-endfire"])
     def test_config_no_runner_can_use(self, tmp_path, capsys, change):
         cfg = tmp_path / "bench.json"
         cfg.write_text(json.dumps({"scenario": "rmse_vs_snr", **change}))

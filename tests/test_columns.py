@@ -120,7 +120,7 @@ class TestAgainstLoops:
     def test_build_atom(self, drawn):
         _, _, _, focusing, rng = drawn
         f, c = rng.uniform(-0.5, 0.5), _crandn(rng, focusing.J)
-        got = build_atom(f, c, focusing).matrix
+        got = build_atom(f, c, focusing)
         assert _rel_err(got, _loop_atom_matrix(f, c, focusing)) <= 1e-13
 
     @settings(max_examples=60, deadline=None)

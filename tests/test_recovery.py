@@ -3,7 +3,6 @@ import json
 import numpy as np
 import pytest
 
-from wbdoa.atoms import noiseless_matrix
 from wbdoa.focusing import FocusingSet, gamma_oracle, noiseless_measurements
 from wbdoa.model import (
     ArrayConfig,
@@ -142,11 +141,12 @@ class TestRecoverPieces:
         rng = np.random.default_rng(3)
         spectra = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
         scene = WidebandScene(angles_deg=(-25.0, 20.0), source_spectra=spectra)
-        dec = noiseless_matrix(scene, focusing)
+        X = noiseless_measurements(ArrayConfig(M=8, c=1500.0, omega1=2 * np.pi * 1000),
+                                   scene, focusing)
+        weights = np.linalg.norm(spectra, axis=1)
         fs = [theta_to_f(t) for t in scene.angles_deg]
-        cs = [atom.c for atom in dec.atoms]
-        betas = recover_amplitudes(dec.matrix, fs, cs, focusing)
-        assert np.allclose(betas, dec.betas, rtol=1e-10)
+        betas = recover_amplitudes(X, fs, spectra / weights[:, None], focusing)
+        assert np.allclose(betas, weights, rtol=1e-10)
 
     def test_amplitudes_empty(self):
         focusing = FocusingSet.build([1.0], 4)

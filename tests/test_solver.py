@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
-from wbdoa.atoms import ConicProblem, dual_atomic_norm, noiseless_matrix
+from wbdoa.atoms import ConicProblem, dual_atomic_norm
 from wbdoa.focusing import FocusingSet, gamma_oracle, noiseless_measurements
 from wbdoa.model import (
     ArrayConfig,
@@ -274,10 +274,11 @@ class TestSolve:
         rng = np.random.default_rng(13)
         spectra = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         scene = WidebandScene(angles_deg=(-20.0, 25.0), source_spectra=spectra)
-        dec = noiseless_matrix(scene, focusing)
-        prog = ConicProblem(Y=dec.matrix, focusing=focusing, gamma=0.0)
+        X = noiseless_measurements(ArrayConfig(M=6, c=1500.0, omega1=2 * np.pi * 1000),
+                                   scene, focusing)
+        prog = ConicProblem(Y=X, focusing=focusing, gamma=0.0)
         sol = solve(prog, SolverConfig(eps_abs=1e-8, eps_rel=1e-7))
-        assert sol.objective <= dec.total_weight * (1 + 1e-4)
+        assert sol.objective <= np.linalg.norm(spectra, axis=1).sum() * (1 + 1e-4)
 
     def test_determinism(self, small_problem):
         a = solve(small_problem, SolverConfig(max_iter=500))
@@ -298,10 +299,11 @@ class TestSolve:
             SolverConfig(eps_abs=-1.0)
 
     @pytest.mark.parametrize("field, value", [
-        ("rho", 0.0), ("rho", -1.0), ("rho", float("nan")), ("rho", float("inf")),
-        ("check_every", 0), ("check_every", -5),
+        ("eps_abs", float("nan")), ("eps_abs", float("inf")),
+        ("eps_rel", float("nan")), ("eps_rel", float("inf")), ("eps_rel", 0.0),
+        ("max_iter", 1.5), ("max_iter", 100.0), ("max_iter", -3),
     ])
-    def test_step_and_check_validation(self, field, value):
+    def test_tolerance_and_budget_validation(self, field, value):
         with pytest.raises(ValueError, match=field):
             SolverConfig(**{field: value})
 
