@@ -40,11 +40,21 @@ class DualPolynomial:
     Hbar: np.ndarray
 
     def __call__(self, f):
-        return float(np.linalg.norm(self.vector(f)))
+        """P(f): a float for scalar f, else an array shaped like f.
+
+        Each f gets its own matrix-vector product and dot products, so a
+        value does not depend on the other entries of f."""
+        v = self.vector(np.asarray(f, dtype=float))[..., None]
+        re, im = v.real, v.imag
+        sq = np.swapaxes(re, -1, -2) @ re + np.swapaxes(im, -1, -2) @ im
+        vals = np.sqrt(sq)[..., 0, 0]
+        return float(vals) if vals.ndim == 0 else vals
 
     def vector(self, f) -> np.ndarray:
-        """The J-vector [hbar_1^H a(f), ..., hbar_J^H a(f)]."""
-        return self.Hbar.conj().T @ steering_vector(f, self.Hbar.shape[0])
+        """The J-vector [hbar_1^H a(f), ..., hbar_J^H a(f)]; an array of f
+        gives one per entry along a new last axis."""
+        a = steering_vector(f, self.Hbar.shape[0])
+        return (self.Hbar.conj().T @ a[..., None])[..., 0]
 
     def on_grid(self, grid_size: int) -> tuple:
         """(fs, P(fs)) on a uniform grid over [-1/2, 1/2) of at least 4*M points."""
@@ -67,24 +77,34 @@ def _grid(grid_size: int, M: int) -> tuple:
 def golden_section_max(fun, lo, hi, tol=1e-12, max_iter=200):
     """Golden-section ascent of a unimodal function on [lo, hi].
 
-    Returns (argmax, max, bracket width)."""
+    lo and hi may be arrays of brackets, refined together: fun then maps an
+    array of points to their values, and each bracket makes the same
+    comparisons as its own scalar run, stopping once narrower than tol.
+    Returns (argmax, max, bracket width), shaped like the brackets."""
     invphi = (np.sqrt(5.0) - 1) / 2
-    a, b = lo, hi
+    a, b = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fun(c), fun(d)
     for _ in range(max_iter):
-        if b - a < tol:
+        live = b - a >= tol
+        if not live.any():
             break
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fun(d)
+        # the max lies in [a, d], where c becomes the new d and a new c is
+        # probed, or in [c, b], where d becomes the new c
+        left = live & (fc > fd)
+        right = live ^ left
+        a, b = np.where(right, c, a), np.where(left, d, b)
+        step = invphi * (b - a)
+        x = np.where(left, b - step, a + step)
+        fx = fun(x)
+        c, fc, d, fd = (np.where(left, x, np.where(right, d, c)),
+                        np.where(left, fx, np.where(right, fd, fc)),
+                        np.where(left, c, np.where(right, x, d)),
+                        np.where(left, fc, np.where(right, fx, fd)))
     x = (a + b) / 2
+    if x.ndim == 0:
+        x, a, b = float(x), float(a), float(b)
     return x, fun(x), b - a
 
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -63,8 +64,19 @@ def rss_focusing_matrices(M: int, alphas, init_angles_deg) -> list:
     return mats
 
 
-def music_spectrum(covariance: np.ndarray, K: int, theta_grid_deg) -> np.ndarray:
-    """MUSIC pseudo-spectrum 1/||E_n^H a(f(theta))||^2 over an angle grid."""
+@lru_cache(maxsize=1)
+def _scan(M: int) -> tuple:
+    """Read-only (angle grid in degrees, steering_matrix of its f) of the MUSIC
+    scan; one entry, so alternating array sizes rebuild it."""
+    grid = np.arange(-89.9, 89.9 + MUSIC_GRID_DEG / 2, MUSIC_GRID_DEG)
+    A = steering_matrix(theta_to_f(grid), M)
+    grid.flags.writeable = A.flags.writeable = False
+    return grid, A
+
+
+def music_spectrum(covariance: np.ndarray, K: int, steering: np.ndarray) -> np.ndarray:
+    """MUSIC pseudo-spectrum 1/||E_n^H a||^2 for each column a of an
+    M-row steering matrix."""
     R = np.asarray(covariance, dtype=complex)
     M = R.shape[0]
     if K >= M:
@@ -75,8 +87,7 @@ def music_spectrum(covariance: np.ndarray, K: int, theta_grid_deg) -> np.ndarray
     except np.linalg.LinAlgError as exc:
         raise RuntimeError("eigendecomposition of the covariance failed") from exc
     En = evecs[:, : M - K]  # noise subspace: smallest M-K eigenvalues
-    A = steering_matrix(theta_to_f(theta_grid_deg), M)
-    denom = np.sum(np.abs(En.conj().T @ A) ** 2, axis=0)
+    denom = np.sum(np.abs(En.conj().T @ steering) ** 2, axis=0)
     return 1.0 / np.maximum(denom, 1e-300)
 
 
@@ -105,8 +116,8 @@ def rss_estimate(subbands: SubbandData, cfg: RssConfig) -> np.ndarray:
         z = mats[j] @ subbands.Y[:, j]
         R += np.outer(z, z.conj())
     R /= J
-    grid = np.arange(-89.9, 89.9 + MUSIC_GRID_DEG / 2, MUSIC_GRID_DEG)
-    spec = music_spectrum(R, cfg.K, grid)
+    grid, A = _scan(M)
+    spec = music_spectrum(R, cfg.K, A)
     # local maxima, take the K largest, refine by parabolic interpolation
     # on log-spectrum (sharper near MUSIC poles)
     ly = np.log(spec)

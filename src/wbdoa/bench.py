@@ -121,6 +121,9 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not (isinstance(value, (int, np.integer)) and value >= low):
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        if not (self.workers is None or isinstance(self.workers, (int, np.integer))
+                and self.workers >= 1):
+            raise ValueError(f"workers must be None or an integer >= 1, got {self.workers!r}")
         if not self.methods:
             raise ValueError("method list must be nonempty")
         if not set(self.methods) <= {"wgs", "rss"}:
@@ -264,17 +267,26 @@ def _run_point(cfg: ExperimentConfig, method: str, angles, snr_db,
     return estimates, time.perf_counter() - t0
 
 
-def _worker_count(cfg: ExperimentConfig) -> int:
+def worker_count(cfg: ExperimentConfig) -> int:
+    """cfg.workers, else the WBDOA_WORKERS environment variable (default 1),
+    which like the field must be an integer >= 1 (ValueError otherwise)."""
     if cfg.workers is not None:
-        return max(1, cfg.workers)
-    return max(1, int(os.environ.get("WBDOA_WORKERS", "1")))
+        return cfg.workers
+    raw = os.environ.get("WBDOA_WORKERS", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"WBDOA_WORKERS must be an integer >= 1, got {raw!r}")
+    return workers
 
 
 def run_rmse_vs_snr(cfg: ExperimentConfig) -> ResultTable:
     """RMSE per (method, SNR) for the fixed three-source scene."""
     if cfg.scenario != "rmse_vs_snr":
         raise ValueError("config scenario must be rmse_vs_snr")
-    workers = _worker_count(cfg)
+    workers = worker_count(cfg)
     table = ResultTable()
     for pi, snr in enumerate(cfg.snr_grid_db):
         for method in cfg.methods:
@@ -295,7 +307,7 @@ def run_resolution(cfg: ExperimentConfig) -> ResultTable:
     FAIL_RATE_CUT = 0.4
     if cfg.scenario != "resolution":
         raise ValueError("config scenario must be resolution")
-    workers = _worker_count(cfg)
+    workers = worker_count(cfg)
     table = ResultTable()
     for pi, dtheta in enumerate(cfg.delta_theta_list):
         angles = (cfg.theta1_deg - dtheta, cfg.theta1_deg)

@@ -119,6 +119,10 @@ def _cmd_benchmark(args):
         cfg = ExperimentConfig.from_dict(doc)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad experiment config: {exc}")
+    try:
+        cfg.workers = bench.worker_count(cfg)  # WBDOA_WORKERS is read here once
+    except ValueError as exc:
+        raise UsageError(str(exc))
     if args.quick:
         cfg.trials = min(cfg.trials, 20)
     print(f"benchmark: scenario={cfg.scenario} trials={cfg.trials} "

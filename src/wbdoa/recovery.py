@@ -65,9 +65,10 @@ def locate_frequencies(poly: DualPolynomial, peak_tol: float = 0.05,
                        grid_size: int = 8192) -> np.ndarray:
     """Spatial frequencies where P peaks within peak_tol of 1, sorted.
 
-    Grid local maxima above 1 - peak_tol are refined by golden-section
-    ascent.  Every refined peak is returned except one within a grid step
-    of a kept one (equal adjacent samples would give NNLS a duplicate atom).
+    Grid local maxima above 1 - peak_tol are refined together by
+    golden-section ascent.  Every refined peak is returned except one
+    within a grid step of a kept one (equal adjacent samples would give
+    NNLS a duplicate atom).
     """
     if not (0 < peak_tol < 0.5):
         raise ValueError("peak_tol must lie in (0, 0.5)")
@@ -77,9 +78,9 @@ def locate_frequencies(poly: DualPolynomial, peak_tol: float = 0.05,
     right = np.roll(vals, -1)
     cand = np.nonzero((vals >= left) & (vals >= right) & (vals >= 1.0 - peak_tol))[0]
     step = 1.0 / grid_size
+    refined = _wrap(golden_section_max(poly, fs[cand] - step, fs[cand] + step, tol=1e-10)[0])
     kept = []
-    for i in cand:
-        f_hat = _wrap(golden_section_max(poly, fs[i] - step, fs[i] + step, tol=1e-10)[0])
+    for f_hat in refined:
         if all(abs(_wrap(f_hat - g)) >= step for g in kept):
             kept.append(f_hat)
     return np.array(sorted(kept))
@@ -91,9 +92,9 @@ def recover_coefficients(poly: DualPolynomial, fs) -> list:
     The raw vector is the conjugate of the polynomial vector at f_hat; its
     norm is P(f_hat), 1 at exact optimality, and it is renormalized here.
     """
-    vs = [poly.vector(f).conj() for f in fs]
-    norms = [np.linalg.norm(v) for v in vs]
-    return [v / nrm if nrm > 0 else v for v, nrm in zip(vs, norms)]
+    fs = np.asarray(fs, dtype=float)
+    vs = poly.vector(fs).conj()
+    return [v / nrm if nrm > 0 else v for v, nrm in zip(vs, poly(fs))]
 
 
 def merge_atoms(fs, betas, cs, min_separation: float):
@@ -202,7 +203,7 @@ def estimate_doa(subbands: SubbandData, gamma: float,
     # strong-duality check over the full decomposition of X_opt, before merging
     total = float(np.sum(betas))
     gap = abs(total - solution.objective)
-    peak_values = [poly(f) for f in fs]
+    peak_values = poly(fs).tolist()
     radius = config.min_separation if config.min_separation is not None else 0.5 / subbands.M
     fs, betas, cs = merge_atoms(fs, betas, cs, radius)
     keep = betas >= AMP_FLOOR * betas.max(initial=0.0)

@@ -67,18 +67,29 @@ def complex_to_real_embed(W: np.ndarray) -> np.ndarray:
 
 
 def psd_project(W: np.ndarray) -> np.ndarray:
-    """Frobenius-nearest PSD matrix, by clipping negative eigenvalues."""
+    """Frobenius-nearest PSD matrix to the Hermitian part of W, by clipping
+    negative eigenvalues.
+
+    The result is rebuilt from the smaller eigenspace: W - V_- L_- V_-^H
+    when at most half the eigenvalues are negative (the cheaper product),
+    else V_+ L_+ V_+^H (subtracting a large negative part from W would
+    cancel and could leave the result slightly indefinite).
+    """
     W = np.asarray(W, dtype=complex)
-    W = 0.5 * (W + W.conj().T)
+    W = W + W.conj().T
+    W *= 0.5
     try:
         evals, evecs = np.linalg.eigh(W)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigendecomposition failed on {W.shape} block") from exc
-    if evals[0] >= 0:
+    neg = int(np.searchsorted(evals, 0.0))  # eigenvalues are ascending
+    if neg == 0:
         return W
-    pos = evals > 0
-    V = evecs[:, pos]
-    return (V * evals[pos]) @ V.conj().T
+    if 2 * neg <= evals.size:
+        V = evecs[:, :neg]
+        return W - (V * evals[:neg]) @ V.conj().T
+    V = evecs[:, neg:]
+    return (V * evals[neg:]) @ V.conj().T
 
 
 @lru_cache(maxsize=None)
@@ -123,27 +134,34 @@ def affine_project(block: np.ndarray, problem: ConicProblem, H: np.ndarray):
     S = np.asarray(block, dtype=complex)
     if S.shape != (M + J, M + J):
         raise ValueError(f"block must be {(M + J, M + J)}, got {S.shape}")
-    S = 0.5 * (S + S.conj().T)
-    out = S.copy()
-    out[:M, :M] = _project_trace(S[:M, :M])
+    out = S + S.conj().T
+    out *= 0.5
+    # the real J x 2M x 2 input of the map: row j holds (h_j, hbar_j), real
+    # and imaginary parts on the last axis, written through a complex view
+    X = np.empty((J, 2 * M, 2))
+    Xc = X.view(complex)[:, :, 0]
+    Xc[:, :M] = H.T
+    Xc[:, M:] = out[:M, M:].T
+    out[:M, :M] = _project_trace(out[:M, :M])
     out[M:, M:] = np.eye(J)
-    X = np.concatenate([H, S[:M, M:]]).T  # J x 2M, row j = (h_j, hbar_j)
-    P = problem.coupling_map @ np.stack([X.real, X.imag], axis=2)
-    Z = (P[:, :, 0] + 1j * P[:, :, 1]).T
-    Hn, Bn = Z[:M], Z[M:]
-    out[:M, M:] = Bn
-    out[M:, :M] = Bn.conj().T
-    return out, Hn
+    Z = (problem.coupling_map @ X).view(complex)[:, :, 0].T
+    out[:M, M:] = Z[M:]
+    out[M:, :M] = Z[M:].conj().T
+    return out, Z[:M]
 
 
 def _prox_objective(V: np.ndarray, problem: ConicProblem, t: float) -> np.ndarray:
-    """prox of t * (-Re<Y, H> + sqrt(gamma)||H||_F): shift then shrink."""
-    W = V + t * problem.Y
-    nrm = np.linalg.norm(W)
+    """prox of t * (-Re<Y, H> + sqrt(gamma)||H||_F): shift then shrink.
+
+    Overwrites V with the result."""
+    V += t * problem.Y
+    nrm = np.linalg.norm(V)
     thr = t * np.sqrt(problem.gamma)
     if nrm <= thr:
-        return np.zeros_like(W)
-    return W * (1.0 - thr / nrm)
+        V[...] = 0.0
+    else:
+        V *= 1.0 - thr / nrm
+    return V
 
 
 def _pair_norm(H: np.ndarray, S: np.ndarray) -> float:
@@ -175,11 +193,16 @@ def solve(problem: ConicProblem, config: SolverConfig = None) -> ConicSolution:
         Hx = _prox_objective(Hz - Hu, problem, t)
         Sx = psd_project(Sz - Su)
         Hz_prev, Sz_prev = Hz, Sz
-        Hx_hat = RELAXATION * Hx + (1.0 - RELAXATION) * Hz_prev
-        Sx_hat = RELAXATION * Sx + (1.0 - RELAXATION) * Sz_prev
-        Sz, Hz = affine_project(Sx_hat + Su, problem, Hx_hat + Hu)
-        Hu = Hu + Hx_hat - Hz
-        Su = Su + Sx_hat - Sz
+        Hx_hat = (1.0 - RELAXATION) * Hz_prev
+        Hx_hat += RELAXATION * Hx
+        Sx_hat = (1.0 - RELAXATION) * Sz_prev
+        Sx_hat += RELAXATION * Sx
+        # u <- u + x_hat - z, where u + x_hat is the point projected onto z
+        Hu += Hx_hat
+        Su += Sx_hat
+        Sz, Hz = affine_project(Su, problem, Hu)
+        Hu -= Hz
+        Su -= Sz
 
         if k % CHECK_EVERY == 0 or k == config.max_iter:
             r_norm = _pair_norm(Hx - Hz, Sx - Sz)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wbdoa.atoms import (
     ConicProblem,
@@ -79,6 +81,28 @@ class TestGoldenSection:
     def test_cosine(self):
         x, _, _ = golden_section_max(np.cos, -1.0, 1.5)
         assert x == pytest.approx(0.0, abs=1e-7)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(0, 12), tol=st.sampled_from([1e-12, 1e-10, 1e-6]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_array_of_brackets_matches_scalar_runs(self, n, tol, seed):
+        # smooth unimodal -(u^2 + w u^4), u = x - center, with the maximum
+        # inside, at or outside each bracket; bracket widths differ, so the
+        # brackets stop at different iterations
+        rng = np.random.default_rng(seed)
+        lo = rng.uniform(-1.0, 1.0, n)
+        hi = lo + rng.uniform(1e-9, 2.0, n)
+        center, w = rng.uniform(-1.5, 1.5, n), rng.uniform(0.0, 3.0, n)
+
+        def fun(x, k=slice(None)):
+            u2 = (x - center[k]) * (x - center[k])
+            return -(u2 + w[k] * u2 * u2)
+
+        x, value, width = golden_section_max(fun, lo, hi, tol=tol)
+        assert x.shape == value.shape == width.shape == (n,)
+        for k in range(n):
+            scalar = golden_section_max(lambda t: fun(t, k), lo[k], hi[k], tol=tol)
+            assert (x[k], value[k], width[k]) == scalar
 
 
 class TestDualAtomicNorm:

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
+from wbdoa import baselines
 from wbdoa.baselines import (
+    MUSIC_GRID_DEG,
     RssConfig,
     music_spectrum,
     perturb_initial,
@@ -91,7 +93,7 @@ class TestMusicSpectrum:
         a = steering_vector(f0, M)
         R = np.outer(a, a.conj()) + 1e-6 * np.eye(M)
         grid = np.arange(-60.0, 60.0, 0.05)
-        spec = music_spectrum(R, 1, grid)
+        spec = music_spectrum(R, 1, steering_matrix(theta_to_f(grid), M))
         assert grid[np.argmax(spec)] == pytest.approx(17.0, abs=0.05)
 
     def test_two_sources(self):
@@ -101,7 +103,7 @@ class TestMusicSpectrum:
             a = steering_vector(theta_to_f(th), M)
             R += np.outer(a, a.conj())
         grid = np.arange(-89.0, 89.0, 0.02)
-        spec = music_spectrum(R, 2, grid)
+        spec = music_spectrum(R, 2, steering_matrix(theta_to_f(grid), M))
         order = np.argsort(spec)[::-1]
         tops = np.sort(grid[order[:2]])
         # top two grid points sit on the two sources (they may both land
@@ -110,6 +112,37 @@ class TestMusicSpectrum:
                  if spec[i] >= spec[i - 1] and spec[i] >= spec[i + 1]]
         peaks = sorted(peaks, key=lambda g: -spec[int(round((g - grid[0]) / 0.02))])[:2]
         assert sorted(p for p in peaks) == pytest.approx([-20.0, 35.0], abs=0.05)
+
+
+class TestMusicScan:
+    def test_read_only_and_bit_equal_to_fresh_build(self):
+        grid, A = baselines._scan(16)
+        assert not grid.flags.writeable and not A.flags.writeable
+        assert np.array_equal(grid, np.arange(-89.9, 89.9 + MUSIC_GRID_DEG / 2,
+                                              MUSIC_GRID_DEG))
+        assert np.array_equal(A, steering_matrix(theta_to_f(grid), 16))
+        with pytest.raises(ValueError):
+            A[0, 0] = 0.0
+
+    def test_alternating_sizes_match_fresh_calls(self, rss_setup):
+        # the one-entry cache is evicted at each change of M; every call must
+        # give the angles of a call on an empty cache
+        rng = np.random.default_rng(5)
+        angles = (-5.0, 15.0, 40.0)
+        spectra = rng.standard_normal((3, 10)) + 1j * rng.standard_normal((3, 10))
+        scene = WidebandScene(angles_deg=angles, source_spectra=spectra,
+                              noise_variance=0.1, seed=6)
+        cfg = RssConfig(K=3, init_angles_deg=perturb_initial(angles, 2.0, seed=7))
+        _, tpl = rss_setup
+        data = {M: synthesize_scene(ArrayConfig(M=M, c=1500.0, omega1=2 * np.pi * 1000),
+                                    scene, tpl)
+                for M in (8, 16)}
+        fresh = {}
+        for M in (8, 16):
+            baselines._scan.cache_clear()
+            fresh[M] = rss_estimate(data[M], cfg)
+        for M in (16, 8, 16):
+            assert np.array_equal(rss_estimate(data[M], cfg), fresh[M])
 
 
 @pytest.fixture

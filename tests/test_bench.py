@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from wbdoa.bench import (
     run_experiment,
     run_rmse_vs_snr,
     trial_seed,
+    worker_count,
 )
 from wbdoa.focusing import FocusingSet, noiseless_measurements
 from wbdoa.model import ArrayConfig
@@ -181,16 +183,33 @@ class TestExperimentConfig:
         {"scenario": "resolution", "delta_theta_list": (-3.0,)},
         {"scenario": "resolution", "delta_theta_list": (0.0,)},
         {"scenario": "resolution", "theta1_deg": -85.0, "delta_theta_list": (5.0,)},
+        {"workers": "two"},
+        {"workers": 1.5},
+        {"workers": 0},
     ], ids=["M1", "J25", "music", "wgs-music", "rss-J3", "resolution-rss-J2",
             "max-iter-0", "eps-abs-0", "snr-empty", "snr-nan", "snr-minus-inf",
             "delta-empty", "delta-inf", "resolution-snr-minus-inf",
             "init-err-negative", "init-err-nan", "eps-abs-nan", "eps-rel-inf",
             "max-iter-fraction", "angles-empty", "angles-nan", "angles-95",
             "angles-repeated", "theta1-nan", "seed-negative", "trials-fraction",
-            "delta-negative", "delta-zero", "delta-past-endfire"])
+            "delta-negative", "delta-zero", "delta-past-endfire", "workers-text",
+            "workers-fraction", "workers-zero"])
     def test_rejects_what_no_runner_can_use(self, change):
         with pytest.raises(ValueError):
             ExperimentConfig(**{"scenario": "rmse_vs_snr", **change})
+
+    @pytest.mark.parametrize("raw", ["abc", "1.5", "0", "-3"])
+    def test_worker_variable_no_runner_can_use(self, monkeypatch, raw):
+        # held to the rule of the workers field, not clamped to 1
+        monkeypatch.setenv("WBDOA_WORKERS", raw)
+        with pytest.raises(ValueError, match="WBDOA_WORKERS must be an integer >= 1"):
+            worker_count(ExperimentConfig(scenario="rmse_vs_snr"))
+
+    def test_worker_variable_read_only_without_field(self, monkeypatch):
+        cfg = ExperimentConfig(scenario="rmse_vs_snr")
+        monkeypatch.setenv("WBDOA_WORKERS", "3")
+        assert worker_count(cfg) == 3
+        assert worker_count(replace(cfg, workers=2)) == 2
 
     def test_rss_bin_count_boundary(self):
         ExperimentConfig(scenario="rmse_vs_snr", methods=("rss",), J=4)

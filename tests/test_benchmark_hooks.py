@@ -7,12 +7,15 @@ every planned one counts as failed; one that drops a config field makes
 every operation raise; one that drops a field of the solve result makes
 the traced run's certificate fail every solve.  These tests read
 spans.py, workloads.py and run.py as text, without importing or changing
-them, and parse solver.py for the calls the projection spans wrap."""
+them, and parse solver.py, baselines.py and recovery.py for the calls
+the projection and stage spans wrap."""
 
 import ast
 import dataclasses
 import importlib
 from pathlib import Path
+
+import pytest
 
 import wbdoa.baselines
 import wbdoa.bench
@@ -106,19 +109,37 @@ def test_solve_result_has_what_the_traced_run_reads():
     assert wanted <= {f.name for f in dataclasses.fields(wbdoa.solver.ConicSolution)}
 
 
-def test_solve_calls_the_projections_through_module_globals():
-    # the psd_project and affine_project spans patch the module attributes,
-    # so they see a call from solve only through the bare global name
-    tree = ast.parse(SOLVER.read_text())
-    solve = next(node for node in tree.body
-                 if isinstance(node, ast.FunctionDef) and node.name == "solve")
+def _global_calls(path, function):
+    """(names called bare, names bound locally) in a module-level function."""
+    tree = ast.parse(Path(path).read_text())
+    func = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == function)
     called, bound = set(), set()
-    for node in ast.walk(solve):
+    for node in ast.walk(func):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
             called.add(node.func.id)
         elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
             bound.add(node.id)
         elif isinstance(node, ast.arg):
             bound.add(node.arg)
+    return called, bound
+
+
+def test_solve_calls_the_projections_through_module_globals():
+    # the psd_project and affine_project spans patch the module attributes,
+    # so they see a call from solve only through the bare global name
+    called, bound = _global_calls(SOLVER, "solve")
     assert {"psd_project", "affine_project"} <= called
     assert not {"psd_project", "affine_project"} & bound
+
+
+@pytest.mark.parametrize("module, caller, callee", [
+    (wbdoa.baselines, "rss_estimate", "music_spectrum"),
+    (wbdoa.recovery, "estimate_doa", "locate_frequencies"),
+], ids=["music_spectrum", "locate_frequencies"])
+def test_stage_calls_go_through_module_globals(module, caller, callee):
+    # the baselines.music_spectrum and recovery.locate_frequencies spans read
+    # 0 unless the caller reaches the callee through its module attribute
+    called, bound = _global_calls(module.__file__, caller)
+    assert callee in called
+    assert callee not in bound

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from wbdoa import bench
 from wbdoa.cli import cli_main
 from wbdoa.bench import ResultTable
 from wbdoa.model import SubbandData
@@ -196,18 +197,47 @@ class TestBenchmark:
         {"master_seed": -1}, {"trials": 1.5},
         {"scenario": "resolution", "delta_theta_list": [-3]},
         {"scenario": "resolution", "theta1_deg": -85, "delta_theta_list": [5]},
+        {"workers": "two"}, {"workers": 1.5}, {"workers": 0},
     ], ids=["M1", "J25", "music", "rss-J3", "max-iter-0", "snr-empty", "snr-nan",
             "snr-minus-inf", "init-err-negative", "resolution-delta-empty",
             "resolution-snr-nan", "eps-abs-nan", "max-iter-fraction", "angles-empty",
             "angles-nan", "angles-95", "angles-repeated", "resolution-theta1-nan",
             "seed-negative", "trials-fraction", "resolution-delta-negative",
-            "resolution-delta-past-endfire"])
+            "resolution-delta-past-endfire", "workers-text", "workers-fraction",
+            "workers-zero"])
     def test_config_no_runner_can_use(self, tmp_path, capsys, change):
         cfg = tmp_path / "bench.json"
         cfg.write_text(json.dumps({"scenario": "rmse_vs_snr", **change}))
         assert cli_main(["benchmark", "--config", str(cfg), "--quick",
                          "--output", str(tmp_path / "t.csv")]) == 1
         assert "bad experiment config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw", ["abc", "-3"])
+    def test_worker_variable_no_runner_can_use(self, tmp_path, capsys, monkeypatch, raw):
+        monkeypatch.setenv("WBDOA_WORKERS", raw)
+        cfg = tmp_path / "bench.json"
+        cfg.write_text(json.dumps({"scenario": "rmse_vs_snr", "trials": 1}))
+        assert cli_main(["benchmark", "--config", str(cfg),
+                         "--output", str(tmp_path / "t.csv")]) == 1
+        assert "WBDOA_WORKERS must be an integer >= 1" in capsys.readouterr().err
+
+    def test_worker_variable_resolved_into_config(self, tmp_path, monkeypatch):
+        # the runners get the value in cfg.workers and do not read it again
+        seen = []
+
+        def fake_run(cfg):
+            seen.append(cfg.workers)
+            table = ResultTable()
+            table.add("wgs", 0.0, 0.1, 0.0, 1, 0.0)
+            return table
+
+        monkeypatch.setattr(bench, "run_experiment", fake_run)
+        monkeypatch.setenv("WBDOA_WORKERS", "2")
+        cfg = tmp_path / "bench.json"
+        cfg.write_text(json.dumps({"scenario": "rmse_vs_snr", "trials": 1}))
+        assert cli_main(["benchmark", "--config", str(cfg),
+                         "--output", str(tmp_path / "t.csv")]) == 0
+        assert seen == [2]
 
     def test_unknown_key(self, tmp_path):
         cfg = tmp_path / "bench.json"

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wbdoa.focusing import FocusingSet, gamma_oracle, noiseless_measurements
 from wbdoa.model import (
@@ -124,6 +126,74 @@ class TestLocateFrequencies:
             locate_frequencies(poly, grid_size=8)
 
 
+def _scalar_golden_max(fun, lo, hi, tol):
+    """Reference: golden-section ascent of one bracket, as a scalar loop."""
+    invphi = (np.sqrt(5.0) - 1) / 2
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = fun(c), fun(d)
+    for _ in range(200):
+        if b - a < tol:
+            break
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = fun(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = fun(d)
+    return (a + b) / 2
+
+
+def _per_peak_locate(Hbar, peak_tol, grid_size=8192):
+    """Reference: every grid peak refined on its own, with P evaluated at one
+    f at a time."""
+    M = Hbar.shape[0]
+
+    def poly(f):
+        return float(np.linalg.norm(Hbar.conj().T @ steering_vector(f, M)))
+
+    fs = np.linspace(-0.5, 0.5, grid_size, endpoint=False)
+    vals = np.linalg.norm(Hbar.conj().T @ steering_matrix(fs, M), axis=0)
+    cand = np.nonzero((vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1))
+                      & (vals >= 1.0 - peak_tol))[0]
+    step = 1.0 / grid_size
+    kept = []
+    for i in cand:
+        f_hat = (_scalar_golden_max(poly, fs[i] - step, fs[i] + step, 1e-10) + 0.5) % 1.0 - 0.5
+        if all(abs((f_hat - g + 0.5) % 1.0 - 0.5) >= step for g in kept):
+            kept.append(f_hat)
+    return np.array(sorted(kept))
+
+
+class TestBatchedRefinement:
+    @settings(max_examples=40, deadline=None)
+    @given(M=st.integers(2, 48), J=st.integers(1, 19),
+           peak_tol=st.sampled_from([0.05, 0.3]), top=st.floats(1.0, 1.03),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_per_peak_loop(self, M, J, peak_tol, top, seed):
+        # random Hbar scaled so its grid maximum is top: several peaks lie
+        # within peak_tol of 1
+        rng = np.random.default_rng(seed)
+        Hbar = rng.standard_normal((M, J)) + 1j * rng.standard_normal((M, J))
+        Hbar *= top / DualPolynomial(Hbar=Hbar).on_grid(8192)[1].max()
+        got = locate_frequencies(DualPolynomial(Hbar=Hbar), peak_tol=peak_tol)
+        ref = _per_peak_locate(Hbar, peak_tol)
+        assert got.shape == ref.shape and ref.size >= 1
+        assert np.max(np.abs(got - ref)) <= 1e-12
+
+    def test_polynomial_on_an_array_matches_scalar_calls(self):
+        rng = np.random.default_rng(4)
+        poly = DualPolynomial(Hbar=rng.standard_normal((9, 5)) + 1j * rng.standard_normal((9, 5)))
+        fs = rng.uniform(-0.5, 0.5, (3, 4))
+        vals = poly(fs)
+        assert vals.shape == (3, 4)
+        assert [poly(f) for f in fs.ravel()] == vals.ravel().tolist()
+        assert isinstance(poly(0.1), float)
+
+
 class TestRecoverPieces:
     def test_coefficients_unit_norm(self):
         rng = np.random.default_rng(2)
@@ -133,6 +203,12 @@ class TestRecoverPieces:
         assert len(cs) == 2
         for c in cs:
             assert np.linalg.norm(c) == pytest.approx(1.0)
+        for f, c in zip([0.1, -0.3], cs):
+            assert np.allclose(c, poly.vector(f).conj() / poly(f), rtol=1e-14, atol=0)
+
+    def test_coefficients_of_a_zero_polynomial_stay_zero(self):
+        cs = recover_coefficients(DualPolynomial(Hbar=np.zeros((8, 4), complex)), [0.1, -0.3])
+        assert [c.tolist() for c in cs] == [[0j] * 4] * 2
 
     def test_amplitudes_exact_on_planted_scene(self):
         # two atoms, known betas; NNLS on the exact noiseless matrix must

@@ -213,6 +213,45 @@ class TestPsdProjectProperties:
         assert abs(np.vdot(P, N)) <= 1e-12 * size ** 2
 
 
+def _clip_all(W):
+    """Reference: rebuild from every eigenpair with the eigenvalues clipped at 0."""
+    evals, V = np.linalg.eigh(W)
+    return (V * np.clip(evals, 0.0, None)) @ V.conj().T
+
+
+class TestPsdProjectBranches:
+    @settings(max_examples=60, deadline=None)
+    @given(mostly=st.sampled_from(["negative", "positive"]), n=st.integers(2, 40),
+           scale=st.sampled_from([1e-3, 1.0, 1e3]), data=st.data(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_both_rebuilds_match_clip_all(self, mostly, n, scale, data, seed):
+        # more than n/2 negative eigenvalues rebuilds from the positive ones,
+        # at most n/2 subtracts the negative ones from W
+        neg = data.draw(st.integers(n // 2 + 1, n) if mostly == "negative"
+                        else st.integers(1, n // 2))
+        rng = np.random.default_rng(seed)
+        U, _ = np.linalg.qr(_crandn(rng, n, n))
+        evals = scale * rng.uniform(0.5, 2.0, n) * np.where(np.arange(n) < neg, -1.0, 1.0)
+        W = (U * evals) @ U.conj().T
+        W = 0.5 * (W + W.conj().T)
+        assert np.count_nonzero(np.linalg.eigvalsh(W) < 0) == neg
+        assert _rel_err(psd_project(W), _clip_all(W)) <= 1e-12
+
+    @pytest.mark.parametrize("neg", [0, 4, 9], ids=["none", "few", "most"])
+    def test_projects_the_hermitian_part(self, neg):
+        # every branch sees the same matrix: an anti-Hermitian part of the
+        # input does not reach the result
+        rng = np.random.default_rng(20 + neg)
+        n = 12
+        U, _ = np.linalg.qr(_crandn(rng, n, n))
+        W = (U * (rng.uniform(0.5, 2.0, n) * np.where(np.arange(n) < neg, -1.0, 1.0))) @ U.conj().T
+        W = 0.5 * (W + W.conj().T)
+        A = _crandn(rng, n, n)
+        P = psd_project(W + (A - A.conj().T))
+        assert _rel_err(P, _clip_all(W)) <= 1e-12
+        assert _rel_err(P, P.conj().T) <= 1e-12
+
+
 class TestSolve:
     def test_single_narrowband_atom(self):
         # one source, single band, gamma = 0: the dual optimum attains
