@@ -10,7 +10,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .baselines import RssConfig, perturb_initial, rss_estimate
 from .focusing import FocusingSet, gamma_oracle, noiseless_measurements
@@ -56,6 +55,46 @@ def random_scene(cfg: ArrayConfig, angles_deg, alphas, snr_db, seed: int,
     return replace(scene0, noise_variance=sigma2)
 
 
+def _assignment(cost: np.ndarray) -> list:
+    """Column of a least-cost assignment for each row of an n x m cost with
+    n <= m: the Hungarian algorithm with row and column potentials, one
+    shortest augmenting path per row, O(n^2 m).  Plain Python, because
+    the matrices are a few entries wide."""
+    n, m = cost.shape
+    cost = cost.tolist()
+    u, v = [0.0] * (n + 1), [0.0] * (m + 1)
+    owner = [0] * (m + 1)  # 1-based row holding column j, 0 if free; column 0 roots the path
+    for i in range(1, n + 1):
+        owner[0] = i
+        j0 = 0
+        dist, prev, used = [np.inf] * (m + 1), [0] * (m + 1), [False] * (m + 1)
+        while owner[j0]:
+            used[j0] = True
+            i0, delta, j1 = owner[j0], np.inf, 0
+            for j in range(1, m + 1):
+                if not used[j]:
+                    reduced = cost[i0 - 1][j - 1] - u[i0] - v[j]
+                    if reduced < dist[j]:
+                        dist[j], prev[j] = reduced, j0
+                    if dist[j] < delta:
+                        delta, j1 = dist[j], j
+            for j in range(m + 1):
+                if used[j]:
+                    u[owner[j]] += delta
+                    v[j] -= delta
+                else:
+                    dist[j] -= delta
+            j0 = j1
+        while j0:  # augment along the path back to the root
+            owner[j0] = owner[prev[j0]]
+            j0 = prev[j0]
+    col = [0] * n
+    for j in range(1, m + 1):
+        if owner[j]:
+            col[owner[j] - 1] = j - 1
+    return col
+
+
 def match_errors(estimate_deg, truth_deg):
     """Assignment of estimated to true angles with the least squared error
     (an absolute cost can tie a crossed matching with the sorted one, and a
@@ -65,10 +104,10 @@ def match_errors(estimate_deg, truth_deg):
     tru = np.asarray(truth_deg, dtype=float)
     if est.size < tru.size:
         return None
-    rows, cols = linear_sum_assignment((est[:, None] - tru[None, :]) ** 2)
-    errs = np.empty(tru.size)
-    errs[cols] = np.abs(est[rows] - tru[cols])
-    return errs
+    if not (np.all(np.isfinite(est)) and np.all(np.isfinite(tru))):
+        raise ValueError("angles must be finite")
+    cols = _assignment((tru[:, None] - est[None, :]) ** 2)
+    return np.abs(est[cols] - tru)
 
 
 def rmse(estimates, truths, fail_threshold_deg: float = None):

@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .atoms import ConicProblem, DualPolynomial, build_atom, golden_section_max
 from .focusing import FocusingSet
@@ -120,6 +119,49 @@ def merge_atoms(fs, betas, cs, min_separation: float):
             [cs[i] for _, _, i in merged])
 
 
+def _nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """argmin ||A x - b|| over x >= 0, by the Lawson-Hanson active-set
+    method (Lawson & Hanson, Solving Least Squares Problems, 1974, ch. 23).
+
+    A = QR once, so each passive-set least squares is the small system
+    R x ~ Q^T b, which keeps cond(A) rather than cond(A^T A).
+    """
+    Q, R = np.linalg.qr(A)
+    d = Q.T @ b
+    K = R.shape[1]
+    tol = 10 * max(A.shape) * np.finfo(float).eps * np.abs(R).max() * np.linalg.norm(d)
+
+    def passive_fit(passive):
+        z = np.zeros(K)
+        z[passive] = np.linalg.lstsq(R[:, passive], d, rcond=None)[0]
+        return z
+
+    x = np.zeros(K)
+    passive = np.zeros(K, dtype=bool)
+    w = R.T @ d  # descent direction -grad ||R x - d||^2 / 2 at x
+    for _ in range(3 * K):
+        j = np.argmax(np.where(passive, -np.inf, w))
+        if passive[j] or w[j] <= tol:
+            return x
+        passive[j] = True
+        z = passive_fit(passive)
+        if z[j] <= 0:  # rounding left no room to move along j: pass it over
+            passive[j] = False
+            w[j] = 0.0
+            continue
+        while (z[passive] <= 0).any():
+            # step from x toward z until the first passive entry reaches 0
+            neg = np.flatnonzero(passive & (z <= 0))
+            ratio = x[neg] / (x[neg] - z[neg])
+            x += ratio.min() * (z - x)
+            x[neg[np.argmin(ratio)]] = 0.0
+            passive &= x > 0
+            z = passive_fit(passive)
+        x = z
+        w = R.T @ (d - R @ x)
+    raise RuntimeError(f"NNLS did not converge in {3 * K} iterations")
+
+
 def recover_amplitudes(Y: np.ndarray, fs, cs, focusing: FocusingSet) -> np.ndarray:
     """Nonnegative least squares of vec(Y) onto the located atoms.
 
@@ -142,8 +184,7 @@ def recover_amplitudes(Y: np.ndarray, fs, cs, focusing: FocusingSet) -> np.ndarr
         ridge = 1e-8 * np.trace(gram)
         betas = np.linalg.solve(gram + ridge * np.eye(K), A.T @ b)
         return np.clip(betas, 0.0, None)
-    betas, _ = nnls(A, b)
-    return betas
+    return _nnls(A, b)
 
 
 @dataclass

@@ -21,7 +21,6 @@ hold exactly and only the PSD violation is a residual.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -92,32 +91,25 @@ def psd_project(W: np.ndarray) -> np.ndarray:
     return (V * evals[neg:]) @ V.conj().T
 
 
-@lru_cache(maxsize=None)
-def _diagonal_offsets(M: int):
-    """Diagonal index c - r + M - 1 of every entry of an M x M matrix,
-    flattened, and the length M - |m| of each diagonal m = 1-M..M-1."""
-    r, c = np.indices((M, M))
-    idx = (c - r + M - 1).ravel()
-    lengths = M - np.abs(np.arange(1 - M, M))
-    idx.flags.writeable = lengths.flags.writeable = False
-    return idx, lengths
-
-
 def _project_trace(Q: np.ndarray) -> np.ndarray:
     """Project a Hermitian Q onto sum_n Q[n, n+m] = delta_{m0}, all m.
 
     Each diagonal is independent; the correction is spread uniformly along
-    the diagonal and mirrored conjugate below.
+    the diagonal and mirrored conjugate below.  Q is written skewed into an
+    M x 2M buffer, so that diagonal m is column m + M - 1, and the
+    correction comes back through the same skewed view.
     """
     M = Q.shape[0]
-    idx, lengths = _diagonal_offsets(M)
-    flat = Q.ravel()
-    sums = (np.bincount(idx, flat.real, 2 * M - 1)
-            + 1j * np.bincount(idx, flat.imag, 2 * M - 1))
+    buf = np.zeros((M, 2 * M), dtype=complex)
+    # skew[r, c] is buf[r, c - r + M - 1]: rows of length 2M - 1 laid over rows of 2M
+    skew = buf.ravel()[M - 1:2 * M * M - 1].reshape(M, 2 * M - 1)[:, :M]
+    skew[...] = Q
+    sums = buf.sum(axis=0)
     # mean of each diagonal m >= 0; the main diagonal is real and sums to 1
-    upper = sums[M - 1:] / lengths[M - 1:]
+    upper = sums[M - 1:2 * M - 1] / np.arange(M, 0, -1)
     upper[0] = (sums[M - 1].real - 1.0) / M
-    out = Q - np.concatenate([upper[:0:-1].conj(), upper])[idx].reshape(M, M)
+    buf[:, :2 * M - 1] = np.concatenate([upper[:0:-1].conj(), upper])
+    out = Q - skew
     out.flat[::M + 1] = out.flat[::M + 1].real
     return out
 

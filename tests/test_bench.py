@@ -1,3 +1,4 @@
+import itertools
 import json
 from dataclasses import replace
 
@@ -103,6 +104,41 @@ class TestMatchErrors:
         est = [-7.934449132222361, -4.1002088218584145, 14.748559786464707]
         truth = [-5.0, 15.0, 40.0]
         assert np.allclose(match_errors(est, truth), np.abs(np.subtract(est, truth)))
+
+    @staticmethod
+    def _oracle_sq_error(est, truth):
+        """Least total squared error over every injective truth -> estimate map."""
+        return min(sum((est[j] - t) ** 2 for t, j in zip(truth, pick))
+                   for pick in itertools.permutations(range(len(est)), len(truth)))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_brute_force_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        n_truth = int(rng.integers(1, 6))
+        n_est = int(rng.integers(n_truth, 8))
+        est = rng.uniform(-60.0, 60.0, n_est)
+        truth = rng.uniform(-60.0, 60.0, n_truth)
+        errs = match_errors(est, truth)
+        assert errs.shape == (n_truth,)
+        assert np.sum(errs ** 2) == pytest.approx(self._oracle_sq_error(est, truth),
+                                                  rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_ties_from_duplicate_estimates(self, seed):
+        # estimates drawn with repeats from a few integer angles, so many
+        # assignments tie for the least squared error
+        rng = np.random.default_rng(1000 + seed)
+        n_truth = int(rng.integers(1, 6))
+        n_est = int(rng.integers(n_truth, 8))
+        est = rng.choice([-10.0, 0.0, 5.0, 20.0], n_est)
+        truth = rng.choice([-10.0, -5.0, 0.0, 5.0, 20.0], n_truth)
+        errs = match_errors(est, truth)
+        # integer angles: every squared error, and so every total, is exact
+        assert np.sum(errs ** 2) == self._oracle_sq_error(est, truth)
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError):
+            match_errors([np.nan, 1.0], [0.0])
 
 
 class TestRmse:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import nnls as scipy_nnls
 
 from wbdoa.focusing import FocusingSet, gamma_oracle, noiseless_measurements
 from wbdoa.model import (
@@ -19,6 +20,7 @@ from wbdoa.model import (
 from wbdoa.recovery import (
     DualPolynomial,
     RecoveryConfig,
+    _nnls,
     estimate_doa,
     locate_frequencies,
     merge_atoms,
@@ -236,6 +238,44 @@ class TestRecoverPieces:
         with pytest.warns(UserWarning, match="ridge"):
             betas = recover_amplitudes(Y, [f, f], [c, c], focusing)
         assert betas.size == 2 and np.all(betas >= 0)
+
+
+class TestNnls:
+    @pytest.mark.parametrize("K", range(1, 12))
+    def test_matches_scipy(self, K):
+        rng = np.random.default_rng(100 + K)
+        for _ in range(20):
+            # the shape recover_amplitudes fits at M=16, J=10; mixed-sign
+            # planted weights leave some constraints active
+            A = rng.standard_normal((320, K))
+            b = A @ rng.standard_normal(K) + 0.5 * rng.standard_normal(320)
+            ref, _ = scipy_nnls(A, b)
+            scale = max(np.linalg.norm(ref), np.linalg.norm(np.linalg.lstsq(A, b, rcond=None)[0]))
+            x = _nnls(A, b)
+            assert np.all(x >= 0)
+            assert np.linalg.norm(x - ref) <= 1e-12 * scale
+
+    def test_negative_cone_gives_zeros(self):
+        # A >= 0 and b = -A y with y >= 0, so A^T b <= 0: x = 0 is optimal
+        rng = np.random.default_rng(1)
+        A = rng.uniform(0.0, 1.0, (320, 5))
+        b = -A @ rng.uniform(0.0, 1.0, 5)
+        assert _nnls(A, b).tolist() == [0.0] * 5
+
+    def test_exact_nonnegative_fit_recovered(self):
+        rng = np.random.default_rng(2)
+        A = rng.standard_normal((320, 8))
+        x_true = np.array([1.5, 0.0, 0.25, 3.0, 0.0, 0.7, 0.0, 2.0])
+        x = _nnls(A, A @ x_true)
+        assert np.allclose(x, x_true, rtol=0, atol=1e-12)
+        assert np.all(x[x_true == 0.0] == 0.0)
+
+    def test_single_column(self):
+        a = np.linspace(1.0, 2.0, 320)[:, None]
+        b = 0.5 * a[:, 0] + np.sin(np.arange(320.0))
+        x = _nnls(a, b)
+        assert x[0] == pytest.approx(a[:, 0] @ b / (a[:, 0] @ a[:, 0]), rel=1e-13)
+        assert _nnls(a, -b).tolist() == [0.0]
 
 
 class TestMergeAtoms:

@@ -145,6 +145,23 @@ def _loop_project_trace(Q):
     return Q
 
 
+def _bincount_project_trace(Q):
+    """Reference: diagonal sums by two bincount passes over the flat index
+    c - r + M - 1, correction spread back by a fancy-index gather."""
+    M = Q.shape[0]
+    r, c = np.indices((M, M))
+    idx = (c - r + M - 1).ravel()
+    lengths = M - np.abs(np.arange(1 - M, M))
+    flat = Q.ravel()
+    sums = (np.bincount(idx, flat.real, 2 * M - 1)
+            + 1j * np.bincount(idx, flat.imag, 2 * M - 1))
+    upper = sums[M - 1:] / lengths[M - 1:]
+    upper[0] = (sums[M - 1].real - 1.0) / M
+    out = Q - np.concatenate([upper[:0:-1].conj(), upper])[idx].reshape(M, M)
+    out.flat[::M + 1] = out.flat[::M + 1].real
+    return out
+
+
 def _per_bin_affine_project(block, problem, H):
     """Reference: one Cholesky solve of (I + 2 T_j T_j^T) h = h_j + 2 T_j hbar_j
     per bin, then hbar = T_j^T h."""
@@ -179,6 +196,20 @@ class TestProjectionOracles:
         A = _crandn(np.random.default_rng(seed), M, M)
         Q = A + A.conj().T
         assert _rel_err(_project_trace(Q), _loop_project_trace(Q)) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(M=st.integers(1, 48), seed=st.integers(0, 2**32 - 1))
+    def test_trace_bit_identical_to_bincount_sums(self, M, seed):
+        # the skewed-buffer sums add each diagonal in the same row order
+        # as bincount, so the projection must match it bit for bit
+        A = _crandn(np.random.default_rng(seed), M, M)
+        Q = A + A.conj().T
+        assert _project_trace(Q).tobytes() == _bincount_project_trace(Q).tobytes()
+        # as affine_project passes it: the top-left view of a larger block
+        block = np.zeros((M + 3, M + 3), dtype=complex)
+        block[:M, :M] = Q
+        assert (_project_trace(block[:M, :M]).tobytes()
+                == _bincount_project_trace(Q).tobytes())
 
     @settings(max_examples=40, deadline=None)
     @given(M=st.integers(2, 48),
