@@ -16,7 +16,6 @@ from .solver import (
     ConicSolution,
     SolverConfig,
     affine_project,
-    complex_to_real_embed,
     psd_project,
     solve,
 )

@@ -10,12 +10,11 @@ semidefinite program over a dual matrix H and a Hermitian certificate Q.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from .focusing import FocusingSet
-from .model import steering_matrix, steering_vector
+from .model import steering_vector
 
 
 def build_atom(f: float, c, focusing: FocusingSet) -> np.ndarray:
@@ -40,14 +39,8 @@ class DualPolynomial:
     Hbar: np.ndarray
 
     def __call__(self, f):
-        """P(f): a float for scalar f, else an array shaped like f.
-
-        Each f gets its own matrix-vector product and dot products, so a
-        value does not depend on the other entries of f."""
-        v = self.vector(np.asarray(f, dtype=float))[..., None]
-        re, im = v.real, v.imag
-        sq = np.swapaxes(re, -1, -2) @ re + np.swapaxes(im, -1, -2) @ im
-        vals = np.sqrt(sq)[..., 0, 0]
+        """P(f): a float for scalar f, else an array shaped like f."""
+        vals = np.linalg.norm(self.vector(f), axis=-1)
         return float(vals) if vals.ndim == 0 else vals
 
     def vector(self, f) -> np.ndarray:
@@ -56,68 +49,30 @@ class DualPolynomial:
         a = steering_vector(f, self.Hbar.shape[0])
         return (self.Hbar.conj().T @ a[..., None])[..., 0]
 
-    def on_grid(self, grid_size: int) -> tuple:
-        """(fs, P(fs)) on a uniform grid over [-1/2, 1/2) of at least 4*M points."""
+    def maxima(self) -> np.ndarray:
+        """Frequencies of the local maxima of P, sorted; none if P is constant.
+
+        With z = exp(-i 2 pi f), P(f)^2 = a(f)^H G a(f) = sum_{|k|<M} r_k z^k,
+        where G = Hbar Hbar^H and r_k is the k-th diagonal sum of G.  P is
+        stationary at the unit-circle roots of sum_k k r_k z^k, and has a
+        maximum where Re sum_k k^2 r_k z^k > 0 (the root-finding step of
+        Tang, Bhaskar, Shah & Recht, IEEE TIT 2013).
+        """
         M = self.Hbar.shape[0]
-        if grid_size < 4 * M:
-            raise ValueError(f"grid_size must be at least 4*M = {4 * M}")
-        fs, A = _grid(grid_size, M)
-        return fs, np.linalg.norm(self.Hbar.conj().T @ A, axis=0)
-
-
-@lru_cache(maxsize=1)
-def _grid(grid_size: int, M: int) -> tuple:
-    """Read-only (fs, steering_matrix(fs, M)); one entry, so a huge grid is not kept."""
-    fs = np.linspace(-0.5, 0.5, grid_size, endpoint=False)
-    A = steering_matrix(fs, M)
-    fs.flags.writeable = A.flags.writeable = False
-    return fs, A
-
-
-def golden_section_max(fun, lo, hi, tol=1e-12, max_iter=200):
-    """Golden-section ascent of a unimodal function on [lo, hi].
-
-    lo and hi may be arrays of brackets, refined together: fun then maps an
-    array of points to their values, and each bracket makes the same
-    comparisons as its own scalar run, stopping once narrower than tol.
-    Returns (argmax, max, bracket width), shaped like the brackets."""
-    invphi = (np.sqrt(5.0) - 1) / 2
-    a, b = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fun(c), fun(d)
-    for _ in range(max_iter):
-        live = b - a >= tol
-        if not live.any():
-            break
-        # the max lies in [a, d], where c becomes the new d and a new c is
-        # probed, or in [c, b], where d becomes the new c
-        left = live & (fc > fd)
-        right = live ^ left
-        a, b = np.where(right, c, a), np.where(left, d, b)
-        step = invphi * (b - a)
-        x = np.where(left, b - step, a + step)
-        fx = fun(x)
-        c, fc, d, fd = (np.where(left, x, np.where(right, d, c)),
-                        np.where(left, fx, np.where(right, fd, fc)),
-                        np.where(left, c, np.where(right, x, d)),
-                        np.where(left, fc, np.where(right, fx, fd)))
-    x = (a + b) / 2
-    if x.ndim == 0:
-        x, a, b = float(x), float(a), float(b)
-    return x, fun(x), b - a
+        G = self.Hbar @ self.Hbar.conj().T
+        k = np.arange(1 - M, M)
+        r = np.array([np.trace(G, offset) for offset in k])
+        z = np.roots((k * r)[::-1])
+        z = z[np.abs(np.abs(z) - 1.0) < 1e-6]
+        curvature = np.real(z[:, None] ** k @ (k * k * r))
+        return np.sort(-np.angle(z[curvature > 0]) / (2 * np.pi))
 
 
 def dual_atomic_norm(H: np.ndarray, focusing: FocusingSet) -> float:
-    """max_f ||Hbar^H a(f)||_2, by an 8192-point grid plus golden-section refinement."""
+    """max_f ||Hbar^H a(f)||_2: the largest P at its local maxima, or P(0)
+    if P is constant."""
     poly = DualPolynomial(Hbar=_hbar(np.asarray(H, dtype=complex), focusing))
-    fs, vals = poly.on_grid(8192)
-    i = int(np.argmax(vals))
-    if vals[i] == 0.0:
-        return 0.0
-    step = 1.0 / 8192
-    _, peak, _ = golden_section_max(poly, fs[i] - step, fs[i] + step)
-    return max(peak, float(vals[i]))
+    return float(np.max(poly(poly.maxima()), initial=poly(0.0)))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .atoms import ConicProblem, DualPolynomial, build_atom, golden_section_max
+from .atoms import ConicProblem, DualPolynomial, build_atom
 from .focusing import FocusingSet
 from .model import SubbandData, f_to_theta
 from .solver import SolverConfig, solve
@@ -60,29 +60,12 @@ def _wrap(f):
     return (f + 0.5) % 1.0 - 0.5
 
 
-def locate_frequencies(poly: DualPolynomial, peak_tol: float = 0.05,
-                       grid_size: int = 8192) -> np.ndarray:
-    """Spatial frequencies where P peaks within peak_tol of 1, sorted.
-
-    Grid local maxima above 1 - peak_tol are refined together by
-    golden-section ascent.  Every refined peak is returned except one
-    within a grid step of a kept one (equal adjacent samples would give
-    NNLS a duplicate atom).
-    """
+def locate_frequencies(poly: DualPolynomial, peak_tol: float = 0.05) -> np.ndarray:
+    """Spatial frequencies where P has a local maximum within peak_tol of 1, sorted."""
     if not (0 < peak_tol < 0.5):
         raise ValueError("peak_tol must lie in (0, 0.5)")
-    fs, vals = poly.on_grid(grid_size)
-    # local maxima on the circular grid
-    left = np.roll(vals, 1)
-    right = np.roll(vals, -1)
-    cand = np.nonzero((vals >= left) & (vals >= right) & (vals >= 1.0 - peak_tol))[0]
-    step = 1.0 / grid_size
-    refined = _wrap(golden_section_max(poly, fs[cand] - step, fs[cand] + step, tol=1e-10)[0])
-    kept = []
-    for f_hat in refined:
-        if all(abs(_wrap(f_hat - g)) >= step for g in kept):
-            kept.append(f_hat)
-    return np.array(sorted(kept))
+    fs = poly.maxima()
+    return fs[poly(fs) >= 1.0 - peak_tol]
 
 
 def recover_coefficients(poly: DualPolynomial, fs) -> list:
@@ -119,17 +102,17 @@ def merge_atoms(fs, betas, cs, min_separation: float):
             [cs[i] for _, _, i in merged])
 
 
-def _nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """argmin ||A x - b|| over x >= 0, by the Lawson-Hanson active-set
-    method (Lawson & Hanson, Solving Least Squares Problems, 1974, ch. 23).
+def _nnls(Q: np.ndarray, R: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """argmin ||A x - b|| over x >= 0 for A = QR (reduced), by the
+    Lawson-Hanson active-set method (Lawson & Hanson, Solving Least Squares
+    Problems, 1974, ch. 23).
 
-    A = QR once, so each passive-set least squares is the small system
-    R x ~ Q^T b, which keeps cond(A) rather than cond(A^T A).
+    Each passive-set least squares is the small system R x ~ Q^T b, which
+    keeps cond(A) rather than cond(A^T A).
     """
-    Q, R = np.linalg.qr(A)
     d = Q.T @ b
     K = R.shape[1]
-    tol = 10 * max(A.shape) * np.finfo(float).eps * np.abs(R).max() * np.linalg.norm(d)
+    tol = 10 * Q.shape[0] * np.finfo(float).eps * np.abs(R).max() * np.linalg.norm(d)
 
     def passive_fit(passive):
         z = np.zeros(K)
@@ -177,14 +160,15 @@ def recover_amplitudes(Y: np.ndarray, fs, cs, focusing: FocusingSet) -> np.ndarr
     A = np.vstack([cols.real, cols.imag])
     b = np.concatenate([np.asarray(Y, complex).ravel().real,
                         np.asarray(Y, complex).ravel().imag])
-    gram = A.T @ A
-    cond = np.linalg.cond(gram)
+    Q, R = np.linalg.qr(A)
+    cond = np.linalg.cond(R) ** 2  # the condition number of the Gram A^T A = R^T R
     if cond > 1e10:
         warnings.warn(f"atom Gram condition {cond:.2e}; using ridge fallback")
+        gram = R.T @ R
         ridge = 1e-8 * np.trace(gram)
-        betas = np.linalg.solve(gram + ridge * np.eye(K), A.T @ b)
+        betas = np.linalg.solve(gram + ridge * np.eye(K), R.T @ (Q.T @ b))
         return np.clip(betas, 0.0, None)
-    return _nnls(A, b)
+    return _nnls(Q, R, b)
 
 
 @dataclass
@@ -192,7 +176,6 @@ class RecoveryConfig:
     peak_tol: float = 0.05
     # merge radius of merge_atoms in f units (None = 0.5 / M)
     min_separation: float = None
-    grid_size: int = 8192
     solver: SolverConfig = None
 
     def __post_init__(self):
@@ -237,7 +220,7 @@ def estimate_doa(subbands: SubbandData, gamma: float,
                       f"{solution.iterations} iterations; the estimate is built from "
                       f"a non-converged dual")
     poly = DualPolynomial(Hbar=solution.Hbar)
-    fs = locate_frequencies(poly, peak_tol=config.peak_tol, grid_size=config.grid_size)
+    fs = locate_frequencies(poly, peak_tol=config.peak_tol)
     cs = recover_coefficients(poly, fs)
     X_opt = primal_reconstruction(subbands.Y, solution.H, gamma)
     betas = recover_amplitudes(X_opt, fs, cs, focusing)

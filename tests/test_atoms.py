@@ -1,18 +1,20 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from wbdoa.atoms import (
     ConicProblem,
-    DualPolynomial,
     _hbar,
     build_atom,
     dual_atomic_norm,
-    golden_section_max,
 )
 from wbdoa.focusing import FocusingSet, noiseless_measurements
-from wbdoa.model import ArrayConfig, WidebandScene, steering_vector, theta_to_f
+from wbdoa.model import (
+    ArrayConfig,
+    WidebandScene,
+    steering_matrix,
+    steering_vector,
+    theta_to_f,
+)
 
 ARRAY = ArrayConfig(M=6, c=1500.0, omega1=2 * np.pi * 1000.0)
 
@@ -71,40 +73,6 @@ class TestPlantedAtoms:
         assert np.allclose(noiseless_measurements(ARRAY, scene, focusing), X, atol=1e-12)
 
 
-class TestGoldenSection:
-    def test_quadratic(self):
-        x, v, width = golden_section_max(lambda t: -(t - 0.3) ** 2 + 2.0, 0.0, 1.0)
-        assert x == pytest.approx(0.3, abs=1e-7)
-        assert v == pytest.approx(2.0, abs=1e-12)
-        assert width < 1e-11
-
-    def test_cosine(self):
-        x, _, _ = golden_section_max(np.cos, -1.0, 1.5)
-        assert x == pytest.approx(0.0, abs=1e-7)
-
-    @settings(max_examples=60, deadline=None)
-    @given(n=st.integers(0, 12), tol=st.sampled_from([1e-12, 1e-10, 1e-6]),
-           seed=st.integers(0, 2**32 - 1))
-    def test_array_of_brackets_matches_scalar_runs(self, n, tol, seed):
-        # smooth unimodal -(u^2 + w u^4), u = x - center, with the maximum
-        # inside, at or outside each bracket; bracket widths differ, so the
-        # brackets stop at different iterations
-        rng = np.random.default_rng(seed)
-        lo = rng.uniform(-1.0, 1.0, n)
-        hi = lo + rng.uniform(1e-9, 2.0, n)
-        center, w = rng.uniform(-1.5, 1.5, n), rng.uniform(0.0, 3.0, n)
-
-        def fun(x, k=slice(None)):
-            u2 = (x - center[k]) * (x - center[k])
-            return -(u2 + w[k] * u2 * u2)
-
-        x, value, width = golden_section_max(fun, lo, hi, tol=tol)
-        assert x.shape == value.shape == width.shape == (n,)
-        for k in range(n):
-            scalar = golden_section_max(lambda t: fun(t, k), lo[k], hi[k], tol=tol)
-            assert (x[k], value[k], width[k]) == scalar
-
-
 class TestDualAtomicNorm:
     def test_single_steering_column(self):
         # H with one column a(f0)/M: Hbar = a(f0)/M (alpha = 1), so the
@@ -116,18 +84,27 @@ class TestDualAtomicNorm:
         assert dual_atomic_norm(H, focusing) == pytest.approx(1.0, abs=1e-10)
 
     def test_against_dense_grid_oracle(self):
-        # compare refined search against a brute-force 10^6-point grid
+        # compare the exact maxima against a brute-force 10^6-point grid
         rng = np.random.default_rng(17)
         focusing = FocusingSet.build([1.0, 0.8], 6)
+        A = steering_matrix(np.linspace(-0.5, 0.5, 1_000_000, endpoint=False), 6)
         for _ in range(5):
             H = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
             got = dual_atomic_norm(H, focusing)
-            fs, vals = DualPolynomial(
-                np.stack([focusing.matrices[j].conj().T @ H[:, j] for j in range(2)],
-                         axis=1)).on_grid(1_000_000)
-            oracle = float(np.max(vals))
+            Hbar = np.stack([focusing.matrices[j].conj().T @ H[:, j] for j in range(2)], axis=1)
+            oracle = float(np.linalg.norm(Hbar.conj().T @ A, axis=0).max())
             assert got >= oracle - 1e-12
             assert got == pytest.approx(oracle, abs=1e-6)
+
+    @pytest.mark.parametrize("row", [None, 2], ids=["zero", "single-row"])
+    def test_constant_polynomial(self, row):
+        # H = 0, or one nonzero row with alpha = 1 (T = I), makes P the
+        # constant ||H||: there is no maximum, and the norm is P(0)
+        focusing = FocusingSet.build([1.0, 1.0], 5)
+        H = np.zeros((5, 2), dtype=complex)
+        if row is not None:
+            H[row] = [0.6, -0.8j]
+        assert dual_atomic_norm(H, focusing) == pytest.approx(np.linalg.norm(H), abs=1e-15)
 
     def test_scaling(self):
         rng = np.random.default_rng(3)

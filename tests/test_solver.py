@@ -18,11 +18,11 @@ from wbdoa.solver import (
     SolverConfig,
     _project_trace,
     affine_project,
-    complex_to_real_embed,
-    find_q_certificate,
     psd_project,
     solve,
 )
+
+from lmi_oracles import complex_to_real_embed, find_q_certificate
 
 
 class TestRealEmbedding:
