@@ -10,8 +10,8 @@ from .model import (
     synthesize_scene,
     theta_to_f,
 )
-from .focusing import FocusingSet, focusing_error, focusing_matrix, gamma_bound
-from .atoms import ConicProblem, DualPolynomial, build_atom, dual_atomic_norm
+from .focusing import FocusingSet, focusing_error, focusing_matrix
+from .atoms import ConicProblem, DualPolynomial, build_atom
 from .solver import (
     ConicSolution,
     SolverConfig,
@@ -29,7 +29,7 @@ from .recovery import (
     recover_coefficients,
 )
 from .baselines import RssConfig, music_spectrum, perturb_initial, rss_estimate
-from .bench import ExperimentConfig, ResultTable, emit_report, rmse
+from .bench import ExperimentConfig, ResultTable, rmse
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -27,11 +27,6 @@ def build_atom(f: float, c, focusing: FocusingSet) -> np.ndarray:
     return c / nrm * focusing.columns(f)
 
 
-def _hbar(H: np.ndarray, focusing: FocusingSet) -> np.ndarray:
-    """Columnwise map h_j -> T_j^H h_j (T_j is real)."""
-    return (focusing.matrices.transpose(0, 2, 1) @ H.T[:, :, None])[:, :, 0].T
-
-
 @dataclass(frozen=True)
 class DualPolynomial:
     """Wrapper around Hbar evaluating P(f) = ||Hbar^H a(f)||_2."""
@@ -66,13 +61,6 @@ class DualPolynomial:
         z = z[np.abs(np.abs(z) - 1.0) < 1e-6]
         curvature = np.real(z[:, None] ** k @ (k * k * r))
         return np.sort(-np.angle(z[curvature > 0]) / (2 * np.pi))
-
-
-def dual_atomic_norm(H: np.ndarray, focusing: FocusingSet) -> float:
-    """max_f ||Hbar^H a(f)||_2: the largest P at its local maxima, or P(0)
-    if P is constant."""
-    poly = DualPolynomial(Hbar=_hbar(np.asarray(H, dtype=complex), focusing))
-    return float(np.max(poly(poly.maxima()), initial=poly(0.0)))
 
 
 @dataclass(frozen=True)

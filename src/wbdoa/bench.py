@@ -7,6 +7,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -204,13 +205,6 @@ class ExperimentConfig:
                 d[key] = tuple(d[key])
         return cls(**d)
 
-    def to_dict(self) -> dict:
-        out = {}
-        for k in self.__dataclass_fields__:
-            v = getattr(self, k)
-            out[k] = list(v) if isinstance(v, tuple) else v
-        return out
-
 
 @dataclass
 class ResultTable:
@@ -250,6 +244,8 @@ class ResultTable:
                 m, p, r, fr, tr, rt = line.strip().split(",")
                 table.add(m, float(p), float("nan") if r == "Failed" else float(r),
                           float(fr), int(tr), float(rt))
+        if not table.rows:
+            raise ValueError("table has no rows")
         return table
 
     def to_json(self, path=None):
@@ -262,23 +258,74 @@ class ResultTable:
         with open(path, "w") as fh:
             json.dump(doc, fh, indent=2)
 
+    def to_svg(self, path, log_y: bool = False):
+        """Minimal deterministic SVG line plot of RMSE versus scenario point."""
+        width, height, pad = 640, 420, 60
+        colors = {"wgs": "#1f77b4", "rss": "#d62728"}
+        finite = [r for r in self.rows if not np.isnan(r["rmse_deg"])]
+        if not finite:
+            raise ValueError("no finite RMSE values to plot")
+        xs = [float(r["point"]) for r in finite]
+        ys = [np.log10(r["rmse_deg"]) if log_y else r["rmse_deg"] for r in finite]
+        x0, x1 = min(xs), max(xs) or 1.0
+        y0, y1 = min(ys), max(ys)
+        if x1 == x0:
+            x1 = x0 + 1.0
+        if y1 == y0:
+            y1 = y0 + 1.0
+
+        def sx(x):
+            return pad + (x - x0) / (x1 - x0) * (width - 2 * pad)
+
+        def sy(y):
+            return height - pad - (y - y0) / (y1 - y0) * (height - 2 * pad)
+
+        parts = [
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
+            f'<rect width="{width}" height="{height}" fill="white"/>',
+            f'<line x1="{pad}" y1="{height - pad}" x2="{width - pad}" y2="{height - pad}" stroke="black"/>',
+            f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{height - pad}" stroke="black"/>',
+            f'<text x="{width / 2:.1f}" y="{height - 15}" text-anchor="middle">scenario point</text>',
+            f'<text x="18" y="{height / 2:.1f}" text-anchor="middle" '
+            f'transform="rotate(-90 18 {height / 2:.1f})">RMSE (deg{", log10" if log_y else ""})</text>',
+        ]
+        for mi, method in enumerate(sorted({r["method"] for r in self.rows})):
+            pts = sorted((float(r["point"]), r["rmse_deg"]) for r in finite
+                         if r["method"] == method)
+            if not pts:
+                continue
+            coords = " ".join(
+                f"{sx(p):.2f},{sy(np.log10(v) if log_y else v):.2f}" for p, v in pts
+            )
+            color = colors.get(method, "#2ca02c")
+            parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="2"/>')
+            parts.append(f'<text x="{width - pad + 5}" y="{pad + 18 * mi}" fill="{color}">{method}</text>')
+        parts.append("</svg>")
+        with open(path, "w") as fh:
+            fh.write("\n".join(parts) + "\n")
+
+
+def _study_inputs(cfg: ExperimentConfig) -> tuple:
+    """What every trial of a study shares: the array, the bin frequencies,
+    the focusing set and the recovery settings."""
+    array = ArrayConfig(M=cfg.M, c=cfg.c, omega1=cfg.omega1)
+    alphas = default_alphas(cfg.J)
+    solver = SolverConfig(max_iter=cfg.solver_max_iter, eps_abs=cfg.solver_eps_abs,
+                          eps_rel=cfg.solver_eps_rel)
+    # sub-Rayleigh merge radius (f units): the resolution sweep separates close pairs
+    rec = RecoveryConfig(min_separation=0.2 / cfg.M, solver=solver)
+    return array, subband_template(cfg.omega1, alphas), FocusingSet.build(alphas, cfg.M), rec
+
 
 def _run_trial(args):
     """One (method, scene) trial; module-level for process pools."""
-    cfg, method, angles, snr_db, point_index, trial_index = args
-    array = ArrayConfig(M=cfg.M, c=cfg.c, omega1=cfg.omega1)
-    alphas = default_alphas(cfg.J)
-    focusing = FocusingSet.build(alphas, cfg.M)
+    cfg, (array, template, focusing, rec), method, angles, snr_db, point_index, trial_index = args
     seed = trial_seed(cfg.master_seed, point_index, trial_index)
-    scene = random_scene(array, angles, alphas, snr_db, seed, focusing)
-    data = synthesize_scene(array, scene, subband_template(cfg.omega1, alphas))
+    scene = random_scene(array, angles, template.alphas, snr_db, seed, focusing)
+    data = synthesize_scene(array, scene, template)
     K = len(angles)
     if method == "wgs":
         gamma = gamma_oracle(data.Y, array, scene, focusing)
-        solver = SolverConfig(max_iter=cfg.solver_max_iter, eps_abs=cfg.solver_eps_abs,
-                              eps_rel=cfg.solver_eps_rel)
-        # sub-Rayleigh merge radius (f units): the resolution sweep separates close pairs
-        rec = RecoveryConfig(min_separation=0.2 / cfg.M, solver=solver)
         est = estimate_doa(data, gamma=max(gamma, 1e-10), focusing=focusing, config=rec)
         thetas = est.thetas
         if est.Khat > K:
@@ -291,19 +338,6 @@ def _run_trial(args):
         init = np.clip(init, -89.0, 89.0)
         return rss_estimate(data, RssConfig(K=K, init_angles_deg=tuple(init)))
     raise ValueError(f"unknown method {method!r}")
-
-
-def _run_point(cfg: ExperimentConfig, method: str, angles, snr_db,
-               point_index: int, workers: int):
-    jobs = [(cfg, method, tuple(angles), snr_db, point_index, i)
-            for i in range(cfg.trials)]
-    t0 = time.perf_counter()
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            estimates = list(pool.map(_run_trial, jobs, chunksize=1))
-    else:
-        estimates = [_run_trial(j) for j in jobs]
-    return estimates, time.perf_counter() - t0
 
 
 def worker_count(cfg: ExperimentConfig) -> int:
@@ -321,119 +355,54 @@ def worker_count(cfg: ExperimentConfig) -> int:
     return workers
 
 
-def run_rmse_vs_snr(cfg: ExperimentConfig) -> ResultTable:
-    """RMSE per (method, SNR) for the fixed three-source scene."""
-    if cfg.scenario != "rmse_vs_snr":
-        raise ValueError("config scenario must be rmse_vs_snr")
-    workers = worker_count(cfg)
-    table = ResultTable()
-    for pi, snr in enumerate(cfg.snr_grid_db):
-        for method in cfg.methods:
-            ests, dt = _run_point(cfg, method, cfg.angles_deg, snr, pi, workers)
-            val, failures = rmse(ests, cfg.angles_deg)
-            table.add(method, float(snr), val, failures / cfg.trials, cfg.trials, dt)
-    return table
-
-
-def run_resolution(cfg: ExperimentConfig) -> ResultTable:
-    """RMSE or Failed per (method, delta-theta) at the fixed resolution SNR.
-
-    A trial fails when it has fewer than K separated estimates or its own
-    RMSE exceeds delta_theta / 2; a point is reported Failed (NaN RMSE)
-    when at least 40% of trials fail.  The 40% cut sits between the two
-    regimes the estimators exhibit near their resolution limits.
-    """
-    FAIL_RATE_CUT = 0.4
-    if cfg.scenario != "resolution":
-        raise ValueError("config scenario must be resolution")
-    workers = worker_count(cfg)
-    table = ResultTable()
-    for pi, dtheta in enumerate(cfg.delta_theta_list):
-        angles = (cfg.theta1_deg - dtheta, cfg.theta1_deg)
-        for method in cfg.methods:
-            ests, dt = _run_point(cfg, method, angles, cfg.resolution_snr_db,
-                                  1000 + pi, workers)
-            # "separated" estimates: collapse near-coincident angles first
-            cleaned = []
-            for e in ests:
-                e = np.sort(np.asarray(e, dtype=float))
-                keep = [e[0]] if e.size else []
-                for x in e[1:]:
-                    if x - keep[-1] > 0.1:
-                        keep.append(x)
-                cleaned.append(np.asarray(keep))
-            val, failures = rmse(cleaned, angles, fail_threshold_deg=dtheta / 2)
-            fail_rate = failures / cfg.trials
-            if fail_rate >= FAIL_RATE_CUT:
-                val = float("nan")
-            table.add(method, float(dtheta), val, fail_rate, cfg.trials, dt)
-    return table
+def _collapse(estimate, gap_deg: float) -> np.ndarray:
+    """The sorted angles, each kept only if it lies more than gap_deg above
+    the last one kept."""
+    e = np.sort(np.asarray(estimate, dtype=float))
+    keep = [e[0]] if e.size else []
+    for x in e[1:]:
+        if x - keep[-1] > gap_deg:
+            keep.append(x)
+    return np.asarray(keep)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ResultTable:
+    """RMSE per (method, point) of the configured scenario.
+
+    ``rmse_vs_snr`` has one point per SNR of ``snr_grid_db`` for the fixed
+    scene ``angles_deg``.  ``resolution`` has one point per delta-theta of
+    ``delta_theta_list``, the pair (theta1 - delta, theta1) at
+    ``resolution_snr_db``; there estimates within 0.1 deg collapse into
+    one, a trial fails when fewer than two separated estimates are left or
+    its own RMSE exceeds delta / 2, and a point is reported Failed (NaN
+    RMSE) when at least 40% of trials fail.  The 40% cut sits between the
+    two regimes the estimators exhibit near their resolution limits.
+    """
     if cfg.scenario == "rmse_vs_snr":
-        return run_rmse_vs_snr(cfg)
-    return run_resolution(cfg)
-
-
-def _svg_plot(table: ResultTable, path, log_y: bool = False):
-    """Minimal deterministic SVG line plot of RMSE versus scenario point."""
-    width, height, pad = 640, 420, 60
-    methods = sorted({r["method"] for r in table.rows})
-    colors = {"wgs": "#1f77b4", "rss": "#d62728"}
-    pts_all = [(float(r["point"]), r["rmse_deg"]) for r in table.rows
-               if not np.isnan(r["rmse_deg"])]
-    if not pts_all:
-        raise ValueError("no finite RMSE values to plot")
-    xs = [p for p, _ in pts_all]
-    ys = [np.log10(v) if log_y else v for _, v in pts_all]
-    x0, x1 = min(xs), max(xs) or 1.0
-    y0, y1 = min(ys), max(ys)
-    if x1 == x0:
-        x1 = x0 + 1.0
-    if y1 == y0:
-        y1 = y0 + 1.0
-
-    def sx(x):
-        return pad + (x - x0) / (x1 - x0) * (width - 2 * pad)
-
-    def sy(y):
-        return height - pad - (y - y0) / (y1 - y0) * (height - 2 * pad)
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<line x1="{pad}" y1="{height - pad}" x2="{width - pad}" y2="{height - pad}" stroke="black"/>',
-        f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{height - pad}" stroke="black"/>',
-        f'<text x="{width / 2:.1f}" y="{height - 15}" text-anchor="middle">scenario point</text>',
-        f'<text x="18" y="{height / 2:.1f}" text-anchor="middle" '
-        f'transform="rotate(-90 18 {height / 2:.1f})">RMSE (deg{", log10" if log_y else ""})</text>',
-    ]
-    for mi, method in enumerate(methods):
-        pts = sorted((float(r["point"]), r["rmse_deg"]) for r in table.rows
-                     if r["method"] == method and not np.isnan(r["rmse_deg"]))
-        if not pts:
-            continue
-        coords = " ".join(
-            f"{sx(p):.2f},{sy(np.log10(v) if log_y else v):.2f}" for p, v in pts
-        )
-        color = colors.get(method, "#2ca02c")
-        parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="2"/>')
-        parts.append(f'<text x="{width - pad + 5}" y="{pad + 18 * mi}" fill="{color}">{method}</text>')
-    parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
-
-
-def emit_report(table: ResultTable, fmt: str, path, log_y: bool = False):
-    """Write the table as csv, json, or an SVG line plot."""
-    if not table.rows:
-        raise ValueError("refusing to emit an empty table")
-    if fmt == "csv":
-        table.to_csv(path)
-    elif fmt == "json":
-        table.to_json(path)
-    elif fmt == "svg":
-        _svg_plot(table, path, log_y=log_y)
+        # (point, angles, SNR, point index, fail threshold)
+        points = [(snr, cfg.angles_deg, snr, i, None) for i, snr in enumerate(cfg.snr_grid_db)]
+        collapse_deg, fail_cut = None, np.inf
     else:
-        raise ValueError(f"unknown report format {fmt!r}")
+        points = [(d, (cfg.theta1_deg - d, cfg.theta1_deg), cfg.resolution_snr_db, 1000 + i,
+                   d / 2) for i, d in enumerate(cfg.delta_theta_list)]
+        collapse_deg, fail_cut = 0.1, 0.4
+    workers = worker_count(cfg)
+    inputs = _study_inputs(cfg)
+    table = ResultTable()
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        for value, angles, snr_db, point_index, threshold in points:
+            for method in cfg.methods:
+                jobs = [(cfg, inputs, method, tuple(angles), snr_db, point_index, i)
+                        for i in range(cfg.trials)]
+                t0 = time.perf_counter()
+                estimates = list(pool.map(_run_trial, jobs, chunksize=1) if pool
+                                 else map(_run_trial, jobs))
+                dt = time.perf_counter() - t0
+                if collapse_deg is not None:
+                    estimates = [_collapse(e, collapse_deg) for e in estimates]
+                val, failures = rmse(estimates, angles, fail_threshold_deg=threshold)
+                fail_rate = failures / cfg.trials
+                if fail_rate >= fail_cut:
+                    val = float("nan")
+                table.add(method, float(value), val, fail_rate, cfg.trials, dt)
+    return table

@@ -13,8 +13,8 @@ import sys
 import numpy as np
 
 from . import bench
-from .bench import ExperimentConfig, ResultTable, default_alphas, emit_report
-from .focusing import FocusingSet, gamma_bound
+from .bench import ExperimentConfig, ResultTable, default_alphas
+from .focusing import FocusingSet, gamma_blind, gamma_oracle
 from .model import (ArrayConfig, SubbandData, WidebandScene, subband_template,
                     synthesize_scene)
 from .recovery import RecoveryConfig, estimate_doa
@@ -98,8 +98,20 @@ def _cmd_estimate(args):
     try:
         rec = RecoveryConfig(peak_tol=args.peak_tol,
                              solver=SolverConfig(max_iter=args.max_iter))
-        gamma = gamma_bound(data.Y, array, focusing, mode=args.gamma_mode, scene=scene,
-                            sigma2=sigma2, safety=args.gamma_safety)
+        # safety scales gamma: an under-estimate can make the problem infeasible in noise
+        if not (np.isfinite(args.gamma_safety) and args.gamma_safety > 0):
+            raise ValueError(f"safety must be finite and positive, got {args.gamma_safety}")
+        if args.gamma_mode == "oracle":
+            if scene is None:
+                raise ValueError("oracle mode requires the true scene")
+            gamma = gamma_oracle(data.Y, array, scene, focusing)
+        else:
+            if sigma2 is None:
+                raise ValueError("blind mode requires a noise variance estimate")
+            gamma = gamma_blind(data.Y, sigma2, focusing)
+        gamma *= args.gamma_safety
+        if not np.isfinite(gamma):
+            raise ValueError(f"gamma overflows to {gamma}")
     except ValueError as exc:
         raise UsageError(f"bad estimate option: {exc}")
     gamma = max(gamma, 1e-10)
@@ -136,8 +148,16 @@ def _cmd_benchmark(args):
 
 
 def _cmd_report(args):
-    table = ResultTable.from_csv(args.table)
-    emit_report(table, args.format, args.output, log_y=args.log_y)
+    try:
+        table = ResultTable.from_csv(args.table)
+        if args.format == "csv":
+            table.to_csv(args.output)
+        elif args.format == "json":
+            table.to_json(args.output)
+        else:
+            table.to_svg(args.output, log_y=args.log_y)
+    except ValueError as exc:
+        raise UsageError(f"cannot report {args.table}: {exc}")
     print(f"report: wrote {args.output}")
     return 0
 
@@ -189,7 +209,7 @@ def cli_main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, OSError) as exc:  # OSError: a file that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (RuntimeError, np.linalg.LinAlgError) as exc:

@@ -109,31 +109,3 @@ def gamma_blind(Y: np.ndarray, sigma2: float, focusing: FocusingSet) -> float:
     e_norms = np.stack([np.linalg.norm(focusing_error(f, focusing), axis=0) ** 2
                         for f in f_grid], axis=1)  # J x grid
     return noise_power + float(p_sig @ np.sum(w * e_norms, axis=1))
-
-
-def gamma_bound(Y: np.ndarray, cfg: ArrayConfig, focusing: FocusingSet,
-                mode: str = "oracle", scene: WidebandScene = None,
-                sigma2: float = None, safety: float = 1.0) -> float:
-    """Data-fidelity budget gamma for the sparse recovery problem.
-
-    ``oracle`` mode needs the true scene and returns the exact realized
-    power; ``blind`` mode needs only sigma2 and uses the heuristic bound.
-    ``safety`` multiplies the result (under-estimating gamma can make the
-    recovery problem infeasible in noise) and must be finite and positive.
-    """
-    if not (np.isfinite(safety) and safety > 0):
-        raise ValueError(f"safety must be finite and positive, got {safety}")
-    if mode == "oracle":
-        if scene is None:
-            raise ValueError("oracle mode requires the true scene")
-        g = gamma_oracle(Y, cfg, scene, focusing)
-    elif mode == "blind":
-        if sigma2 is None:
-            raise ValueError("blind mode requires a noise variance estimate")
-        g = gamma_blind(Y, sigma2, focusing)
-    else:
-        raise ValueError(f"unknown gamma mode {mode!r}")
-    g = safety * g
-    if not np.isfinite(g):
-        raise ValueError(f"gamma overflows to {g}")
-    return g

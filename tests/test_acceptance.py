@@ -12,8 +12,8 @@ import warnings
 import numpy as np
 import pytest
 
-from wbdoa.atoms import ConicProblem, dual_atomic_norm
-from wbdoa.bench import ExperimentConfig, run_resolution, run_rmse_vs_snr
+from wbdoa.atoms import ConicProblem
+from wbdoa.bench import ExperimentConfig, run_experiment
 from wbdoa.cli import cli_main
 from wbdoa.focusing import FocusingSet, gamma_oracle
 from wbdoa.model import (
@@ -31,7 +31,7 @@ from wbdoa.solver import (
     solve,
 )
 
-from lmi_oracles import complex_to_real_embed, find_q_certificate
+from lmi_oracles import complex_to_real_embed, dual_atomic_norm, find_q_certificate
 
 
 def _report(name, ok, detail=""):
@@ -120,7 +120,7 @@ def test_03_resolution_table_spots():
     cfg = ExperimentConfig(scenario="resolution", trials=100,
                            delta_theta_list=(12.0, 5.0, 4.0, 3.0),
                            master_seed=0)
-    table = run_resolution(cfg)
+    table = run_experiment(cfg)
     rows = {(r["method"], r["point"]): r for r in table.rows}
     wgs12 = rows[("wgs", 12.0)]["rmse_deg"]
     wgs3 = rows[("wgs", 3.0)]["rmse_deg"]
@@ -141,7 +141,7 @@ def test_03_resolution_table_spots():
 def test_04_snr_sweep_ordering():
     """Proposed method beats the baseline at every SNR in {0..20} dB."""
     cfg = ExperimentConfig(scenario="rmse_vs_snr", trials=100, master_seed=0)
-    table = run_rmse_vs_snr(cfg)
+    table = run_experiment(cfg)
     rows = {(r["method"], r["point"]): r["rmse_deg"] for r in table.rows}
     pairs = [(snr, rows[("wgs", snr)], rows[("rss", snr)])
              for snr in (0.0, 5.0, 10.0, 15.0, 20.0)]

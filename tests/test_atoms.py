@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from wbdoa.atoms import (
-    ConicProblem,
-    _hbar,
-    build_atom,
-    dual_atomic_norm,
-)
+from wbdoa.atoms import ConicProblem, build_atom
 from wbdoa.focusing import FocusingSet, noiseless_measurements
 from wbdoa.model import (
     ArrayConfig,
@@ -15,6 +10,8 @@ from wbdoa.model import (
     steering_vector,
     theta_to_f,
 )
+
+from lmi_oracles import dual_atomic_norm, hbar
 
 ARRAY = ArrayConfig(M=6, c=1500.0, omega1=2 * np.pi * 1000.0)
 
@@ -161,6 +158,6 @@ class TestConicProblem:
         Y = np.zeros((6, 4), dtype=complex)
         prog = ConicProblem(Y=Y, focusing=focusing, gamma=0.0)
         H = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
-        Hb = _hbar(H, prog.focusing)
+        Hb = hbar(H, prog.focusing)
         for j in range(4):
             assert np.allclose(Hb[:, j], focusing.matrices[j].T @ H[:, j], atol=1e-13)

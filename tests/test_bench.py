@@ -1,6 +1,6 @@
 import itertools
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -9,15 +9,14 @@ from wbdoa.bench import (
     ExperimentConfig,
     ResultTable,
     default_alphas,
-    emit_report,
     match_errors,
     random_scene,
     rmse,
     run_experiment,
-    run_rmse_vs_snr,
     trial_seed,
     worker_count,
 )
+from wbdoa.cli import cli_main
 from wbdoa.focusing import FocusingSet, noiseless_measurements
 from wbdoa.model import ArrayConfig
 
@@ -172,8 +171,9 @@ class TestRmse:
 
 class TestExperimentConfig:
     def test_round_trip(self):
+        # through JSON, as the CLI reads it: tuples come back as lists
         cfg = ExperimentConfig(scenario="rmse_vs_snr", trials=5, J=4)
-        back = ExperimentConfig.from_dict(cfg.to_dict())
+        back = ExperimentConfig.from_dict(json.loads(json.dumps(asdict(cfg))))
         assert back == cfg
 
     def test_unknown_key_rejected(self):
@@ -304,7 +304,7 @@ SMALL = dict(trials=3, M=8, J=4, snr_grid_db=(20.0,), angles_deg=(-10.0, 30.0),
 class TestRunners:
     def test_rmse_vs_snr_small(self):
         cfg = ExperimentConfig(scenario="rmse_vs_snr", **SMALL)
-        table = run_rmse_vs_snr(cfg)
+        table = run_experiment(cfg)
         assert len(table.rows) == 2  # one SNR x two methods
         for r in table.rows:
             assert r["trials"] == 3
@@ -326,11 +326,6 @@ class TestRunners:
         assert len(table.rows) == 1
         assert table.rows[0]["point"] == 20.0
 
-    def test_scenario_mismatch(self):
-        cfg = ExperimentConfig(scenario="resolution", trials=1)
-        with pytest.raises(ValueError):
-            run_rmse_vs_snr(cfg)
-
 
 class TestEmitReport:
     def _table(self):
@@ -343,26 +338,37 @@ class TestEmitReport:
 
     def test_csv(self, tmp_path):
         p = tmp_path / "r.csv"
-        emit_report(self._table(), "csv", p)
-        assert ResultTable.from_csv(p).rows == ResultTable.from_csv(p).rows
+        self._table().to_csv(p)
+        assert [r["rmse_deg"] for r in ResultTable.from_csv(p).rows] == [2.0, 1.0, 4.0, 3.0]
 
     def test_json(self, tmp_path):
         p = tmp_path / "r.json"
-        emit_report(self._table(), "json", p)
+        self._table().to_json(p)
         assert len(json.loads(p.read_text())["rows"]) == 4
 
     def test_svg(self, tmp_path):
         p = tmp_path / "r.svg"
-        emit_report(self._table(), "svg", p)
+        self._table().to_svg(p)
         text = p.read_text()
-        assert text.startswith("<svg") and "polyline" in text
+        assert text.startswith("<svg") and text.count("polyline") == 2
 
     def test_svg_deterministic(self, tmp_path):
         p1, p2 = tmp_path / "a.svg", tmp_path / "b.svg"
-        emit_report(self._table(), "svg", p1)
-        emit_report(self._table(), "svg", p2)
+        self._table().to_svg(p1)
+        self._table().to_svg(p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_unknown_format(self, tmp_path):
-        with pytest.raises(ValueError):
-            emit_report(self._table(), "pdf", tmp_path / "r.pdf")
+    def test_svg_refuses_nothing_to_plot(self, tmp_path):
+        failed = ResultTable()
+        failed.add("rss", 4.0, float("nan"), 1.0, 4, 1.0)
+        for table in (ResultTable(), failed):
+            with pytest.raises(ValueError, match="no finite RMSE"):
+                table.to_svg(tmp_path / "r.svg")
+        assert not (tmp_path / "r.svg").exists()
+
+    def test_unknown_format(self, tmp_path, capsys):
+        p = tmp_path / "r.csv"
+        self._table().to_csv(p)
+        assert cli_main(["report", "--table", str(p), "--format", "pdf",
+                         "--output", str(tmp_path / "r.pdf")]) == 1
+        assert not (tmp_path / "r.pdf").exists()

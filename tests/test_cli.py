@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from wbdoa import bench
-from wbdoa.cli import cli_main
+from wbdoa.cli import _scene_from_doc, cli_main
 from wbdoa.bench import ResultTable
+from wbdoa.focusing import FocusingSet, gamma_blind, gamma_oracle
 from wbdoa.model import SubbandData
 
 
@@ -143,6 +144,31 @@ class TestEstimate:
         assert cli_main(["estimate", "--input", str(data_csv),
                          "--gamma-mode", "blind"]) == 1
 
+    def test_gamma_modes(self, tmp_path, capsys):
+        # oracle gamma is the realized power of the scene JSON's noise and
+        # focusing error; blind gamma is the bound from the measurements
+        doc = dict(SCENE, scene={"angles_deg": [10.0], "seed": 3, "snr_db": 10.0})
+        scene_path = tmp_path / "noisy.json"
+        scene_path.write_text(json.dumps(doc))
+        data_csv = tmp_path / "data.csv"
+        assert cli_main(["simulate", "--config", str(scene_path),
+                         "--output", str(data_csv)]) == 0
+        array, scene, data, focusing = _scene_from_doc(doc)
+        loaded = SubbandData.load_csv(data_csv)
+        runs = [
+            (["--input", str(scene_path)], gamma_oracle(data.Y, array, scene, focusing)),
+            (["--input", str(data_csv), "--gamma-mode", "blind", "--sigma2", "0.05"],
+             gamma_blind(loaded.Y, 0.05, FocusingSet.for_subbands(loaded))),
+        ]
+        capsys.readouterr()
+        for argv, expected in runs:
+            assert expected > 0
+            assert cli_main(["estimate", *argv]) == 0
+            out = capsys.readouterr().out
+            assert float(out.split("gamma=", 1)[1].split()[0]) == pytest.approx(expected,
+                                                                                rel=1e-5)
+        assert cli_main(["estimate", "--input", str(scene_path), "--gamma-mode", "nope"]) == 1
+
 
 class TestBenchmark:
     CONFIG = {
@@ -267,6 +293,54 @@ class TestReport:
         assert cli_main(["report", "--table", str(src), "--format", "json",
                          "--output", str(out)]) == 0
         assert len(json.loads(out.read_text())["rows"]) == 2
+
+
+class TestFileErrors:
+    """A file that cannot be read or written is an error line and exit 1,
+    not a traceback."""
+
+    TABLES = {
+        "malformed-header": "method,point\nwgs,0.0\n",
+        "malformed-row": ",".join(ResultTable.CSV_COLUMNS) + "\nwgs,0.0,1.0\n",
+        "no-rows": ",".join(ResultTable.CSV_COLUMNS) + "\n",
+        "all-failed": ",".join(ResultTable.CSV_COLUMNS)
+                      + "\nwgs,4.0,Failed,1.0,2,0.0\nrss,4.0,Failed,0.5,2,0.0\n",
+    }
+
+    @staticmethod
+    def _fails_cleanly(capsys, argv):
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("kind", ["missing", *TABLES])
+    def test_report_bad_table(self, tmp_path, capsys, kind):
+        table = tmp_path / "t.csv"
+        if kind != "missing":
+            table.write_text(self.TABLES[kind])
+        out = tmp_path / "plot.svg"
+        err = self._fails_cleanly(capsys, ["report", "--table", str(table),
+                                           "--output", str(out)])
+        assert str(table) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "estimate", "benchmark", "report"])
+    def test_unwritable_output(self, scene_path, tmp_path, capsys, command):
+        out = str(tmp_path / "no_such_dir" / "out")
+        if command == "benchmark":
+            cfg = tmp_path / "bench.json"
+            cfg.write_text(json.dumps(dict(TestBenchmark.CONFIG, methods=["rss"])))
+            argv = ["benchmark", "--config", str(cfg)]
+        elif command == "report":
+            table = tmp_path / "t.csv"
+            table.write_text(self.TABLES["all-failed"].replace("Failed", "1.0"))
+            argv = ["report", "--table", str(table)]
+        else:
+            flag = "--config" if command == "simulate" else "--input"
+            argv = [command, flag, str(scene_path)]
+        err = self._fails_cleanly(capsys, [*argv, "--output", out])
+        assert "no_such_dir" in err
 
 
 class TestArgHandling:

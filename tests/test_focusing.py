@@ -6,7 +6,6 @@ from wbdoa.focusing import (
     focusing_error,
     focusing_matrix,
     gamma_blind,
-    gamma_bound,
     gamma_oracle,
     noiseless_measurements,
 )
@@ -154,18 +153,3 @@ class TestGamma:
             ratios.append(g_est / g_true)
         ratios = np.array(ratios)
         assert np.all(ratios > 1 / 3) and np.all(ratios < 3)
-
-    def test_gamma_bound_modes(self, setup):
-        cfg, tpl, focusing = setup
-        scene = WidebandScene(angles_deg=(10.0,), source_spectra=np.ones((1, 6)),
-                              noise_variance=0.05, seed=0)
-        data = synthesize_scene(cfg, scene, tpl)
-        g_o = gamma_bound(data.Y, cfg, focusing, mode="oracle", scene=scene)
-        g_b = gamma_bound(data.Y, cfg, focusing, mode="blind", sigma2=0.05)
-        assert g_o > 0 and g_b > 0
-        assert gamma_bound(data.Y, cfg, focusing, mode="oracle", scene=scene,
-                           safety=2.0) == pytest.approx(2.0 * g_o)
-        with pytest.raises(ValueError):
-            gamma_bound(data.Y, cfg, focusing, mode="nope")
-        with pytest.raises(ValueError):
-            gamma_bound(data.Y, cfg, focusing, mode="blind")  # sigma2 missing

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
-from wbdoa.atoms import ConicProblem, dual_atomic_norm
+from wbdoa.atoms import ConicProblem
 from wbdoa.focusing import FocusingSet, gamma_oracle, noiseless_measurements
 from wbdoa.model import (
     ArrayConfig,
@@ -22,7 +22,7 @@ from wbdoa.solver import (
     solve,
 )
 
-from lmi_oracles import complex_to_real_embed, find_q_certificate
+from lmi_oracles import complex_to_real_embed, dual_atomic_norm, find_q_certificate
 
 
 class TestRealEmbedding:
