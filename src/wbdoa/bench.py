@@ -6,7 +6,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
@@ -56,59 +55,38 @@ def random_scene(cfg: ArrayConfig, angles_deg, alphas, snr_db, seed: int,
     return replace(scene0, noise_variance=sigma2)
 
 
-def _assignment(cost: np.ndarray) -> list:
-    """Column of a least-cost assignment for each row of an n x m cost with
-    n <= m: the Hungarian algorithm with row and column potentials, one
-    shortest augmenting path per row, O(n^2 m).  Plain Python, because
-    the matrices are a few entries wide."""
-    n, m = cost.shape
-    cost = cost.tolist()
-    u, v = [0.0] * (n + 1), [0.0] * (m + 1)
-    owner = [0] * (m + 1)  # 1-based row holding column j, 0 if free; column 0 roots the path
-    for i in range(1, n + 1):
-        owner[0] = i
-        j0 = 0
-        dist, prev, used = [np.inf] * (m + 1), [0] * (m + 1), [False] * (m + 1)
-        while owner[j0]:
-            used[j0] = True
-            i0, delta, j1 = owner[j0], np.inf, 0
-            for j in range(1, m + 1):
-                if not used[j]:
-                    reduced = cost[i0 - 1][j - 1] - u[i0] - v[j]
-                    if reduced < dist[j]:
-                        dist[j], prev[j] = reduced, j0
-                    if dist[j] < delta:
-                        delta, j1 = dist[j], j
-            for j in range(m + 1):
-                if used[j]:
-                    u[owner[j]] += delta
-                    v[j] -= delta
-                else:
-                    dist[j] -= delta
-            j0 = j1
-        while j0:  # augment along the path back to the root
-            owner[j0] = owner[prev[j0]]
-            j0 = prev[j0]
-    col = [0] * n
-    for j in range(1, m + 1):
-        if owner[j]:
-            col[owner[j] - 1] = j - 1
-    return col
-
-
 def match_errors(estimate_deg, truth_deg):
-    """Assignment of estimated to true angles with the least squared error
-    (an absolute cost can tie a crossed matching with the sorted one, and a
-    crossed pick inflates the RMSE).  Returns the per-source absolute
-    errors, or None when there are fewer estimates than truths."""
-    est = np.asarray(estimate_deg, dtype=float)
+    """Per-truth absolute errors, in the truths' order, of the matching of
+    estimated to true angles with the least squared error (an absolute cost
+    can tie a crossed matching with the sorted one, and a crossed pick
+    inflates the RMSE); None when there are fewer estimates than truths.
+
+    Under squared error, points on a line have a least-cost matching that
+    never crosses, so the sorted truths take an increasing run of the
+    sorted estimates, found by an O(n m) dynamic program."""
+    est = np.sort(np.asarray(estimate_deg, dtype=float))
     tru = np.asarray(truth_deg, dtype=float)
-    if est.size < tru.size:
+    n, m = tru.size, est.size
+    if m < n:
         return None
     if not (np.all(np.isfinite(est)) and np.all(np.isfinite(tru))):
         raise ValueError("angles must be finite")
-    cols = _assignment((tru[:, None] - est[None, :]) ** 2)
-    return np.abs(est[cols] - tru)
+    order = np.argsort(tru)
+    t, e = tru[order].tolist(), est.tolist()
+    # cost[i][j]: least cost of the i smallest truths within the j smallest estimates
+    cost = [[0.0] * (m + 1)] + [[np.inf] * (m + 1) for _ in range(n)]
+    for i in range(1, n + 1):
+        for j in range(i, m + 1):
+            cost[i][j] = min(cost[i][j - 1], cost[i - 1][j - 1] + (t[i - 1] - e[j - 1]) ** 2)
+    pick, j = [0] * n, m
+    for i in range(n, 0, -1):  # truth i takes the last estimate it cannot skip
+        while cost[i][j] == cost[i][j - 1]:
+            j -= 1
+        j -= 1
+        pick[i - 1] = j
+    errs = np.empty(n)
+    errs[order] = np.abs(est[pick] - tru[order])
+    return errs
 
 
 def rmse(estimates, truths, fail_threshold_deg: float = None):
@@ -240,7 +218,7 @@ class ResultTable:
             header = fh.readline().strip().split(",")
             if tuple(header) != cls.CSV_COLUMNS:
                 raise ValueError(f"unexpected CSV header {header}")
-            for line in fh:
+            for line in filter(str.strip, fh):  # blank lines carry no row
                 m, p, r, fr, tr, rt = line.strip().split(",")
                 table.add(m, float(p), float("nan") if r == "Failed" else float(r),
                           float(fr), int(tr), float(rt))
@@ -265,6 +243,8 @@ class ResultTable:
         finite = [r for r in self.rows if not np.isnan(r["rmse_deg"])]
         if not finite:
             raise ValueError("no finite RMSE values to plot")
+        if log_y and min(r["rmse_deg"] for r in finite) <= 0:
+            raise ValueError("a log-scale plot needs positive RMSE values")
         xs = [float(r["point"]) for r in finite]
         ys = [np.log10(r["rmse_deg"]) if log_y else r["rmse_deg"] for r in finite]
         x0, x1 = min(xs), max(xs) or 1.0
@@ -389,6 +369,8 @@ def run_experiment(cfg: ExperimentConfig) -> ResultTable:
     workers = worker_count(cfg)
     inputs = _study_inputs(cfg)
     table = ResultTable()
+    if workers > 1:  # import wbdoa loads no multiprocessing machinery
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         for value, angles, snr_db, point_index, threshold in points:
             for method in cfg.methods:

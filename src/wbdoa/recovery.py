@@ -207,12 +207,16 @@ def estimate_doa(subbands: SubbandData, gamma: float,
     peak, and relGap (gap / dual objective), are attached as quality
     diagnostics; near zero on noiseless data by strong duality.
     A solve that stops short of Optimal raises a UserWarning; the estimate
-    is still returned, with the status in its diagnostics.
+    is still returned, with the status in its diagnostics.  A focusing set
+    built for other bins than the subbands' raises ValueError.
     """
     if config is None:
         config = RecoveryConfig()
     if focusing is None:
         focusing = FocusingSet.for_subbands(subbands)
+    elif not (focusing.alphas.shape == subbands.alphas.shape
+              and np.allclose(focusing.alphas, subbands.alphas, rtol=1e-12, atol=0.0)):
+        raise ValueError("focusing set was built for other bins than the subbands'")
     solution = solve(ConicProblem(Y=subbands.Y, focusing=focusing, gamma=gamma),
                      config.solver)
     if solution.status != "Optimal":

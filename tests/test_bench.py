@@ -341,6 +341,13 @@ class TestEmitReport:
         self._table().to_csv(p)
         assert [r["rmse_deg"] for r in ResultTable.from_csv(p).rows] == [2.0, 1.0, 4.0, 3.0]
 
+    def test_csv_blank_lines_skipped(self, tmp_path):
+        p = tmp_path / "r.csv"
+        self._table().to_csv(p)
+        rows = ResultTable.from_csv(p).rows
+        p.write_text(p.read_text() + "\n")
+        assert ResultTable.from_csv(p).rows == rows
+
     def test_json(self, tmp_path):
         p = tmp_path / "r.json"
         self._table().to_json(p)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -286,6 +287,26 @@ class TestReport:
         out = tmp_path / "plot.svg"
         assert cli_main(["report", "--table", str(src), "--output", str(out)]) == 0
         assert out.read_text().startswith("<svg")
+
+    def test_log_y_zero_rmse_refused(self, tmp_path, capsys):
+        # log10(0) once wrote a polyline of NaN coordinates and exited 0
+        t = ResultTable()
+        t.add("wgs", 0.0, 0.0, 0.0, 2, 0.0)
+        t.add("wgs", 5.0, 0.5, 0.0, 2, 0.0)
+        src, out = tmp_path / "t.csv", tmp_path / "plot.svg"
+        t.to_csv(src)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli_main(["report", "--table", str(src), "--output", str(out),
+                             "--log-y"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot report {src}: ")
+        assert not out.exists()
+
+    def test_log_y(self, tmp_path):
+        src = self._write_table(tmp_path)
+        out = tmp_path / "plot.svg"
+        assert cli_main(["report", "--table", str(src), "--output", str(out), "--log-y"]) == 0
+        assert "nan" not in out.read_text()
 
     def test_json(self, tmp_path):
         src = self._write_table(tmp_path)

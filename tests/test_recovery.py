@@ -14,6 +14,7 @@ from wbdoa.model import (
     steering_matrix,
     steering_vector,
     subband_template,
+    subband_transform,
     synthesize_scene,
     theta_to_f,
 )
@@ -343,6 +344,43 @@ class TestEstimateDoa:
         assert est.Khat == 3
         assert np.max(np.abs(est.thetas - np.array(angles))) <= 0.1
         assert est.diagnostics["relGap"] <= 1e-3
+
+    def test_focusing_for_other_bins_rejected(self, pipeline_setup):
+        # the acceptance scene with a focusing set for other bins (same M
+        # and J) once returned five confident angles with status Optimal
+        cfg, tpl, focusing = pipeline_setup
+        rng = np.random.default_rng(0)
+        spectra = (rng.standard_normal((3, 10)) + 1j * rng.standard_normal((3, 10))) / np.sqrt(2)
+        scene = WidebandScene(angles_deg=(-5.0, 15.0, 40.0), source_spectra=spectra)
+        data = synthesize_scene(cfg, scene, tpl)
+        gamma = gamma_oracle(data.Y, cfg, scene, focusing)
+        other = FocusingSet.build(np.linspace(1.0, 0.5, 10), cfg.M)
+        with pytest.raises(ValueError, match="other bins"):
+            estimate_doa(data, gamma, other)
+
+    def test_time_domain_front_end(self, pipeline_setup):
+        # bin-aligned tones x_m[n] = sum_k sum_j s_kj e^{-2 pi i alpha_j f_k m}
+        # e^{2 pi i b_j n / 60}, bins b_j = 20..11: the 60-point DFT puts 60
+        # times the synthesized snapshot into those bins, and the estimate
+        # on it uses a focusing set built from the nominal bin ratios
+        cfg, tpl, focusing = pipeline_setup
+        rng = np.random.default_rng(0)
+        spectra = (rng.standard_normal((3, 10)) + 1j * rng.standard_normal((3, 10))) / np.sqrt(2)
+        angles = (-5.0, 15.0, 40.0)
+        scene = WidebandScene(angles_deg=angles, source_spectra=spectra)
+        fk = np.array([theta_to_f(a) for a in angles])
+        m, n, bins = np.arange(cfg.M), np.arange(60), np.arange(20, 10, -1)
+        sensors = np.exp(-2j * np.pi * m[:, None, None] * fk[None, :, None]
+                         * tpl.alphas[None, None, :])
+        tones = np.exp(2j * np.pi * bins[:, None] * n[None, :] / 60)
+        x = np.einsum("mkj,kj,jn->mn", sensors, spectra, tones)
+        data = subband_transform(x, 60, (np.pi / 3, 2 * np.pi / 3), 10)
+        reference = synthesize_scene(cfg, scene, tpl)
+        np.testing.assert_allclose(data.Y / 60, reference.Y, rtol=0, atol=1e-12)
+        gamma = gamma_oracle(reference.Y, cfg, scene, focusing) * 60 ** 2
+        est = estimate_doa(data, gamma, focusing)
+        assert est.Khat == 3
+        assert np.max(np.abs(est.thetas - np.array(angles))) <= 0.1
 
     def test_single_source_with_noise(self, pipeline_setup):
         cfg, tpl, focusing = pipeline_setup

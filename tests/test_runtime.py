@@ -1,4 +1,5 @@
-"""The installed runtime needs numpy only: scipy is a test dependency."""
+"""The installed runtime needs numpy only: scipy is a test dependency, and
+import wbdoa loads no process-pool machinery."""
 
 import os
 import subprocess
@@ -7,7 +8,7 @@ import sys
 import wbdoa
 
 # imports the package and the CLI, then runs the two calls that used scipy
-# (NNLS inside estimate_doa, the assignment inside bench.rmse), so a lazy
+# (NNLS inside estimate_doa, the matching inside bench.rmse), so a lazy
 # import inside a function is caught too
 CHILD = """
 import sys
@@ -30,6 +31,8 @@ rmse([list(est.thetas), [-19.0, 24.0, 60.0]], [-20.0, 25.0])
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 print(loaded)
 assert not loaded, loaded
+# a process pool is built only for workers > 1, so nothing above loads one
+assert "concurrent.futures" not in sys.modules
 """
 
 
