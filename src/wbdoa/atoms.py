@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .focusing import FocusingSet
-from .model import steering_vector
+from .model import stationary_frequencies, steering_vector
 
 
 def build_atom(f: float, c, focusing: FocusingSet) -> np.ndarray:
@@ -45,22 +45,7 @@ class DualPolynomial:
         return (self.Hbar.conj().T @ a[..., None])[..., 0]
 
     def maxima(self) -> np.ndarray:
-        """Frequencies of the local maxima of P, sorted; none if P is constant.
-
-        With z = exp(-i 2 pi f), P(f)^2 = a(f)^H G a(f) = sum_{|k|<M} r_k z^k,
-        where G = Hbar Hbar^H and r_k is the k-th diagonal sum of G.  P is
-        stationary at the unit-circle roots of sum_k k r_k z^k, and has a
-        maximum where Re sum_k k^2 r_k z^k > 0 (the root-finding step of
-        Tang, Bhaskar, Shah & Recht, IEEE TIT 2013).
-        """
-        M = self.Hbar.shape[0]
-        G = self.Hbar @ self.Hbar.conj().T
-        k = np.arange(1 - M, M)
-        r = np.array([np.trace(G, offset) for offset in k])
-        z = np.roots((k * r)[::-1])
-        z = z[np.abs(np.abs(z) - 1.0) < 1e-6]
-        curvature = np.real(z[:, None] ** k @ (k * k * r))
-        return np.sort(-np.angle(z[curvature > 0]) / (2 * np.pi))
+        return stationary_frequencies(self.Hbar @ self.Hbar.conj().T, maxima=True)
 
 
 @dataclass(frozen=True)

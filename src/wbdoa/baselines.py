@@ -1,20 +1,16 @@
 """Rotational signal-subspace baseline: focusing by unitary Procrustes
 matrices built from initial DOA guesses, then single-snapshot-per-bin
-covariance averaging and a MUSIC scan at the reference frequency.
+covariance averaging and MUSIC at the reference frequency, peaks by root finding.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .model import SubbandData, steering_matrix, theta_to_f
-
-# MUSIC scan step over (-89.9, 89.9) degrees, refined parabolically
-MUSIC_GRID_DEG = 0.01
+from .model import SubbandData, f_to_theta, stationary_frequencies, steering_matrix, theta_to_f
 
 
 @dataclass(frozen=True)
@@ -64,16 +60,6 @@ def rss_focusing_matrices(M: int, alphas, init_angles_deg) -> list:
     return mats
 
 
-@lru_cache(maxsize=1)
-def _scan(M: int) -> tuple:
-    """Read-only (angle grid in degrees, steering_matrix of its f) of the MUSIC
-    scan; one entry, so alternating array sizes rebuild it."""
-    grid = np.arange(-89.9, 89.9 + MUSIC_GRID_DEG / 2, MUSIC_GRID_DEG)
-    A = steering_matrix(theta_to_f(grid), M)
-    grid.flags.writeable = A.flags.writeable = False
-    return grid, A
-
-
 def music_spectrum(covariance: np.ndarray, K: int, steering: np.ndarray) -> np.ndarray:
     """MUSIC pseudo-spectrum 1/||E_n^H a||^2 for each column a of an
     M-row steering matrix."""
@@ -91,21 +77,10 @@ def music_spectrum(covariance: np.ndarray, K: int, steering: np.ndarray) -> np.n
     return 1.0 / np.maximum(denom, 1e-300)
 
 
-def _parabolic_refine(x, y, i):
-    """Vertex of the parabola through three grid samples around index i."""
-    if i == 0 or i == len(x) - 1:
-        return x[i]
-    denom = y[i - 1] - 2 * y[i] + y[i + 1]
-    if denom >= 0:
-        return x[i]
-    delta = 0.5 * (y[i - 1] - y[i + 1]) / denom
-    return x[i] + delta * (x[i + 1] - x[i])
-
-
 def rss_estimate(subbands: SubbandData, cfg: RssConfig) -> np.ndarray:
     """Focus every bin, average the single-snapshot covariances, run MUSIC.
 
-    Returns the K largest-spectrum angles in degrees, sorted ascending.
+    Returns the angles in degrees of its at most K largest peaks, sorted ascending.
     """
     M, J = subbands.M, subbands.J
     if J < cfg.K + 1:
@@ -116,17 +91,9 @@ def rss_estimate(subbands: SubbandData, cfg: RssConfig) -> np.ndarray:
         z = mats[j] @ subbands.Y[:, j]
         R += np.outer(z, z.conj())
     R /= J
-    grid, A = _scan(M)
-    spec = music_spectrum(R, cfg.K, A)
-    # local maxima, take the K largest, refine by parabolic interpolation
-    # on log-spectrum (sharper near MUSIC poles)
-    ly = np.log(spec)
-    is_peak = np.zeros(grid.size, dtype=bool)
-    is_peak[1:-1] = (ly[1:-1] >= ly[:-2]) & (ly[1:-1] >= ly[2:])
-    peak_idx = np.nonzero(is_peak)[0]
-    if peak_idx.size < cfg.K:
-        # fall back to the globally largest samples
-        peak_idx = np.argsort(spec)[::-1][: cfg.K]
-    order = np.argsort(spec[peak_idx])[::-1][: cfg.K]
-    angles = [_parabolic_refine(grid, ly, i) for i in peak_idx[order]]
-    return np.sort(np.asarray(angles))
+    # MUSIC peaks: the minima of a(f)^H E_n E_n^H a(f), E_n the noise subspace
+    # of the Hermitian R; music_spectrum ranks them (and rejects K >= M)
+    En = np.linalg.eigh(R)[1][:, : M - cfg.K]
+    fs = stationary_frequencies(En @ En.conj().T, maxima=False)
+    spec = music_spectrum(R, cfg.K, steering_matrix(fs, M))
+    return np.sort(f_to_theta(fs[np.argsort(spec)[::-1][: cfg.K]]))

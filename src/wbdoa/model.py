@@ -188,6 +188,24 @@ def steering_matrix(fs, M: int) -> np.ndarray:
     return np.exp(-2j * np.pi * m * fs[None, :])
 
 
+def stationary_frequencies(G: np.ndarray, maxima: bool) -> np.ndarray:
+    """Sorted frequencies in [-1/2, 1/2] of the local maxima (else minima) of
+    a(f)^H G a(f) for a Hermitian G; none if it is constant.
+
+    With z = exp(-i 2 pi f) and r_k the k-th diagonal sum of G, a(f)^H G a(f)
+    = sum_{|k|<M} r_k z^k is stationary at the unit-circle roots of
+    sum_k k r_k z^k, with a maximum where Re sum_k k^2 r_k z^k > 0 (the
+    root-finding step of Tang, Bhaskar, Shah & Recht, IEEE TIT 2013)."""
+    M = G.shape[0]
+    k = np.arange(1 - M, M)
+    r = np.array([np.trace(G, offset) for offset in k])
+    z = np.roots((k * r)[::-1])
+    z = z[np.abs(np.abs(z) - 1.0) < 1e-6]
+    curvature = np.real(z[:, None] ** k @ (k * k * r))
+    keep = curvature > 0 if maxima else curvature < 0
+    return np.sort(-np.angle(z[keep]) / (2 * np.pi))
+
+
 def subband_template(omega1: float, alphas) -> SubbandData:
     """An empty SubbandData carrying only the bin frequencies."""
     alphas = np.asarray(alphas, dtype=float)

@@ -2,18 +2,18 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from wbdoa import baselines
 from wbdoa.baselines import (
-    MUSIC_GRID_DEG,
     RssConfig,
     music_spectrum,
     perturb_initial,
     rss_estimate,
     rss_focusing_matrices,
 )
+from wbdoa.bench import match_errors
 from wbdoa.model import (
     ArrayConfig,
     WidebandScene,
+    f_to_theta,
     steering_matrix,
     steering_vector,
     subband_template,
@@ -114,37 +114,6 @@ class TestMusicSpectrum:
         assert sorted(p for p in peaks) == pytest.approx([-20.0, 35.0], abs=0.05)
 
 
-class TestMusicScan:
-    def test_read_only_and_bit_equal_to_fresh_build(self):
-        grid, A = baselines._scan(16)
-        assert not grid.flags.writeable and not A.flags.writeable
-        assert np.array_equal(grid, np.arange(-89.9, 89.9 + MUSIC_GRID_DEG / 2,
-                                              MUSIC_GRID_DEG))
-        assert np.array_equal(A, steering_matrix(theta_to_f(grid), 16))
-        with pytest.raises(ValueError):
-            A[0, 0] = 0.0
-
-    def test_alternating_sizes_match_fresh_calls(self, rss_setup):
-        # the one-entry cache is evicted at each change of M; every call must
-        # give the angles of a call on an empty cache
-        rng = np.random.default_rng(5)
-        angles = (-5.0, 15.0, 40.0)
-        spectra = rng.standard_normal((3, 10)) + 1j * rng.standard_normal((3, 10))
-        scene = WidebandScene(angles_deg=angles, source_spectra=spectra,
-                              noise_variance=0.1, seed=6)
-        cfg = RssConfig(K=3, init_angles_deg=perturb_initial(angles, 2.0, seed=7))
-        _, tpl = rss_setup
-        data = {M: synthesize_scene(ArrayConfig(M=M, c=1500.0, omega1=2 * np.pi * 1000),
-                                    scene, tpl)
-                for M in (8, 16)}
-        fresh = {}
-        for M in (8, 16):
-            baselines._scan.cache_clear()
-            fresh[M] = rss_estimate(data[M], cfg)
-        for M in (16, 8, 16):
-            assert np.array_equal(rss_estimate(data[M], cfg), fresh[M])
-
-
 @pytest.fixture
 def rss_setup():
     cfg = ArrayConfig(M=16, c=1500.0, omega1=2 * np.pi * 1000)
@@ -195,3 +164,66 @@ class TestRssEstimate:
         short = SubbandData(Y=data.Y[:, :2], omegas=data.omegas[:2])
         with pytest.raises(ValueError):
             rss_estimate(short, RssConfig(K=3, init_angles_deg=(0.0, 1.0, 2.0)))
+
+    @pytest.mark.parametrize("K", [4, 5])
+    def test_k_not_below_m_rejected(self, rss_setup, K):
+        _, tpl = rss_setup
+        arr = ArrayConfig(M=4, c=1500.0, omega1=2 * np.pi * 1000)
+        angles = tuple(np.linspace(-40.0, 40.0, K))
+        scene = WidebandScene(angles_deg=angles, source_spectra=np.ones((K, 10)))
+        data = synthesize_scene(arr, scene, tpl)
+        with pytest.raises(ValueError, match="smaller than the sensor count"):
+            rss_estimate(data, RssConfig(K=K, init_angles_deg=angles))
+
+
+def _focused_covariance(data, init_angles_deg):
+    mats = rss_focusing_matrices(data.M, data.alphas, init_angles_deg)
+    Z = np.stack([T @ y for T, y in zip(mats, data.Y.T)], axis=1)
+    return Z @ Z.conj().T / data.J
+
+
+class TestRssPeaks:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_angles_are_music_peaks(self, rss_setup, seed):
+        # on a +-0.01 deg grid of 1e-5 deg steps around each returned angle,
+        # the MUSIC spectrum peaks within one step of it
+        cfg, tpl = rss_setup
+        rng = np.random.default_rng(seed)
+        angles = (-5.0, 15.0, 40.0)
+        spectra = rng.standard_normal((3, 10)) + 1j * rng.standard_normal((3, 10))
+        sig = np.linalg.norm(spectra) ** 2 / (16 * 10 * 10 ** (10 / 10))
+        scene = WidebandScene(angles_deg=angles, source_spectra=spectra,
+                              noise_variance=sig, seed=seed + 10)
+        data = synthesize_scene(cfg, scene, tpl)
+        init = tuple(perturb_initial(angles, 2.0, seed=seed + 20))
+        est = rss_estimate(data, RssConfig(K=3, init_angles_deg=init))
+        assert est.size == 3
+        R = _focused_covariance(data, init)
+        step = 1e-5
+        for theta in est:
+            grid = theta + step * np.arange(-1000, 1001)
+            spec = music_spectrum(R, 3, steering_matrix(theta_to_f(grid), 16))
+            assert abs(grid[np.argmax(spec)] - theta) <= step
+
+    def test_fewer_peaks_than_sources(self, rss_setup):
+        # at M=3 and K=2 the noise subspace is one vector e, and
+        # |e^H a(f)|^2 has a single minimum once the two roots of e(z) leave
+        # the unit circle together: only that peak comes back, and the trial
+        # counts as failed
+        _, tpl = rss_setup
+        arr = ArrayConfig(M=3, c=1500.0, omega1=2 * np.pi * 1000)
+        rng = np.random.default_rng(0)
+        angles = (10.0, 13.0)
+        spectra = rng.standard_normal((2, 10)) + 1j * rng.standard_normal((2, 10))
+        sig = np.linalg.norm(spectra) ** 2 / (3 * 10 * 10 ** (20 / 10))
+        scene = WidebandScene(angles_deg=angles, source_spectra=spectra,
+                              noise_variance=sig, seed=0)
+        data = synthesize_scene(arr, scene, tpl)
+        est = rss_estimate(data, RssConfig(K=2, init_angles_deg=angles))
+        f = np.linspace(-0.5, 0.5, 20000, endpoint=False)
+        spec = music_spectrum(_focused_covariance(data, angles), 2, steering_matrix(f, 3))
+        peaks = np.nonzero((spec > np.roll(spec, 1)) & (spec > np.roll(spec, -1)))[0]
+        assert peaks.size == 1
+        assert est.shape == (1,)
+        assert est[0] == pytest.approx(f_to_theta(f[peaks[0]]), abs=0.01)
+        assert match_errors(est, angles) is None

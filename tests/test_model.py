@@ -6,6 +6,7 @@ from wbdoa.model import (
     SubbandData,
     WidebandScene,
     f_to_theta,
+    stationary_frequencies,
     steering_vector,
     subband_template,
     subband_transform,
@@ -70,6 +71,42 @@ class TestSteeringVector:
         for f in (-0.31, 0.08, 0.44):
             assert np.allclose(steering_vector(-f, 10),
                                np.conj(steering_vector(f, 10)), atol=1e-13)
+
+
+class TestStationaryFrequencies:
+    M = 8
+
+    def _planted(self, f0):
+        a = steering_vector(f0, self.M)
+        return np.outer(a, a.conj())
+
+    @pytest.mark.parametrize("f0", [-0.31, 0.0, 0.137, 0.42])
+    def test_maximum_of_a_beam(self, f0):
+        fs = stationary_frequencies(self._planted(f0), maxima=True)
+        assert np.min(np.abs(fs - f0)) < 1e-9
+
+    @pytest.mark.parametrize("f0", [-0.31, 0.0, 0.137, 0.42])
+    def test_minimum_of_a_null(self, f0):
+        G = np.eye(self.M) - self._planted(f0) / self.M
+        fs = stationary_frequencies(G, maxima=False)
+        assert np.min(np.abs(fs - f0)) < 1e-9
+
+    @pytest.mark.parametrize("maxima", [True, False])
+    def test_constant_polynomial(self, maxima):
+        fs = stationary_frequencies(np.eye(self.M), maxima=maxima)
+        assert fs.shape == (0,)
+
+    @pytest.mark.parametrize("f0", [-0.5, -0.5 + 1e-7, 0.5 - 1e-7, 0.5])
+    @pytest.mark.parametrize("maxima", [True, False])
+    def test_endfire_stays_in_range(self, f0, maxima):
+        # -angle(z) / 2 pi already lies in [-1/2, 1/2], so f0 comes back,
+        # modulo 1, with no clip, and every frequency maps to an angle
+        G = self._planted(f0)
+        fs = stationary_frequencies(G if maxima else np.eye(self.M) - G / self.M, maxima)
+        assert np.all(np.abs(fs) <= 0.5)
+        wrapped = np.abs((fs - f0 + 0.5) % 1.0 - 0.5)
+        assert np.min(wrapped) < 1e-9
+        assert np.all(np.abs(f_to_theta(fs)) <= 90.0)
 
 
 class TestArrayConfig:

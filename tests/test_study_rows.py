@@ -15,21 +15,21 @@ NAN = float("nan")
 FROZEN = {
     "rmse_vs_snr": [
         ("wgs", 0.0, 20.166353594557055, 0.0),
-        ("rss", 0.0, 7.514607248597658, 0.0),
+        ("rss", 0.0, 7.51460729786946, 0.0),
         ("wgs", 5.0, 0.5528572988989638, 0.0),
-        ("rss", 5.0, 2.1153493245502353, 0.0),
+        ("rss", 5.0, 2.115348760551663, 0.0),
         ("wgs", 10.0, 1.068559199921226, 0.0),
-        ("rss", 10.0, 0.9122203409228795, 0.0),
+        ("rss", 10.0, 0.9122203693395843, 0.0),
         ("wgs", 15.0, 0.6146806499538219, 0.0),
-        ("rss", 15.0, 1.371451138751042, 0.0),
+        ("rss", 15.0, 1.371451378127621, 0.0),
         ("wgs", 20.0, 0.3916779539499026, 0.0),
-        ("rss", 20.0, 1.4680319703864118, 0.0),
+        ("rss", 20.0, 1.4680318613010572, 0.0),
     ],
     "resolution": [
         ("wgs", 12.0, 1.7807807617903817, 0.0),
         ("rss", 12.0, NAN, 0.5),
         ("wgs", 11.0, 1.0122392274689536, 0.0),
-        ("rss", 11.0, 1.3107308208928405, 0.0),
+        ("rss", 11.0, 1.3107328272702272, 0.0),
         ("wgs", 10.0, 1.4874010145609438, 0.0),
         ("rss", 10.0, NAN, 0.5),
         ("wgs", 9.0, 0.5448086373213357, 0.0),
