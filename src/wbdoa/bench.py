@@ -13,7 +13,7 @@ import numpy as np
 
 from .baselines import RssConfig, perturb_initial, rss_estimate
 from .focusing import FocusingSet, gamma_oracle, noiseless_measurements
-from .model import ArrayConfig, WidebandScene, subband_template, synthesize_scene
+from .model import ArrayConfig, WidebandScene, synthesize_scene
 from .recovery import RecoveryConfig, estimate_doa
 from .solver import SolverConfig
 
@@ -32,14 +32,15 @@ def trial_seed(master_seed: int, point_index: int, trial_index: int, stream: int
     return int(ss.generate_state(1)[0])
 
 
-def random_scene(cfg: ArrayConfig, angles_deg, alphas, snr_db, seed: int,
-                 focusing: FocusingSet = None) -> WidebandScene:
-    """Scene with i.i.d. circular Gaussian spectra, noise sized to the SNR.
+def random_scene(cfg: ArrayConfig, angles_deg, focusing: FocusingSet, snr_db,
+                 seed: int) -> WidebandScene:
+    """Scene with i.i.d. circular Gaussian spectra over the bins of
+    ``focusing``, noise sized to the SNR.
 
-    SNR is defined per subband entry: 10*log10(||X*||_F^2 / (M*J*sigma^2)).
-    ``snr_db=None`` means noiseless.
+    SNR is defined per subband entry: 10*log10(||X*||_F^2 / (M*J*sigma^2)),
+    with X* the focused-model measurements.  ``snr_db=None`` means noiseless.
     """
-    K, J = len(angles_deg), len(alphas)
+    K, J = len(angles_deg), focusing.J
     ss = np.random.SeedSequence(seed)
     spectra_seed, noise_seed = (int(s.generate_state(1)[0]) for s in ss.spawn(2))
     rng = np.random.default_rng(spectra_seed)
@@ -48,8 +49,6 @@ def random_scene(cfg: ArrayConfig, angles_deg, alphas, snr_db, seed: int,
                            noise_variance=0.0, seed=noise_seed)
     if snr_db is None:
         return scene0
-    if focusing is None:
-        focusing = FocusingSet.build(alphas, cfg.M)
     X = noiseless_measurements(cfg, scene0, focusing)
     sigma2 = float(np.linalg.norm(X) ** 2) / (cfg.M * J * 10.0 ** (snr_db / 10.0))
     return replace(scene0, noise_variance=sigma2)
@@ -247,7 +246,7 @@ class ResultTable:
             raise ValueError("a log-scale plot needs positive RMSE values")
         xs = [float(r["point"]) for r in finite]
         ys = [np.log10(r["rmse_deg"]) if log_y else r["rmse_deg"] for r in finite]
-        x0, x1 = min(xs), max(xs) or 1.0
+        x0, x1 = min(xs), max(xs)
         y0, y1 = min(ys), max(ys)
         if x1 == x0:
             x1 = x0 + 1.0
@@ -286,23 +285,22 @@ class ResultTable:
 
 
 def _study_inputs(cfg: ExperimentConfig) -> tuple:
-    """What every trial of a study shares: the array, the bin frequencies,
-    the focusing set and the recovery settings."""
+    """What every trial of a study shares: the array, the focusing set (which
+    carries the bins) and the recovery settings."""
     array = ArrayConfig(M=cfg.M, c=cfg.c, omega1=cfg.omega1)
-    alphas = default_alphas(cfg.J)
     solver = SolverConfig(max_iter=cfg.solver_max_iter, eps_abs=cfg.solver_eps_abs,
                           eps_rel=cfg.solver_eps_rel)
     # sub-Rayleigh merge radius (f units): the resolution sweep separates close pairs
     rec = RecoveryConfig(min_separation=0.2 / cfg.M, solver=solver)
-    return array, subband_template(cfg.omega1, alphas), FocusingSet.build(alphas, cfg.M), rec
+    return array, FocusingSet.build(default_alphas(cfg.J), cfg.M), rec
 
 
 def _run_trial(args):
     """One (method, scene) trial; module-level for process pools."""
-    cfg, (array, template, focusing, rec), method, angles, snr_db, point_index, trial_index = args
+    cfg, (array, focusing, rec), method, angles, snr_db, point_index, trial_index = args
     seed = trial_seed(cfg.master_seed, point_index, trial_index)
-    scene = random_scene(array, angles, template.alphas, snr_db, seed, focusing)
-    data = synthesize_scene(array, scene, template)
+    scene = random_scene(array, angles, focusing, snr_db, seed)
+    data = synthesize_scene(array, scene, focusing)
     K = len(angles)
     if method == "wgs":
         gamma = gamma_oracle(data.Y, array, scene, focusing)

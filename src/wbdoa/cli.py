@@ -15,8 +15,7 @@ import numpy as np
 from . import bench
 from .bench import ExperimentConfig, ResultTable, default_alphas
 from .focusing import FocusingSet, gamma_blind, gamma_oracle
-from .model import (ArrayConfig, SubbandData, WidebandScene, subband_template,
-                    synthesize_scene)
+from .model import ArrayConfig, SubbandData, WidebandScene, synthesize_scene
 from .recovery import RecoveryConfig, estimate_doa
 from .solver import SolverConfig
 
@@ -65,10 +64,9 @@ def _scene_from_doc(doc):
                                   noise_variance=sigma2, seed=seed)
         else:
             snr = sc.get("snr_db", None)
-            scene = bench.random_scene(array, angles, alphas,
-                                       None if snr is None else float(snr),
-                                       seed, focusing)
-        data = synthesize_scene(array, scene, subband_template(array.omega1, alphas))
+            scene = bench.random_scene(array, angles, focusing,
+                                       None if snr is None else float(snr), seed)
+        data = synthesize_scene(array, scene, focusing)
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad scene config: {exc}")
     return array, scene, data, focusing

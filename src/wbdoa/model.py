@@ -9,7 +9,7 @@ spatial frequency of source k at the reference (highest) bin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,33 +90,28 @@ class SubbandData:
     """Single-snapshot measurements for J narrowband bins.
 
     ``Y`` is M x J with column j the snapshot at omega_j.  Bins are ordered
-    by strictly decreasing frequency so alphas[0] = 1 at the reference bin.
+    by strictly decreasing frequency, and the ratios alphas = omegas /
+    omegas[0] follow from them, so alphas[0] = 1 at the reference bin.
     """
 
     Y: np.ndarray
     omegas: np.ndarray
-    alphas: np.ndarray = field(default=None)
 
     def __post_init__(self):
         self.Y = np.asarray(self.Y, dtype=complex)
         if not np.all(np.isfinite(self.Y)):
             raise ValueError("Y must be finite (no NaN or Inf entries)")
         self.omegas = np.asarray(self.omegas, dtype=float)
-        if self.alphas is None:
-            self.alphas = self.omegas / self.omegas[0]
-        self.alphas = np.asarray(self.alphas, dtype=float)
         if self.Y.ndim != 2 or self.Y.shape[1] != self.omegas.size:
             raise ValueError("Y must be M x J with one column per bin")
-        if self.alphas.size != self.omegas.size:
-            raise ValueError("alphas and omegas must have equal length")
-        if not np.isclose(self.alphas[0], 1.0):
-            raise ValueError("reference bin must have alpha = 1")
-        if np.any(np.diff(self.alphas) >= 0):
-            raise ValueError("alphas must be strictly decreasing")
-        if np.any(self.alphas <= 0) or np.any(self.alphas > 1):
-            raise ValueError("alphas must lie in (0, 1]")
-        if not np.allclose(self.omegas, self.alphas * self.omegas[0], rtol=1e-12):
-            raise ValueError("omegas must equal alphas * omega1")
+        w = self.omegas
+        if not (self.J >= 1 and np.isfinite(w[0]) and w[-1] > 0 and np.all(np.diff(w) < 0)):
+            raise ValueError("omegas must be finite, positive and strictly decreasing, J >= 1")
+
+    @property
+    def alphas(self) -> np.ndarray:
+        """Frequency ratios omega_j / omega_1, with alphas[0] = 1."""
+        return self.omegas / self.omegas[0]
 
     @property
     def M(self) -> int:
@@ -206,24 +201,17 @@ def stationary_frequencies(G: np.ndarray, maxima: bool) -> np.ndarray:
     return np.sort(-np.angle(z[keep]) / (2 * np.pi))
 
 
-def subband_template(omega1: float, alphas) -> SubbandData:
-    """An empty SubbandData carrying only the bin frequencies."""
-    alphas = np.asarray(alphas, dtype=float)
-    return SubbandData(
-        Y=np.zeros((1, alphas.size), dtype=complex),
-        omegas=omega1 * alphas,
-        alphas=alphas,
-    )
-
-
-def synthesize_scene(cfg: ArrayConfig, scene: WidebandScene, subbands: SubbandData) -> SubbandData:
-    """Simulate the M x J measurement matrix for a scene.
+def synthesize_scene(cfg: ArrayConfig, scene: WidebandScene, bins) -> SubbandData:
+    """Simulate the M x J measurement matrix for a scene at the bins
+    omega1 * alphas of ``bins`` (a FocusingSet, say; alphas[0] must be 1).
 
     Column j is sum_k a(alpha_j * f_k) * s_k(omega_j) plus circular complex
     Gaussian noise of per-entry variance ``scene.noise_variance``.  The draw
     is deterministic given ``scene.seed``.
     """
-    alphas = subbands.alphas
+    alphas = bins.alphas
+    if alphas[0] != 1.0:
+        raise ValueError(f"reference bin must have alpha = 1, got {alphas[0]}")
     J = alphas.size
     if scene.K and scene.source_spectra.shape[1] != J:
         raise ValueError(
@@ -236,7 +224,7 @@ def synthesize_scene(cfg: ArrayConfig, scene: WidebandScene, subbands: SubbandDa
         rng = np.random.default_rng(scene.seed)
         scale = np.sqrt(scene.noise_variance / 2.0)
         Y += scale * (rng.standard_normal((cfg.M, J)) + 1j * rng.standard_normal((cfg.M, J)))
-    return SubbandData(Y=Y, omegas=subbands.omegas.copy(), alphas=alphas.copy())
+    return SubbandData(Y=Y, omegas=cfg.omega1 * alphas)
 
 
 def subband_transform(time_signals: np.ndarray, dft_size: int, band, J: int) -> SubbandData:
@@ -259,8 +247,8 @@ def subband_transform(time_signals: np.ndarray, dft_size: int, band, J: int) -> 
     spec = np.fft.fft(x[:, :dft_size], n=dft_size, axis=1)
     bin_omegas = 2 * np.pi * np.arange(dft_size) / dft_size
     in_band = np.nonzero((bin_omegas >= lo) & (bin_omegas <= hi))[0]
-    if in_band.size < J:
-        raise ValueError(f"only {in_band.size} bins inside band, need J={J}")
+    if not 1 <= J <= in_band.size:
+        raise ValueError(f"J={J} must lie in 1..{in_band.size}, the bins inside the band")
     chosen = in_band[np.argsort(bin_omegas[in_band])[::-1][:J]]
     omegas = bin_omegas[chosen]
     return SubbandData(Y=spec[:, chosen], omegas=omegas)

@@ -20,7 +20,6 @@ from wbdoa.model import (
     ArrayConfig,
     WidebandScene,
     steering_matrix,
-    subband_template,
     synthesize_scene,
 )
 from wbdoa.recovery import RecoveryConfig, estimate_doa
@@ -42,19 +41,18 @@ def _report(name, ok, detail=""):
 def _standard_setup():
     cfg = ArrayConfig(M=16, c=1500.0, omega1=2 * np.pi * 1000)
     alphas = np.arange(20, 10, -1) / 20
-    tpl = subband_template(cfg.omega1, alphas)
     focusing = FocusingSet.build(alphas, cfg.M)
-    return cfg, tpl, focusing
+    return cfg, focusing
 
 
 def test_01_noiseless_exact_recovery():
     """K = 3 noiseless scene: exact support recovery and tight duality gap."""
-    cfg, tpl, focusing = _standard_setup()
+    cfg, focusing = _standard_setup()
     rng = np.random.default_rng(0)
     angles = np.array([-5.0, 15.0, 40.0])
     spectra = (rng.standard_normal((3, 10)) + 1j * rng.standard_normal((3, 10))) / np.sqrt(2)
     scene = WidebandScene(angles_deg=tuple(angles), source_spectra=spectra)
-    data = synthesize_scene(cfg, scene, tpl)
+    data = synthesize_scene(cfg, scene, focusing)
     gamma = gamma_oracle(data.Y, cfg, scene, focusing)  # focusing error only
     t0 = time.perf_counter()
     est = estimate_doa(data, gamma, focusing)
@@ -82,7 +80,6 @@ def test_02_lmi_polynomial_equivalence():
     M, J = 8, 5
     alphas = np.arange(10, 5, -1) / 10
     cfg = ArrayConfig(M=M, c=1500.0, omega1=2 * np.pi * 1000)
-    tpl = subband_template(cfg.omega1, alphas)
     focusing = FocusingSet.build(alphas, M)
     rng = np.random.default_rng(1)
     forward_ok, worst = True, 0.0
@@ -93,7 +90,7 @@ def test_02_lmi_polynomial_equivalence():
         spectra = rng.standard_normal((2, J)) + 1j * rng.standard_normal((2, J))
         scene = WidebandScene(angles_deg=angles, source_spectra=spectra,
                               noise_variance=0.05, seed=i)
-        data = synthesize_scene(cfg, scene, tpl)
+        data = synthesize_scene(cfg, scene, focusing)
         gamma = gamma_oracle(data.Y, cfg, scene, focusing)
         prog = ConicProblem(Y=data.Y, focusing=focusing, gamma=gamma)
         sol = solve(prog, SolverConfig(eps_abs=1e-8, eps_rel=1e-7))
@@ -219,7 +216,6 @@ def test_07_strong_duality():
     M, J = 8, 4
     alphas = np.arange(8, 4, -1) / 8
     cfg = ArrayConfig(M=M, c=1500.0, omega1=2 * np.pi * 1000)
-    tpl = subband_template(cfg.omega1, alphas)
     focusing = FocusingSet.build(alphas, M)
     rng = np.random.default_rng(4)
     rec = RecoveryConfig(min_separation=1e-4, solver=SolverConfig(eps_abs=1e-9, eps_rel=1e-8))
@@ -235,7 +231,7 @@ def test_07_strong_duality():
             angles = tuple(np.degrees(np.arcsin(2 * np.array([f1, f2]))))
             spectra = (rng.standard_normal((2, J)) + 1j * rng.standard_normal((2, J)))
             scene = WidebandScene(angles_deg=angles, source_spectra=spectra)
-            data = synthesize_scene(cfg, scene, tpl)
+            data = synthesize_scene(cfg, scene, focusing)
             gamma = gamma_oracle(data.Y, cfg, scene, focusing)
             est = estimate_doa(data, gamma, focusing, rec)
             rel = est.diagnostics["dualityGap"] / est.diagnostics["dualObjective"]

@@ -9,14 +9,15 @@ from wbdoa.baselines import (
     rss_estimate,
     rss_focusing_matrices,
 )
-from wbdoa.bench import match_errors
+from wbdoa.bench import default_alphas, match_errors, random_scene
+from wbdoa.focusing import FocusingSet
 from wbdoa.model import (
     ArrayConfig,
+    SubbandData,
     WidebandScene,
     f_to_theta,
     steering_matrix,
     steering_vector,
-    subband_template,
     synthesize_scene,
     theta_to_f,
 )
@@ -118,60 +119,73 @@ class TestMusicSpectrum:
 def rss_setup():
     cfg = ArrayConfig(M=16, c=1500.0, omega1=2 * np.pi * 1000)
     alphas = np.arange(20, 10, -1) / 20
-    tpl = subband_template(cfg.omega1, alphas)
-    return cfg, tpl
+    return cfg, FocusingSet.build(alphas, cfg.M)
 
 
 class TestRssEstimate:
     def test_noiseless_exact_init(self, rss_setup):
-        cfg, tpl = rss_setup
+        cfg, bins = rss_setup
         rng = np.random.default_rng(0)
         angles = (-5.0, 15.0, 40.0)
         spectra = rng.standard_normal((3, 10)) + 1j * rng.standard_normal((3, 10))
         scene = WidebandScene(angles_deg=angles, source_spectra=spectra)
-        data = synthesize_scene(cfg, scene, tpl)
+        data = synthesize_scene(cfg, scene, bins)
         est = rss_estimate(data, RssConfig(K=3, init_angles_deg=angles))
         assert np.allclose(np.sort(est), np.sort(angles), atol=0.5)
 
     def test_noisy_perturbed_init(self, rss_setup):
-        cfg, tpl = rss_setup
+        cfg, bins = rss_setup
         rng = np.random.default_rng(1)
         angles = (-5.0, 15.0, 40.0)
         spectra = rng.standard_normal((3, 10)) + 1j * rng.standard_normal((3, 10))
         sig = np.linalg.norm(spectra) ** 2 / (16 * 10 * 10 ** (20 / 10))
         scene = WidebandScene(angles_deg=angles, source_spectra=spectra,
                               noise_variance=sig, seed=2)
-        data = synthesize_scene(cfg, scene, tpl)
+        data = synthesize_scene(cfg, scene, bins)
         init = perturb_initial(angles, 2.0, seed=3)
         est = rss_estimate(data, RssConfig(K=3, init_angles_deg=tuple(init)))
         assert est.size == 3
         assert np.allclose(np.sort(est), np.sort(angles), atol=2.0)
 
     def test_returns_sorted_k_angles(self, rss_setup):
-        cfg, tpl = rss_setup
+        cfg, bins = rss_setup
         scene = WidebandScene(angles_deg=(0.0,), source_spectra=np.ones((1, 10)))
-        data = synthesize_scene(cfg, scene, tpl)
+        data = synthesize_scene(cfg, scene, bins)
         est = rss_estimate(data, RssConfig(K=1, init_angles_deg=(0.0,)))
         assert est.shape == (1,)
         assert est[0] == pytest.approx(0.0, abs=0.1)
 
     def test_too_few_bands(self, rss_setup):
-        cfg, tpl = rss_setup
+        cfg, bins = rss_setup
         scene = WidebandScene(angles_deg=(0.0,), source_spectra=np.ones((1, 10)))
-        data = synthesize_scene(cfg, scene, tpl)
-        from wbdoa.model import SubbandData
-
+        data = synthesize_scene(cfg, scene, bins)
         short = SubbandData(Y=data.Y[:, :2], omegas=data.omegas[:2])
         with pytest.raises(ValueError):
             rss_estimate(short, RssConfig(K=3, init_angles_deg=(0.0, 1.0, 2.0)))
 
+    def test_csv_round_trip_same_angles(self, tmp_path):
+        # at omega1 = 7001, omega1 * alphas / omega1 is not alphas bit for
+        # bit, so the data must carry one copy of the bins for a reloaded
+        # scene to give the same RSS angles (which depend on the bins' last
+        # bits, through the Procrustes rotation)
+        cfg = ArrayConfig(M=16, c=1500.0, omega1=7001.0)
+        focusing = FocusingSet.build(default_alphas(10), cfg.M)
+        angles = (-5.0, 15.0, 40.0)
+        data = synthesize_scene(cfg, random_scene(cfg, angles, focusing, 0.0, 3), focusing)
+        data.save_csv(tmp_path / "data.csv")
+        loaded = SubbandData.load_csv(tmp_path / "data.csv")
+        assert np.array_equal(loaded.alphas, data.alphas)
+        for init in (angles, tuple(perturb_initial(angles, 2.0, seed=3))):
+            rss = RssConfig(K=3, init_angles_deg=init)
+            assert np.array_equal(rss_estimate(loaded, rss), rss_estimate(data, rss))
+
     @pytest.mark.parametrize("K", [4, 5])
     def test_k_not_below_m_rejected(self, rss_setup, K):
-        _, tpl = rss_setup
+        _, bins = rss_setup
         arr = ArrayConfig(M=4, c=1500.0, omega1=2 * np.pi * 1000)
         angles = tuple(np.linspace(-40.0, 40.0, K))
         scene = WidebandScene(angles_deg=angles, source_spectra=np.ones((K, 10)))
-        data = synthesize_scene(arr, scene, tpl)
+        data = synthesize_scene(arr, scene, bins)
         with pytest.raises(ValueError, match="smaller than the sensor count"):
             rss_estimate(data, RssConfig(K=K, init_angles_deg=angles))
 
@@ -187,14 +201,14 @@ class TestRssPeaks:
     def test_angles_are_music_peaks(self, rss_setup, seed):
         # on a +-0.01 deg grid of 1e-5 deg steps around each returned angle,
         # the MUSIC spectrum peaks within one step of it
-        cfg, tpl = rss_setup
+        cfg, bins = rss_setup
         rng = np.random.default_rng(seed)
         angles = (-5.0, 15.0, 40.0)
         spectra = rng.standard_normal((3, 10)) + 1j * rng.standard_normal((3, 10))
         sig = np.linalg.norm(spectra) ** 2 / (16 * 10 * 10 ** (10 / 10))
         scene = WidebandScene(angles_deg=angles, source_spectra=spectra,
                               noise_variance=sig, seed=seed + 10)
-        data = synthesize_scene(cfg, scene, tpl)
+        data = synthesize_scene(cfg, scene, bins)
         init = tuple(perturb_initial(angles, 2.0, seed=seed + 20))
         est = rss_estimate(data, RssConfig(K=3, init_angles_deg=init))
         assert est.size == 3
@@ -210,7 +224,7 @@ class TestRssPeaks:
         # |e^H a(f)|^2 has a single minimum once the two roots of e(z) leave
         # the unit circle together: only that peak comes back, and the trial
         # counts as failed
-        _, tpl = rss_setup
+        _, bins = rss_setup
         arr = ArrayConfig(M=3, c=1500.0, omega1=2 * np.pi * 1000)
         rng = np.random.default_rng(0)
         angles = (10.0, 13.0)
@@ -218,7 +232,7 @@ class TestRssPeaks:
         sig = np.linalg.norm(spectra) ** 2 / (3 * 10 * 10 ** (20 / 10))
         scene = WidebandScene(angles_deg=angles, source_spectra=spectra,
                               noise_variance=sig, seed=0)
-        data = synthesize_scene(arr, scene, tpl)
+        data = synthesize_scene(arr, scene, bins)
         est = rss_estimate(data, RssConfig(K=2, init_angles_deg=angles))
         f = np.linspace(-0.5, 0.5, 20000, endpoint=False)
         spec = music_spectrum(_focused_covariance(data, angles), 2, steering_matrix(f, 3))

@@ -58,10 +58,8 @@ class TestTrialSeed:
 class TestRandomScene:
     def test_snr_definition(self):
         cfg = ArrayConfig(M=8, c=1500.0, omega1=2 * np.pi * 1000)
-        alphas = default_alphas(6)
-        focusing = FocusingSet.build(alphas, 8)
-        scene = random_scene(cfg, (-10.0, 30.0), alphas, snr_db=7.0, seed=3,
-                             focusing=focusing)
+        focusing = FocusingSet.build(default_alphas(6), 8)
+        scene = random_scene(cfg, (-10.0, 30.0), focusing, snr_db=7.0, seed=3)
         X = noiseless_measurements(cfg, scene, focusing)
         snr = 10 * np.log10(np.linalg.norm(X) ** 2 /
                             (8 * 6 * scene.noise_variance))
@@ -69,13 +67,15 @@ class TestRandomScene:
 
     def test_noiseless(self):
         cfg = ArrayConfig(M=8, c=1500.0, omega1=2 * np.pi * 1000)
-        scene = random_scene(cfg, (0.0,), default_alphas(4), snr_db=None, seed=1)
+        scene = random_scene(cfg, (0.0,), FocusingSet.build(default_alphas(4), 8),
+                             snr_db=None, seed=1)
         assert scene.noise_variance == 0.0
 
     def test_seed_determinism(self):
         cfg = ArrayConfig(M=8, c=1500.0, omega1=2 * np.pi * 1000)
-        a = random_scene(cfg, (5.0,), default_alphas(4), 10.0, seed=11)
-        b = random_scene(cfg, (5.0,), default_alphas(4), 10.0, seed=11)
+        focusing = FocusingSet.build(default_alphas(4), 8)
+        a = random_scene(cfg, (5.0,), focusing, 10.0, seed=11)
+        b = random_scene(cfg, (5.0,), focusing, 10.0, seed=11)
         assert np.array_equal(a.source_spectra, b.source_spectra)
         assert a.noise_variance == b.noise_variance
 
@@ -358,6 +358,17 @@ class TestEmitReport:
         self._table().to_svg(p)
         text = p.read_text()
         assert text.startswith("<svg") and text.count("polyline") == 2
+
+    def test_svg_points_span_axis(self, tmp_path):
+        # a largest point of 0 (an SNR sweep up to 0 dB) still ends the axis
+        t = ResultTable()
+        for snr, err in ((-10.0, 3.0), (-5.0, 2.0), (0.0, 1.0)):
+            t.add("wgs", snr, err, 0.0, 4, 1.0)
+        p = tmp_path / "r.svg"
+        t.to_svg(p)
+        xs = [pt.split(",")[0] for pt in
+              p.read_text().split('polyline points="')[1].split('"')[0].split()]
+        assert xs == ["60.00", "320.00", "580.00"]
 
     def test_svg_deterministic(self, tmp_path):
         p1, p2 = tmp_path / "a.svg", tmp_path / "b.svg"

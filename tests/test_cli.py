@@ -50,6 +50,17 @@ class TestSimulate:
         assert cli_main(["simulate", "--config", str(bad),
                          "--output", str(tmp_path / "o.csv")]) == 1
 
+    @pytest.mark.parametrize("alphas", [[0.9, 0.8], [1.0, 1.0], [1.0, 1.2], []])
+    def test_bad_alphas(self, tmp_path, capsys, alphas):
+        # the reference bin must be 1, the ratios strictly decreasing in (0, 1]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**SCENE, "subbands": {"alphas": alphas}}))
+        assert cli_main(["simulate", "--config", str(bad),
+                         "--output", str(tmp_path / "o.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "bad scene config" in err and "Traceback" not in err
+        assert not (tmp_path / "o.csv").exists()
+
 
 class TestEstimate:
     def test_oracle_from_scene(self, scene_path, tmp_path, capsys):

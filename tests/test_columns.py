@@ -15,7 +15,6 @@ from wbdoa.model import (
     ArrayConfig,
     WidebandScene,
     steering_matrix,
-    subband_template,
     synthesize_scene,
     theta_to_f,
 )
@@ -27,8 +26,8 @@ def _a(f, M):
     return np.exp(-2j * np.pi * f * np.arange(M))
 
 
-def _loop_synthesize(cfg, scene, subbands):
-    alphas = subbands.alphas
+def _loop_synthesize(cfg, scene, bins):
+    alphas = bins.alphas
     J = alphas.size
     Y = np.zeros((cfg.M, J), dtype=complex)
     fs = np.array([theta_to_f(th) for th in scene.angles_deg])
@@ -89,7 +88,7 @@ def _crandn(rng, *shape):
 
 @st.composite
 def scenes(draw):
-    """(array, scene, subband template, focusing set, rng) with M 2..24,
+    """(array, scene, focusing set, rng) with M 2..24,
     J 1..10 strictly decreasing alphas from 1, and K 0..4 sources."""
     M, J, K = draw(st.integers(2, 24)), draw(st.integers(1, 10)), draw(st.integers(0, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -99,28 +98,28 @@ def scenes(draw):
     scene = WidebandScene(angles_deg=tuple(rng.uniform(-85.0, 85.0, K)),
                           source_spectra=_crandn(rng, K, J).reshape(K, J),
                           noise_variance=sigma2, seed=int(rng.integers(1 << 30)))
-    return cfg, scene, subband_template(cfg.omega1, alphas), FocusingSet.build(alphas, M), rng
+    return cfg, scene, FocusingSet.build(alphas, M), rng
 
 
 class TestAgainstLoops:
     @settings(max_examples=60, deadline=None)
     @given(scenes())
     def test_synthesize_scene(self, drawn):
-        cfg, scene, tpl, _, _ = drawn
-        got = synthesize_scene(cfg, scene, tpl).Y
-        assert _rel_err(got, _loop_synthesize(cfg, scene, tpl)) <= 1e-13
+        cfg, scene, focusing, _ = drawn
+        got = synthesize_scene(cfg, scene, focusing).Y
+        assert _rel_err(got, _loop_synthesize(cfg, scene, focusing)) <= 1e-13
 
     @settings(max_examples=60, deadline=None)
     @given(scenes())
     def test_noiseless_measurements(self, drawn):
-        cfg, scene, _, focusing, _ = drawn
+        cfg, scene, focusing, _ = drawn
         got = noiseless_measurements(cfg, scene, focusing)
         assert _rel_err(got, _loop_noiseless(cfg, scene, focusing)) <= 1e-13
 
     @settings(max_examples=60, deadline=None)
     @given(scenes())
     def test_build_atom(self, drawn):
-        _, _, _, focusing, rng = drawn
+        _, _, focusing, rng = drawn
         f, c = rng.uniform(-0.5, 0.5), _crandn(rng, focusing.J)
         got = build_atom(f, c, focusing)
         assert _rel_err(got, _loop_atom_matrix(f, c, focusing)) <= 1e-13
@@ -128,15 +127,15 @@ class TestAgainstLoops:
     @settings(max_examples=60, deadline=None)
     @given(scenes())
     def test_hbar(self, drawn):
-        _, _, _, focusing, rng = drawn
+        _, _, focusing, rng = drawn
         H = _crandn(rng, focusing.M, focusing.J)
         assert _rel_err(hbar(H, focusing), _loop_hbar(H, focusing)) <= 1e-13
 
     @settings(max_examples=40, deadline=None)
     @given(scenes(), st.booleans())
     def test_gamma_blind(self, drawn, zero_column):
-        cfg, scene, tpl, focusing, _ = drawn
-        Y = synthesize_scene(cfg, scene, tpl).Y
+        cfg, scene, focusing, _ = drawn
+        Y = synthesize_scene(cfg, scene, focusing).Y
         if zero_column:  # a silent band: no signal power, uniform weights
             Y[:, -1] = 0.0
         sigma2 = scene.noise_variance

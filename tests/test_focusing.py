@@ -13,7 +13,6 @@ from wbdoa.model import (
     ArrayConfig,
     WidebandScene,
     steering_vector,
-    subband_template,
     synthesize_scene,
     theta_to_f,
 )
@@ -100,14 +99,13 @@ class TestFocusingError:
 def setup():
     cfg = ArrayConfig(M=8, c=1500.0, omega1=2 * np.pi * 1000)
     alphas = np.arange(20, 14, -1) / 20
-    tpl = subband_template(cfg.omega1, alphas)
     focusing = FocusingSet.build(alphas, cfg.M)
-    return cfg, tpl, focusing
+    return cfg, focusing
 
 
 class TestGamma:
     def test_noiseless_measurements_oracle(self, setup):
-        cfg, tpl, focusing = setup
+        cfg, focusing = setup
         rng = np.random.default_rng(5)
         spectra = rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6))
         scene = WidebandScene(angles_deg=(-10.0, 25.0), source_spectra=spectra)
@@ -121,33 +119,33 @@ class TestGamma:
             assert np.allclose(X[:, j], col, atol=1e-12)
 
     def test_gamma_oracle_is_residual(self, setup):
-        cfg, tpl, focusing = setup
+        cfg, focusing = setup
         rng = np.random.default_rng(11)
         spectra = rng.standard_normal((1, 6)) + 1j * rng.standard_normal((1, 6))
         scene = WidebandScene(angles_deg=(12.0,), source_spectra=spectra,
                               noise_variance=0.2, seed=4)
-        data = synthesize_scene(cfg, scene, tpl)
+        data = synthesize_scene(cfg, scene, focusing)
         g = gamma_oracle(data.Y, cfg, scene, focusing)
         X = noiseless_measurements(cfg, scene, focusing)
         assert g == pytest.approx(np.linalg.norm(data.Y - X) ** 2, rel=1e-12)
 
     def test_gamma_oracle_noiseless_focused_scene(self, setup):
         # sources synthesized directly through T_j leave zero residual
-        cfg, tpl, focusing = setup
+        cfg, focusing = setup
         spectra = np.ones((1, 6), dtype=complex)
         scene = WidebandScene(angles_deg=(30.0,), source_spectra=spectra)
         X = noiseless_measurements(cfg, scene, focusing)
         assert gamma_oracle(X, cfg, scene, focusing) < 1e-20
 
     def test_gamma_blind_tracks_oracle(self, setup):
-        cfg, tpl, focusing = setup
+        cfg, focusing = setup
         rng = np.random.default_rng(21)
         ratios = []
         for trial in range(20):
             spectra = rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6))
             scene = WidebandScene(angles_deg=(-20.0, 35.0), source_spectra=spectra,
                                   noise_variance=0.1, seed=trial)
-            data = synthesize_scene(cfg, scene, tpl)
+            data = synthesize_scene(cfg, scene, focusing)
             g_true = gamma_oracle(data.Y, cfg, scene, focusing)
             g_est = gamma_blind(data.Y, 0.1, focusing)
             ratios.append(g_est / g_true)

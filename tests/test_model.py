@@ -1,6 +1,12 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wbdoa.focusing import FocusingSet
 from wbdoa.model import (
     ArrayConfig,
     SubbandData,
@@ -8,7 +14,6 @@ from wbdoa.model import (
     f_to_theta,
     stationary_frequencies,
     steering_vector,
-    subband_template,
     subband_transform,
     synthesize_scene,
     theta_to_f,
@@ -40,6 +45,13 @@ class TestAngleMaps:
         thetas = rng.uniform(-89.0, 89.0, 1000)
         back = np.array([f_to_theta(theta_to_f(t)) for t in thetas])
         assert np.max(np.abs(back - thetas)) < 1e-9
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-89.99, 89.99))
+    def test_round_trip_property(self, theta):
+        # arcsin amplifies the rounding of f by 1/cos(theta) near endfire
+        back = f_to_theta(theta_to_f(theta))
+        assert abs(back - theta) <= 1e-13 / np.cos(np.deg2rad(theta))
 
     def test_monotone(self):
         thetas = np.linspace(-89, 89, 200)
@@ -127,55 +139,55 @@ def arr():
 
 
 @pytest.fixture
-def template(arr):
-    return subband_template(arr.omega1, [1.0, 0.9, 0.8, 0.7])
+def bins(arr):
+    return FocusingSet.build([1.0, 0.9, 0.8, 0.7], arr.M)
 
 
 class TestSynthesizeScene:
-    def test_noise_only_zero_variance(self, arr, template):
+    def test_noise_only_zero_variance(self, arr, bins):
         scene = WidebandScene(angles_deg=(), source_spectra=np.zeros((0, 4)),
                               noise_variance=0.0)
-        data = synthesize_scene(arr, scene, template)
+        data = synthesize_scene(arr, scene, bins)
         assert np.all(data.Y == 0)
 
-    def test_single_unit_source_columns(self, arr, template):
+    def test_single_unit_source_columns(self, arr, bins):
         scene = WidebandScene(angles_deg=(20.0,), source_spectra=np.ones((1, 4)))
-        data = synthesize_scene(arr, scene, template)
+        data = synthesize_scene(arr, scene, bins)
         f = theta_to_f(20.0)
-        for j, alpha in enumerate(template.alphas):
+        for j, alpha in enumerate(bins.alphas):
             assert np.allclose(data.Y[:, j], steering_vector(alpha * f, arr.M))
 
-    def test_two_sources_phase_formula_oracle(self, arr, template):
+    def test_two_sources_phase_formula_oracle(self, arr, bins):
         rng = np.random.default_rng(3)
         spectra = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
         angles = (-17.0, 42.0)
         scene = WidebandScene(angles_deg=angles, source_spectra=spectra)
-        data = synthesize_scene(arr, scene, template)
+        data = synthesize_scene(arr, scene, bins)
         # independent entry-by-entry evaluation from the phase law
         # exp(-i * pi * alpha_j * sin(theta_k) * m)
         expected = np.zeros((arr.M, 4), dtype=complex)
         for m in range(arr.M):
             for j in range(4):
                 for k in range(2):
-                    phase = -np.pi * template.alphas[j] * np.sin(np.deg2rad(angles[k])) * m
+                    phase = -np.pi * bins.alphas[j] * np.sin(np.deg2rad(angles[k])) * m
                     expected[m, j] += spectra[k, j] * complex(np.cos(phase), np.sin(phase))
         assert np.allclose(data.Y, expected, atol=1e-12)
 
-    def test_seed_determinism(self, arr, template):
+    def test_seed_determinism(self, arr, bins):
         scene = WidebandScene(angles_deg=(5.0,), source_spectra=np.ones((1, 4)),
                               noise_variance=0.3, seed=99)
-        a = synthesize_scene(arr, scene, template)
-        b = synthesize_scene(arr, scene, template)
+        a = synthesize_scene(arr, scene, bins)
+        b = synthesize_scene(arr, scene, bins)
         assert np.array_equal(a.Y, b.Y)
 
-    def test_noise_energy(self, arr, template):
+    def test_noise_energy(self, arr, bins):
         sigma2 = 0.7
         total = 0.0
         n_seeds = 1000
         for seed in range(n_seeds):
             scene = WidebandScene(angles_deg=(), source_spectra=np.zeros((0, 4)),
                                   noise_variance=sigma2, seed=seed)
-            total += np.linalg.norm(synthesize_scene(arr, scene, template).Y) ** 2
+            total += np.linalg.norm(synthesize_scene(arr, scene, bins).Y) ** 2
         mean = total / n_seeds
         expect = arr.M * 4 * sigma2
         assert abs(mean - expect) < 0.05 * expect
@@ -186,10 +198,10 @@ class TestSynthesizeScene:
             WidebandScene(angles_deg=(5.0,), source_spectra=np.ones((1, 4)),
                           noise_variance=sigma2)
 
-    def test_dimension_mismatch(self, arr, template):
+    def test_dimension_mismatch(self, arr, bins):
         scene = WidebandScene(angles_deg=(5.0,), source_spectra=np.ones((1, 7)))
         with pytest.raises(ValueError):
-            synthesize_scene(arr, scene, template)
+            synthesize_scene(arr, scene, bins)
 
 
 class TestSubbandData:
@@ -198,6 +210,23 @@ class TestSubbandData:
             SubbandData(Y=np.zeros((2, 3)), omegas=np.array([1.0, 2.0, 3.0]))
         with pytest.raises(ValueError):
             SubbandData(Y=np.zeros((2, 2)), omegas=np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("omegas", [[2.0, -1.0], [0.0, -1.0], [np.inf, 1.0],
+                                        [2.0, np.nan], [np.nan]])
+    def test_omegas_positive_finite(self, omegas):
+        with pytest.raises(ValueError, match="omegas"):
+            SubbandData(Y=np.zeros((2, len(omegas))), omegas=omegas)
+
+    def test_zero_bins_rejected(self):
+        with pytest.raises(ValueError, match="J >= 1"):
+            SubbandData(Y=np.zeros((2, 0)), omegas=[])
+
+    def test_alphas_follow_omegas(self):
+        data = SubbandData(Y=np.zeros((2, 3)), omegas=[7001.0, 6300.9, 3500.5])
+        assert np.array_equal(data.alphas, data.omegas / 7001.0)
+        assert data.alphas[0] == 1.0
+        with pytest.raises(AttributeError):
+            data.alphas = np.ones(3)
 
     def test_non_finite_rejected(self):
         omegas = np.array([2.0, 1.0])
@@ -217,6 +246,24 @@ class TestSubbandData:
         assert np.allclose(loaded.Y, Y)
         assert np.allclose(loaded.omegas, data.omegas)
         assert np.allclose(loaded.alphas, data.alphas)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5), st.lists(st.floats(1e-3, 1e6), min_size=1, max_size=8,
+                                       unique=True), st.data())
+    def test_csv_round_trip_bit_exact(self, M, omegas, draw):
+        omegas = sorted(omegas, reverse=True)
+        parts = st.floats(allow_nan=False, allow_infinity=False)
+        flat = draw.draw(st.lists(parts, min_size=2 * M * len(omegas),
+                                  max_size=2 * M * len(omegas)))
+        ri = np.array(flat).reshape(2, M, len(omegas))
+        data = SubbandData(Y=ri[0] + 1j * ri[1], omegas=omegas)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.csv"
+            data.save_csv(path)
+            loaded = SubbandData.load_csv(path)
+        assert np.array_equal(loaded.Y, data.Y)
+        assert np.array_equal(loaded.omegas, data.omegas)
+        assert np.array_equal(loaded.alphas, data.alphas)
 
 
 class TestSubbandTransform:
@@ -260,6 +307,12 @@ class TestSubbandTransform:
         e_oracle = np.sum(np.abs(oracle[:, in_band]) ** 2)
         e_got = np.sum(np.abs(data.Y) ** 2)
         assert abs(e_got - e_oracle) < 1e-10 * e_oracle
+
+    @pytest.mark.parametrize("J", [0, -1])
+    def test_zero_bins_rejected(self, J):
+        x = np.zeros((2, 64))
+        with pytest.raises(ValueError):
+            subband_transform(x, 60, (np.pi / 3, 2 * np.pi / 3), J)
 
     def test_too_few_bins(self):
         x = np.zeros((2, 64))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import nnls as scipy_nnls
 
+from wbdoa.bench import random_scene
 from wbdoa.focusing import FocusingSet, gamma_oracle, noiseless_measurements
 from wbdoa.model import (
     ArrayConfig,
@@ -13,7 +14,6 @@ from wbdoa.model import (
     WidebandScene,
     steering_matrix,
     steering_vector,
-    subband_template,
     subband_transform,
     synthesize_scene,
     theta_to_f,
@@ -305,19 +305,37 @@ class TestPrimalReconstruction:
 def pipeline_setup():
     cfg = ArrayConfig(M=16, c=1500.0, omega1=2 * np.pi * 1000)
     alphas = np.arange(20, 10, -1) / 20
-    tpl = subband_template(cfg.omega1, alphas)
     focusing = FocusingSet.build(alphas, cfg.M)
-    return cfg, tpl, focusing
+    return cfg, focusing
 
 
 class TestEstimateDoa:
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**16), st.sampled_from([None, 10.0]))
+    def test_mirror(self, pipeline_setup, seed, snr_db):
+        # conj(Y) is the scene mirrored about broadside: the focusing
+        # matrices are real, so the solve runs the same iterations and the
+        # angles change sign up to rounding (measured <= 3e-14 deg)
+        cfg, focusing = pipeline_setup
+        rng = np.random.default_rng(seed)
+        angles = tuple(np.sort(rng.uniform(-70.0, 70.0, 3)))
+        scene = random_scene(cfg, angles, focusing, snr_db, seed)
+        data = synthesize_scene(cfg, scene, focusing)
+        gamma = max(gamma_oracle(data.Y, cfg, scene, focusing), 1e-10)
+        est = estimate_doa(data, gamma, focusing)
+        mirror = estimate_doa(SubbandData(data.Y.conj(), data.omegas), gamma, focusing)
+        assert mirror.Khat == est.Khat
+        assert (mirror.diagnostics["solverIterations"]
+                == est.diagnostics["solverIterations"])
+        assert np.max(np.abs(np.sort(mirror.thetas) + np.sort(est.thetas)[::-1])) <= 1e-10
+
     def test_three_source_noiseless(self, pipeline_setup):
-        cfg, tpl, focusing = pipeline_setup
+        cfg, focusing = pipeline_setup
         rng = np.random.default_rng(0)
         spectra = rng.standard_normal((3, 10)) + 1j * rng.standard_normal((3, 10))
         angles = (-5.0, 15.0, 40.0)
         scene = WidebandScene(angles_deg=angles, source_spectra=spectra)
-        data = synthesize_scene(cfg, scene, tpl)
+        data = synthesize_scene(cfg, scene, focusing)
         gamma = gamma_oracle(data.Y, cfg, scene, focusing)
         est = estimate_doa(data, gamma, focusing)
         assert est.Khat == 3
@@ -333,12 +351,12 @@ class TestEstimateDoa:
         # polynomial splits the source at 15 deg into peaks at 14.29 and
         # 15.12 deg of nearly equal height; merging them before the
         # amplitude fit kept the lighter one (0.705 deg error)
-        cfg, tpl, focusing = pipeline_setup
+        cfg, focusing = pipeline_setup
         rng = np.random.default_rng(16)
         spectra = (rng.standard_normal((3, 10)) + 1j * rng.standard_normal((3, 10))) / np.sqrt(2)
         angles = (-5.0, 15.0, 40.0)
         scene = WidebandScene(angles_deg=angles, source_spectra=spectra)
-        data = synthesize_scene(cfg, scene, tpl)
+        data = synthesize_scene(cfg, scene, focusing)
         gamma = gamma_oracle(data.Y, cfg, scene, focusing)
         est = estimate_doa(data, gamma, focusing)
         assert est.Khat == 3
@@ -348,11 +366,11 @@ class TestEstimateDoa:
     def test_focusing_for_other_bins_rejected(self, pipeline_setup):
         # the acceptance scene with a focusing set for other bins (same M
         # and J) once returned five confident angles with status Optimal
-        cfg, tpl, focusing = pipeline_setup
+        cfg, focusing = pipeline_setup
         rng = np.random.default_rng(0)
         spectra = (rng.standard_normal((3, 10)) + 1j * rng.standard_normal((3, 10))) / np.sqrt(2)
         scene = WidebandScene(angles_deg=(-5.0, 15.0, 40.0), source_spectra=spectra)
-        data = synthesize_scene(cfg, scene, tpl)
+        data = synthesize_scene(cfg, scene, focusing)
         gamma = gamma_oracle(data.Y, cfg, scene, focusing)
         other = FocusingSet.build(np.linspace(1.0, 0.5, 10), cfg.M)
         with pytest.raises(ValueError, match="other bins"):
@@ -363,7 +381,7 @@ class TestEstimateDoa:
         # e^{2 pi i b_j n / 60}, bins b_j = 20..11: the 60-point DFT puts 60
         # times the synthesized snapshot into those bins, and the estimate
         # on it uses a focusing set built from the nominal bin ratios
-        cfg, tpl, focusing = pipeline_setup
+        cfg, focusing = pipeline_setup
         rng = np.random.default_rng(0)
         spectra = (rng.standard_normal((3, 10)) + 1j * rng.standard_normal((3, 10))) / np.sqrt(2)
         angles = (-5.0, 15.0, 40.0)
@@ -371,11 +389,11 @@ class TestEstimateDoa:
         fk = np.array([theta_to_f(a) for a in angles])
         m, n, bins = np.arange(cfg.M), np.arange(60), np.arange(20, 10, -1)
         sensors = np.exp(-2j * np.pi * m[:, None, None] * fk[None, :, None]
-                         * tpl.alphas[None, None, :])
+                         * focusing.alphas[None, None, :])
         tones = np.exp(2j * np.pi * bins[:, None] * n[None, :] / 60)
         x = np.einsum("mkj,kj,jn->mn", sensors, spectra, tones)
         data = subband_transform(x, 60, (np.pi / 3, 2 * np.pi / 3), 10)
-        reference = synthesize_scene(cfg, scene, tpl)
+        reference = synthesize_scene(cfg, scene, focusing)
         np.testing.assert_allclose(data.Y / 60, reference.Y, rtol=0, atol=1e-12)
         gamma = gamma_oracle(reference.Y, cfg, scene, focusing) * 60 ** 2
         est = estimate_doa(data, gamma, focusing)
@@ -383,22 +401,22 @@ class TestEstimateDoa:
         assert np.max(np.abs(est.thetas - np.array(angles))) <= 0.1
 
     def test_single_source_with_noise(self, pipeline_setup):
-        cfg, tpl, focusing = pipeline_setup
+        cfg, focusing = pipeline_setup
         rng = np.random.default_rng(5)
         spectra = rng.standard_normal((1, 10)) + 1j * rng.standard_normal((1, 10))
         scene = WidebandScene(angles_deg=(22.0,), source_spectra=spectra,
                               noise_variance=0.01, seed=6)
-        data = synthesize_scene(cfg, scene, tpl)
+        data = synthesize_scene(cfg, scene, focusing)
         gamma = gamma_oracle(data.Y, cfg, scene, focusing)
         est = estimate_doa(data, gamma, focusing)
         assert est.Khat == 1
         assert est.thetas[0] == pytest.approx(22.0, abs=0.5)
 
     def test_diagnostics_and_json(self, pipeline_setup, tmp_path):
-        cfg, tpl, focusing = pipeline_setup
+        cfg, focusing = pipeline_setup
         spectra = np.ones((1, 10), dtype=complex)
         scene = WidebandScene(angles_deg=(0.0,), source_spectra=spectra)
-        data = synthesize_scene(cfg, scene, tpl)
+        data = synthesize_scene(cfg, scene, focusing)
         gamma = gamma_oracle(data.Y, cfg, scene, focusing)
         est = estimate_doa(data, gamma, focusing)
         d = est.diagnostics
@@ -414,11 +432,11 @@ class TestEstimateDoa:
     def test_non_converged_solve_warns(self, pipeline_setup):
         # the acceptance noiseless scene with a budget far too small to
         # converge: the estimate is still returned, but not silently
-        cfg, tpl, focusing = pipeline_setup
+        cfg, focusing = pipeline_setup
         rng = np.random.default_rng(0)
         spectra = (rng.standard_normal((3, 10)) + 1j * rng.standard_normal((3, 10))) / np.sqrt(2)
         scene = WidebandScene(angles_deg=(-5.0, 15.0, 40.0), source_spectra=spectra)
-        data = synthesize_scene(cfg, scene, tpl)
+        data = synthesize_scene(cfg, scene, focusing)
         gamma = gamma_oracle(data.Y, cfg, scene, focusing)
         config = RecoveryConfig(solver=SolverConfig(max_iter=50))
         with pytest.warns(UserWarning, match="MaxIter"):
@@ -427,10 +445,10 @@ class TestEstimateDoa:
         assert est.diagnostics["solverIterations"] == 50
 
     def test_recovery_config_tolerances(self, pipeline_setup):
-        cfg, tpl, focusing = pipeline_setup
+        cfg, focusing = pipeline_setup
         spectra = np.ones((1, 10), dtype=complex)
         scene = WidebandScene(angles_deg=(10.0,), source_spectra=spectra)
-        data = synthesize_scene(cfg, scene, tpl)
+        data = synthesize_scene(cfg, scene, focusing)
         gamma = gamma_oracle(data.Y, cfg, scene, focusing)
         config = RecoveryConfig(peak_tol=0.02, solver=SolverConfig(eps_abs=1e-8, eps_rel=1e-7))
         est = estimate_doa(data, gamma, focusing, config)

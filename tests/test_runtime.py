@@ -17,14 +17,14 @@ import wbdoa
 import wbdoa.cli
 from wbdoa.bench import rmse
 from wbdoa.focusing import FocusingSet, gamma_oracle
-from wbdoa.model import ArrayConfig, WidebandScene, subband_template, synthesize_scene
+from wbdoa.model import ArrayConfig, WidebandScene, synthesize_scene
 
 cfg = ArrayConfig(M=8, c=1500.0, omega1=2 * np.pi * 1000)
 alphas = np.array([1.0, 0.95, 0.9, 0.85])
 focusing = FocusingSet.build(alphas, cfg.M)
 spectra = np.random.default_rng(0).standard_normal((2, 4)) + 0j
 scene = WidebandScene(angles_deg=(-20.0, 25.0), source_spectra=spectra)
-data = synthesize_scene(cfg, scene, subband_template(cfg.omega1, alphas))
+data = synthesize_scene(cfg, scene, focusing)
 est = wbdoa.estimate_doa(data, gamma_oracle(data.Y, cfg, scene, focusing), focusing)
 assert est.Khat >= 1 and est.betas.size >= 1
 rmse([list(est.thetas), [-19.0, 24.0, 60.0]], [-20.0, 25.0])

@@ -10,7 +10,6 @@ from wbdoa.model import (
     ArrayConfig,
     WidebandScene,
     steering_vector,
-    subband_template,
     synthesize_scene,
 )
 from wbdoa.solver import (
@@ -386,7 +385,7 @@ def _acceptance_problem():
     rng = np.random.default_rng(0)
     spectra = (rng.standard_normal((3, 10)) + 1j * rng.standard_normal((3, 10))) / np.sqrt(2)
     scene = WidebandScene(angles_deg=(-5.0, 15.0, 40.0), source_spectra=spectra)
-    data = synthesize_scene(cfg, scene, subband_template(cfg.omega1, alphas))
+    data = synthesize_scene(cfg, scene, focusing)
     gamma = gamma_oracle(data.Y, cfg, scene, focusing)
     return ConicProblem(Y=data.Y, focusing=focusing, gamma=gamma)
 
