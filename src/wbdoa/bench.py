@@ -55,36 +55,25 @@ def random_scene(cfg: ArrayConfig, angles_deg, focusing: FocusingSet, snr_db,
 
 
 def match_errors(estimate_deg, truth_deg):
-    """Per-truth absolute errors, in the truths' order, of the matching of
-    estimated to true angles with the least squared error (an absolute cost
-    can tie a crossed matching with the sorted one, and a crossed pick
-    inflates the RMSE); None when there are fewer estimates than truths.
+    """Per-truth absolute errors, in the truths' order, of the sorted
+    estimates against the sorted truths; None when there are fewer
+    estimates than truths.
 
-    Under squared error, points on a line have a least-cost matching that
-    never crosses, so the sorted truths take an increasing run of the
-    sorted estimates, found by an O(n m) dynamic program."""
+    More estimates than truths raise ValueError: cut to the K strongest
+    first, as _run_trial does, since matching the extras against the
+    truths would use information the estimator does not have."""
     est = np.sort(np.asarray(estimate_deg, dtype=float))
     tru = np.asarray(truth_deg, dtype=float)
-    n, m = tru.size, est.size
-    if m < n:
+    if est.size < tru.size:
         return None
+    if est.size > tru.size:
+        raise ValueError(f"{est.size} estimates for {tru.size} truths; "
+                         "cut to the strongest first")
     if not (np.all(np.isfinite(est)) and np.all(np.isfinite(tru))):
         raise ValueError("angles must be finite")
     order = np.argsort(tru)
-    t, e = tru[order].tolist(), est.tolist()
-    # cost[i][j]: least cost of the i smallest truths within the j smallest estimates
-    cost = [[0.0] * (m + 1)] + [[np.inf] * (m + 1) for _ in range(n)]
-    for i in range(1, n + 1):
-        for j in range(i, m + 1):
-            cost[i][j] = min(cost[i][j - 1], cost[i - 1][j - 1] + (t[i - 1] - e[j - 1]) ** 2)
-    pick, j = [0] * n, m
-    for i in range(n, 0, -1):  # truth i takes the last estimate it cannot skip
-        while cost[i][j] == cost[i][j - 1]:
-            j -= 1
-        j -= 1
-        pick[i - 1] = j
-    errs = np.empty(n)
-    errs[order] = np.abs(est[pick] - tru[order])
+    errs = np.empty(tru.size)
+    errs[order] = np.abs(est - tru[order])
     return errs
 
 

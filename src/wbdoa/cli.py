@@ -91,7 +91,7 @@ def _cmd_estimate(args):
             data = SubbandData.load_csv(args.input)
         except (OSError, KeyError, ValueError) as exc:
             raise UsageError(f"cannot load measurements from {args.input}: {exc}")
-        focusing = FocusingSet.for_subbands(data)
+        focusing = FocusingSet.build(data.alphas, data.M)
         array, scene, sigma2 = None, None, args.sigma2
     try:
         rec = RecoveryConfig(peak_tol=args.peak_tol,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ArrayConfig, SubbandData, WidebandScene, steering_vector, theta_to_f
+from .model import ArrayConfig, WidebandScene, steering_vector, theta_to_f
 
 
 def focusing_matrix(alpha: float, M: int) -> np.ndarray:
@@ -41,12 +41,10 @@ class FocusingSet:
     @classmethod
     def build(cls, alphas, M: int) -> "FocusingSet":
         alphas = np.asarray(alphas, dtype=float)
+        if alphas.size == 0:
+            raise ValueError("need at least one bin to build a focusing set")
         mats = np.stack([focusing_matrix(a, M) for a in alphas])
         return cls(matrices=mats, alphas=alphas)
-
-    @classmethod
-    def for_subbands(cls, subbands: SubbandData) -> "FocusingSet":
-        return cls.build(subbands.alphas, subbands.M)
 
     @property
     def J(self) -> int:

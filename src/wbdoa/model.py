@@ -43,11 +43,6 @@ class ArrayConfig:
         if self.omega1 <= 0:
             raise ValueError(f"reference frequency must be positive, got {self.omega1}")
 
-    @property
-    def d(self) -> float:
-        """Inter-sensor spacing in meters (half the minimum wavelength)."""
-        return np.pi * self.c / self.omega1
-
 
 @dataclass(frozen=True)
 class WidebandScene:

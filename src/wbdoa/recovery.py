@@ -25,14 +25,17 @@ from .solver import SolverConfig, solve
 @dataclass
 class DoaEstimate:
     fs: np.ndarray
-    thetas: np.ndarray
     cs: list
     betas: np.ndarray
     diagnostics: dict = field(default_factory=dict)
 
     @property
+    def thetas(self) -> np.ndarray:
+        return f_to_theta(self.fs)
+
+    @property
     def Khat(self) -> int:
-        return len(self.thetas)
+        return len(self.fs)
 
     def to_json(self, path=None):
         doc = {
@@ -149,10 +152,10 @@ def recover_amplitudes(Y: np.ndarray, fs, cs, focusing: FocusingSet) -> np.ndarr
     """Nonnegative least squares of vec(Y) onto the located atoms.
 
     Pass the primal reconstruction rather than the raw measurements when
-    the amplitudes should certify the strong-duality identity."""
+    the amplitudes should certify the strong-duality identity.  Duplicate
+    atoms need no special case: _nnls fits each passive set by lstsq."""
     fs = np.asarray(fs, dtype=float)
-    K = fs.size
-    if K == 0:
+    if fs.size == 0:
         return np.array([])
     cols = np.stack(
         [build_atom(f, c, focusing).ravel() for f, c in zip(fs, cs)], axis=1
@@ -160,15 +163,7 @@ def recover_amplitudes(Y: np.ndarray, fs, cs, focusing: FocusingSet) -> np.ndarr
     A = np.vstack([cols.real, cols.imag])
     b = np.concatenate([np.asarray(Y, complex).ravel().real,
                         np.asarray(Y, complex).ravel().imag])
-    Q, R = np.linalg.qr(A)
-    cond = np.linalg.cond(R) ** 2  # the condition number of the Gram A^T A = R^T R
-    if cond > 1e10:
-        warnings.warn(f"atom Gram condition {cond:.2e}; using ridge fallback")
-        gram = R.T @ R
-        ridge = 1e-8 * np.trace(gram)
-        betas = np.linalg.solve(gram + ridge * np.eye(K), R.T @ (Q.T @ b))
-        return np.clip(betas, 0.0, None)
-    return _nnls(Q, R, b)
+    return _nnls(*np.linalg.qr(A), b)
 
 
 @dataclass
@@ -213,7 +208,7 @@ def estimate_doa(subbands: SubbandData, gamma: float,
     if config is None:
         config = RecoveryConfig()
     if focusing is None:
-        focusing = FocusingSet.for_subbands(subbands)
+        focusing = FocusingSet.build(subbands.alphas, subbands.M)
     elif not (focusing.alphas.shape == subbands.alphas.shape
               and np.allclose(focusing.alphas, subbands.alphas, rtol=1e-12, atol=0.0)):
         raise ValueError("focusing set was built for other bins than the subbands'")
@@ -241,7 +236,6 @@ def estimate_doa(subbands: SubbandData, gamma: float,
     ]
     return DoaEstimate(
         fs=fs[keep],
-        thetas=np.array([f_to_theta(f) for f in fs[keep]]),
         cs=[c for c, k in zip(cs, keep) if k],
         betas=betas[keep],
         diagnostics={

@@ -59,6 +59,8 @@ class TestSimulate:
                          "--output", str(tmp_path / "o.csv")]) == 1
         err = capsys.readouterr().err
         assert "bad scene config" in err and "Traceback" not in err
+        if not alphas:
+            assert "need at least one bin" in err
         assert not (tmp_path / "o.csv").exists()
 
 
@@ -170,7 +172,7 @@ class TestEstimate:
         runs = [
             (["--input", str(scene_path)], gamma_oracle(data.Y, array, scene, focusing)),
             (["--input", str(data_csv), "--gamma-mode", "blind", "--sigma2", "0.05"],
-             gamma_blind(loaded.Y, 0.05, FocusingSet.for_subbands(loaded))),
+             gamma_blind(loaded.Y, 0.05, FocusingSet.build(loaded.alphas, loaded.M))),
         ]
         capsys.readouterr()
         for argv, expected in runs:

@@ -59,8 +59,12 @@ class TestFocusingSet:
         from wbdoa.model import SubbandData
 
         data = SubbandData(Y=np.zeros((4, 2)), omegas=np.array([100.0, 50.0]))
-        fs = FocusingSet.for_subbands(data)
+        fs = FocusingSet.build(data.alphas, data.M)
         assert np.allclose(fs.alphas, [1.0, 0.5])
+
+    def test_no_bins_rejected(self):
+        with pytest.raises(ValueError, match="need at least one bin"):
+            FocusingSet.build([], 4)
 
     def test_columns(self):
         # column j is T_j a(f), to the bit

@@ -122,10 +122,6 @@ class TestStationaryFrequencies:
 
 
 class TestArrayConfig:
-    def test_spacing_half_wavelength(self):
-        cfg = ArrayConfig(M=16, c=1500.0, omega1=2 * np.pi * 1000)
-        assert cfg.d == np.pi * cfg.c / cfg.omega1
-
     def test_invalid(self):
         with pytest.raises(ValueError):
             ArrayConfig(M=1, c=1500.0, omega1=1.0)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import nnls as scipy_nnls
 
+from wbdoa.atoms import build_atom
 from wbdoa.bench import random_scene
 from wbdoa.focusing import FocusingSet, gamma_oracle, noiseless_measurements
 from wbdoa.model import (
@@ -211,14 +213,26 @@ class TestRecoverPieces:
         focusing = FocusingSet.build([1.0], 4)
         assert recover_amplitudes(np.zeros((4, 1)), [], [], focusing).size == 0
 
-    def test_ridge_fallback_on_duplicate_atoms(self):
-        focusing = FocusingSet.build([1.0], 6)
-        f = 0.1
-        c = np.ones(1, dtype=complex)
-        Y = steering_vector(f, 6)[:, None]
-        with pytest.warns(UserWarning, match="ridge"):
-            betas = recover_amplitudes(Y, [f, f], [c, c], focusing)
-        assert betas.size == 2 and np.all(betas >= 0)
+    @settings(max_examples=60, deadline=None)
+    @given(f=st.floats(-0.45, 0.45), u=st.one_of(st.none(), st.floats(-12.0, -3.0)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_duplicate_atoms(self, f, u, seed):
+        # two atoms at separation 0 or 10^u with one c: NNLS fits them with
+        # no warning, and their summed amplitude is scipy's to 1e-9
+        focusing = FocusingSet.build(np.arange(20, 10, -1) / 20, 16)
+        rng = np.random.default_rng(seed)
+        c = rng.standard_normal(10) + 1j * rng.standard_normal(10)
+        fs = [f, f + (0.0 if u is None else 10.0 ** u)]
+        noise = rng.standard_normal((16, 10)) + 1j * rng.standard_normal((16, 10))
+        Y = rng.uniform(0.5, 2.0) * build_atom(f, c, focusing) + 0.1 * noise
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            betas = recover_amplitudes(Y, fs, [c, c], focusing)
+        assert np.all(betas >= 0)
+        cols = np.stack([build_atom(x, c, focusing).ravel() for x in fs], axis=1)
+        ref, _ = scipy_nnls(np.vstack([cols.real, cols.imag]),
+                            np.concatenate([Y.ravel().real, Y.ravel().imag]))
+        assert betas.sum() == pytest.approx(ref.sum(), rel=1e-9)
 
 
 class TestNnls:

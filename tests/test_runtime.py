@@ -27,7 +27,7 @@ scene = WidebandScene(angles_deg=(-20.0, 25.0), source_spectra=spectra)
 data = synthesize_scene(cfg, scene, focusing)
 est = wbdoa.estimate_doa(data, gamma_oracle(data.Y, cfg, scene, focusing), focusing)
 assert est.Khat >= 1 and est.betas.size >= 1
-rmse([list(est.thetas), [-19.0, 24.0, 60.0]], [-20.0, 25.0])
+rmse([list(est.thetas[:2]), [-19.0, 24.0]], [-20.0, 25.0])
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 print(loaded)
 assert not loaded, loaded
