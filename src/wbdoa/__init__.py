@@ -28,7 +28,7 @@ from .recovery import (
     recover_amplitudes,
     recover_coefficients,
 )
-from .baselines import RssConfig, music_spectrum, perturb_initial, rss_estimate
+from .baselines import music_spectrum, perturb_initial, rss_estimate
 from .bench import ExperimentConfig, ResultTable, rmse
 
 __all__ = [name for name in dir() if not name.startswith("_")]

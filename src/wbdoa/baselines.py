@@ -6,31 +6,16 @@ covariance averaging and MUSIC at the reference frequency, peaks by root finding
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .model import SubbandData, f_to_theta, stationary_frequencies, steering_matrix, theta_to_f
 
 
-@dataclass(frozen=True)
-class RssConfig:
-    """Known source count and initial DOA guesses."""
-
-    K: int
-    init_angles_deg: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "init_angles_deg",
-                           tuple(float(a) for a in self.init_angles_deg))
-        if len(self.init_angles_deg) != self.K:
-            raise ValueError("need exactly K initial angles")
-
-
 def perturb_initial(true_angles_deg, max_err_deg: float, seed: int):
     """True DOAs plus independent Uniform(-max_err, +max_err) errors."""
-    if max_err_deg < 0:
-        raise ValueError("max_err_deg must be nonnegative")
+    if not (np.isfinite(max_err_deg) and max_err_deg >= 0):
+        raise ValueError("max_err_deg must be finite and nonnegative")
     rng = np.random.default_rng(seed)
     true_angles = np.asarray(true_angles_deg, dtype=float)
     return true_angles + rng.uniform(-max_err_deg, max_err_deg, size=true_angles.shape)
@@ -60,40 +45,33 @@ def rss_focusing_matrices(M: int, alphas, init_angles_deg) -> list:
     return mats
 
 
-def music_spectrum(covariance: np.ndarray, K: int, steering: np.ndarray) -> np.ndarray:
-    """MUSIC pseudo-spectrum 1/||E_n^H a||^2 for each column a of an
-    M-row steering matrix."""
-    R = np.asarray(covariance, dtype=complex)
-    M = R.shape[0]
-    if K >= M:
-        raise ValueError("K must be smaller than the sensor count")
-    R = 0.5 * (R + R.conj().T)
-    try:
-        evals, evecs = np.linalg.eigh(R)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError("eigendecomposition of the covariance failed") from exc
-    En = evecs[:, : M - K]  # noise subspace: smallest M-K eigenvalues
-    denom = np.sum(np.abs(En.conj().T @ steering) ** 2, axis=0)
+def music_spectrum(noise_subspace: np.ndarray, steering: np.ndarray) -> np.ndarray:
+    """MUSIC pseudo-spectrum 1/||E_n^H a||^2 for each column a of an M-row
+    steering matrix, E_n the M x (M-K) noise subspace."""
+    denom = np.sum(np.abs(noise_subspace.conj().T @ steering) ** 2, axis=0)
     return 1.0 / np.maximum(denom, 1e-300)
 
 
-def rss_estimate(subbands: SubbandData, cfg: RssConfig) -> np.ndarray:
-    """Focus every bin, average the single-snapshot covariances, run MUSIC.
+def rss_estimate(subbands: SubbandData, init_angles_deg) -> np.ndarray:
+    """Focus every bin, average the single-snapshot covariances, run MUSIC
+    for K = len(init_angles_deg) sources.
 
     Returns the angles in degrees of its at most K largest peaks, sorted ascending.
     """
-    M, J = subbands.M, subbands.J
-    if J < cfg.K + 1:
-        raise ValueError(f"J={J} bins give covariance rank < K+1={cfg.K + 1}")
-    mats = rss_focusing_matrices(M, subbands.alphas, cfg.init_angles_deg)
+    M, J, K = subbands.M, subbands.J, len(init_angles_deg)
+    if K >= M:
+        raise ValueError("K must be smaller than the sensor count")
+    if J < K + 1:
+        raise ValueError(f"J={J} bins give covariance rank < K+1={K + 1}")
+    mats = rss_focusing_matrices(M, subbands.alphas, init_angles_deg)
     R = np.zeros((M, M), dtype=complex)
     for j in range(J):
         z = mats[j] @ subbands.Y[:, j]
         R += np.outer(z, z.conj())
     R /= J
     # MUSIC peaks: the minima of a(f)^H E_n E_n^H a(f), E_n the noise subspace
-    # of the Hermitian R; music_spectrum ranks them (and rejects K >= M)
-    En = np.linalg.eigh(R)[1][:, : M - cfg.K]
+    # (smallest M-K eigenvalues) of the Hermitian R; music_spectrum ranks them
+    En = np.linalg.eigh(R)[1][:, : M - K]
     fs = stationary_frequencies(En @ En.conj().T, maxima=False)
-    spec = music_spectrum(R, cfg.K, steering_matrix(fs, M))
-    return np.sort(f_to_theta(fs[np.argsort(spec)[::-1][: cfg.K]]))
+    spec = music_spectrum(En, steering_matrix(fs, M))
+    return np.sort(f_to_theta(fs[np.argsort(spec)[::-1][:K]]))

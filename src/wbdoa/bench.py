@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .baselines import RssConfig, perturb_initial, rss_estimate
+from .baselines import perturb_initial, rss_estimate
 from .focusing import FocusingSet, gamma_oracle, noiseless_measurements
 from .model import ArrayConfig, WidebandScene, synthesize_scene
 from .recovery import RecoveryConfig, estimate_doa
@@ -158,6 +158,8 @@ class ExperimentConfig:
         K = len(self.angles_deg) if self.scenario == "rmse_vs_snr" else 2
         if "rss" in self.methods and self.J < K + 1:
             raise ValueError(f"rss needs J >= K+1 = {K + 1} bins, got J={self.J}")
+        if "rss" in self.methods and self.M <= K:
+            raise ValueError(f"rss needs M > K = {K} sensors, got M={self.M}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -302,8 +304,7 @@ def _run_trial(args):
     if method == "rss":
         init = perturb_initial(angles, cfg.init_err_deg,
                                trial_seed(cfg.master_seed, point_index, trial_index, stream=1))
-        init = np.clip(init, -89.0, 89.0)
-        return rss_estimate(data, RssConfig(K=K, init_angles_deg=tuple(init)))
+        return rss_estimate(data, np.clip(init, -89.0, 89.0))
     raise ValueError(f"unknown method {method!r}")
 
 

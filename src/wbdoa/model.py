@@ -148,7 +148,7 @@ def theta_to_f(theta_deg):
     increasing and covers (-1/2, 1/2).
     """
     theta = np.asarray(theta_deg, dtype=float)
-    if np.any(theta <= -90) or np.any(theta >= 90):
+    if not np.all(np.abs(theta) < 90):
         raise ValueError(f"angle must lie in (-90, 90) degrees, got {theta_deg}")
     f = 0.5 * np.sin(np.deg2rad(theta))
     return float(f) if np.isscalar(theta_deg) else f
@@ -157,7 +157,7 @@ def theta_to_f(theta_deg):
 def f_to_theta(f):
     """Inverse of :func:`theta_to_f`; accepts f in [-1/2, 1/2]."""
     fa = np.asarray(f, dtype=float)
-    if np.any(np.abs(fa) > 0.5):
+    if not np.all(np.abs(fa) <= 0.5):
         raise ValueError(f"spatial frequency must lie in [-1/2, 1/2], got {f}")
     theta = np.rad2deg(np.arcsin(2.0 * fa))
     return float(theta) if np.isscalar(f) else theta

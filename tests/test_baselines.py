@@ -3,7 +3,6 @@ import pytest
 from scipy.stats import kstest
 
 from wbdoa.baselines import (
-    RssConfig,
     music_spectrum,
     perturb_initial,
     rss_estimate,
@@ -21,12 +20,6 @@ from wbdoa.model import (
     synthesize_scene,
     theta_to_f,
 )
-
-
-class TestRssConfig:
-    def test_wrong_count(self):
-        with pytest.raises(ValueError):
-            RssConfig(K=2, init_angles_deg=(10.0,))
 
 
 class TestPerturbInitial:
@@ -52,8 +45,9 @@ class TestPerturbInitial:
         assert stat.pvalue > 0.01
 
     def test_negative_error_rejected(self):
-        with pytest.raises(ValueError):
-            perturb_initial((0.0,), -1.0, seed=0)
+        for max_err in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                perturb_initial((0.0,), max_err, seed=0)
 
 
 class TestRssFocusing:
@@ -87,6 +81,10 @@ class TestRssFocusing:
             rss_focusing_matrices(4, [1.0], ())
 
 
+def _noise_subspace(R, K):
+    return np.linalg.eigh(R)[1][:, : R.shape[0] - K]
+
+
 class TestMusicSpectrum:
     def test_peak_at_planted_source(self):
         M = 12
@@ -94,7 +92,7 @@ class TestMusicSpectrum:
         a = steering_vector(f0, M)
         R = np.outer(a, a.conj()) + 1e-6 * np.eye(M)
         grid = np.arange(-60.0, 60.0, 0.05)
-        spec = music_spectrum(R, 1, steering_matrix(theta_to_f(grid), M))
+        spec = music_spectrum(_noise_subspace(R, 1), steering_matrix(theta_to_f(grid), M))
         assert grid[np.argmax(spec)] == pytest.approx(17.0, abs=0.05)
 
     def test_two_sources(self):
@@ -104,7 +102,7 @@ class TestMusicSpectrum:
             a = steering_vector(theta_to_f(th), M)
             R += np.outer(a, a.conj())
         grid = np.arange(-89.0, 89.0, 0.02)
-        spec = music_spectrum(R, 2, steering_matrix(theta_to_f(grid), M))
+        spec = music_spectrum(_noise_subspace(R, 2), steering_matrix(theta_to_f(grid), M))
         order = np.argsort(spec)[::-1]
         tops = np.sort(grid[order[:2]])
         # top two grid points sit on the two sources (they may both land
@@ -130,7 +128,7 @@ class TestRssEstimate:
         spectra = rng.standard_normal((3, 10)) + 1j * rng.standard_normal((3, 10))
         scene = WidebandScene(angles_deg=angles, source_spectra=spectra)
         data = synthesize_scene(cfg, scene, bins)
-        est = rss_estimate(data, RssConfig(K=3, init_angles_deg=angles))
+        est = rss_estimate(data, angles)
         assert np.allclose(np.sort(est), np.sort(angles), atol=0.5)
 
     def test_noisy_perturbed_init(self, rss_setup):
@@ -143,7 +141,7 @@ class TestRssEstimate:
                               noise_variance=sig, seed=2)
         data = synthesize_scene(cfg, scene, bins)
         init = perturb_initial(angles, 2.0, seed=3)
-        est = rss_estimate(data, RssConfig(K=3, init_angles_deg=tuple(init)))
+        est = rss_estimate(data, init)
         assert est.size == 3
         assert np.allclose(np.sort(est), np.sort(angles), atol=2.0)
 
@@ -151,7 +149,7 @@ class TestRssEstimate:
         cfg, bins = rss_setup
         scene = WidebandScene(angles_deg=(0.0,), source_spectra=np.ones((1, 10)))
         data = synthesize_scene(cfg, scene, bins)
-        est = rss_estimate(data, RssConfig(K=1, init_angles_deg=(0.0,)))
+        est = rss_estimate(data, (0.0,))
         assert est.shape == (1,)
         assert est[0] == pytest.approx(0.0, abs=0.1)
 
@@ -161,7 +159,7 @@ class TestRssEstimate:
         data = synthesize_scene(cfg, scene, bins)
         short = SubbandData(Y=data.Y[:, :2], omegas=data.omegas[:2])
         with pytest.raises(ValueError):
-            rss_estimate(short, RssConfig(K=3, init_angles_deg=(0.0, 1.0, 2.0)))
+            rss_estimate(short, (0.0, 1.0, 2.0))
 
     def test_csv_round_trip_same_angles(self, tmp_path):
         # at omega1 = 7001, omega1 * alphas / omega1 is not alphas bit for
@@ -176,8 +174,7 @@ class TestRssEstimate:
         loaded = SubbandData.load_csv(tmp_path / "data.csv")
         assert np.array_equal(loaded.alphas, data.alphas)
         for init in (angles, tuple(perturb_initial(angles, 2.0, seed=3))):
-            rss = RssConfig(K=3, init_angles_deg=init)
-            assert np.array_equal(rss_estimate(loaded, rss), rss_estimate(data, rss))
+            assert np.array_equal(rss_estimate(loaded, init), rss_estimate(data, init))
 
     @pytest.mark.parametrize("K", [4, 5])
     def test_k_not_below_m_rejected(self, rss_setup, K):
@@ -187,7 +184,23 @@ class TestRssEstimate:
         scene = WidebandScene(angles_deg=angles, source_spectra=np.ones((K, 10)))
         data = synthesize_scene(arr, scene, bins)
         with pytest.raises(ValueError, match="smaller than the sensor count"):
-            rss_estimate(data, RssConfig(K=K, init_angles_deg=angles))
+            rss_estimate(data, angles)
+
+    def test_nan_init_angle_rejected(self, rss_setup):
+        cfg, bins = rss_setup
+        scene = WidebandScene(angles_deg=(0.0, 20.0), source_spectra=np.ones((2, 10)))
+        data = synthesize_scene(cfg, scene, bins)
+        with pytest.raises(ValueError, match=r"angle must lie in \(-90, 90\)"):
+            rss_estimate(data, (np.nan, 20.0))
+
+    def test_one_eigendecomposition(self, rss_setup, monkeypatch):
+        cfg, bins = rss_setup
+        scene = WidebandScene(angles_deg=(-5.0, 15.0), source_spectra=np.ones((2, 10)))
+        data = synthesize_scene(cfg, scene, bins)
+        calls, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda R: calls.append(R) or eigh(R))
+        rss_estimate(data, (-5.0, 15.0))
+        assert len(calls) == 1
 
 
 def _focused_covariance(data, init_angles_deg):
@@ -210,13 +223,13 @@ class TestRssPeaks:
                               noise_variance=sig, seed=seed + 10)
         data = synthesize_scene(cfg, scene, bins)
         init = tuple(perturb_initial(angles, 2.0, seed=seed + 20))
-        est = rss_estimate(data, RssConfig(K=3, init_angles_deg=init))
+        est = rss_estimate(data, init)
         assert est.size == 3
-        R = _focused_covariance(data, init)
+        En = _noise_subspace(_focused_covariance(data, init), 3)
         step = 1e-5
         for theta in est:
             grid = theta + step * np.arange(-1000, 1001)
-            spec = music_spectrum(R, 3, steering_matrix(theta_to_f(grid), 16))
+            spec = music_spectrum(En, steering_matrix(theta_to_f(grid), 16))
             assert abs(grid[np.argmax(spec)] - theta) <= step
 
     def test_fewer_peaks_than_sources(self, rss_setup):
@@ -233,9 +246,10 @@ class TestRssPeaks:
         scene = WidebandScene(angles_deg=angles, source_spectra=spectra,
                               noise_variance=sig, seed=0)
         data = synthesize_scene(arr, scene, bins)
-        est = rss_estimate(data, RssConfig(K=2, init_angles_deg=angles))
+        est = rss_estimate(data, angles)
         f = np.linspace(-0.5, 0.5, 20000, endpoint=False)
-        spec = music_spectrum(_focused_covariance(data, angles), 2, steering_matrix(f, 3))
+        spec = music_spectrum(_noise_subspace(_focused_covariance(data, angles), 2),
+                              steering_matrix(f, 3))
         peaks = np.nonzero((spec > np.roll(spec, 1)) & (spec > np.roll(spec, -1)))[0]
         assert peaks.size == 1
         assert est.shape == (1,)

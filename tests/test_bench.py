@@ -196,6 +196,9 @@ class TestExperimentConfig:
         {"methods": ("wgs", "music")},
         {"methods": ("rss",), "J": 3},  # three sources need J >= 4
         {"scenario": "resolution", "methods": ("rss",), "J": 2},  # a pair needs J >= 3
+        {"M": 3, "trials": 1, "snr_grid_db": (10.0,)},  # three sources need M >= 4
+        {"scenario": "resolution", "M": 2, "trials": 1,
+         "delta_theta_list": (12.0,)},  # a pair needs M >= 3
         {"solver_max_iter": 0},
         {"solver_eps_abs": 0.0},
         {"snr_grid_db": ()},
@@ -223,7 +226,8 @@ class TestExperimentConfig:
         {"workers": 1.5},
         {"workers": 0},
     ], ids=["M1", "J25", "music", "wgs-music", "rss-J3", "resolution-rss-J2",
-            "max-iter-0", "eps-abs-0", "snr-empty", "snr-nan", "snr-minus-inf",
+            "rss-M3", "resolution-rss-M2", "max-iter-0", "eps-abs-0", "snr-empty",
+            "snr-nan", "snr-minus-inf",
             "delta-empty", "delta-inf", "resolution-snr-minus-inf",
             "init-err-negative", "init-err-nan", "eps-abs-nan", "eps-rel-inf",
             "max-iter-fraction", "angles-empty", "angles-nan", "angles-95",
@@ -251,6 +255,11 @@ class TestExperimentConfig:
         ExperimentConfig(scenario="rmse_vs_snr", methods=("rss",), J=4)
         ExperimentConfig(scenario="resolution", methods=("rss",), J=3)
         ExperimentConfig(scenario="rmse_vs_snr", methods=("wgs",), J=1)
+
+    def test_rss_sensor_count_boundary(self):
+        ExperimentConfig(scenario="rmse_vs_snr", M=4)
+        ExperimentConfig(scenario="resolution", M=3)
+        ExperimentConfig(scenario="rmse_vs_snr", methods=("wgs",), M=2)
 
 
 class TestResultTable:

@@ -63,6 +63,17 @@ class TestSimulate:
             assert "need at least one bin" in err
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("snr_db", [None, 10.0])
+    def test_nan_angle(self, tmp_path, capsys, snr_db):
+        bad = tmp_path / "bad.json"
+        scene = {**SCENE["scene"], "angles_deg": [float("nan"), 15.0], "snr_db": snr_db}
+        bad.write_text(json.dumps({**SCENE, "scene": scene}))
+        assert cli_main(["simulate", "--config", str(bad),
+                         "--output", str(tmp_path / "o.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "angle must lie in (-90, 90)" in err and "Traceback" not in err
+        assert not (tmp_path / "o.csv").exists()
+
 
 class TestEstimate:
     def test_oracle_from_scene(self, scene_path, tmp_path, capsys):
@@ -227,6 +238,8 @@ class TestBenchmark:
 
     @pytest.mark.parametrize("change", [
         {"M": 1}, {"J": 25}, {"methods": ["music"]}, {"methods": ["rss"], "J": 3},
+        {"M": 3, "trials": 1, "snr_grid_db": [10]},
+        {"scenario": "resolution", "M": 2, "trials": 1, "delta_theta_list": [12]},
         {"solver_max_iter": 0}, {"snr_grid_db": []}, {"snr_grid_db": [float("nan")]},
         {"snr_grid_db": [float("-inf")]}, {"methods": ["rss"], "init_err_deg": -1},
         {"scenario": "resolution", "delta_theta_list": []},
@@ -238,7 +251,8 @@ class TestBenchmark:
         {"scenario": "resolution", "delta_theta_list": [-3]},
         {"scenario": "resolution", "theta1_deg": -85, "delta_theta_list": [5]},
         {"workers": "two"}, {"workers": 1.5}, {"workers": 0},
-    ], ids=["M1", "J25", "music", "rss-J3", "max-iter-0", "snr-empty", "snr-nan",
+    ], ids=["M1", "J25", "music", "rss-J3", "rss-M3", "resolution-rss-M2",
+            "max-iter-0", "snr-empty", "snr-nan",
             "snr-minus-inf", "init-err-negative", "resolution-delta-empty",
             "resolution-snr-nan", "eps-abs-nan", "max-iter-fraction", "angles-empty",
             "angles-nan", "angles-95", "angles-repeated", "resolution-theta1-nan",
@@ -250,7 +264,9 @@ class TestBenchmark:
         cfg.write_text(json.dumps({"scenario": "rmse_vs_snr", **change}))
         assert cli_main(["benchmark", "--config", str(cfg), "--quick",
                          "--output", str(tmp_path / "t.csv")]) == 1
-        assert "bad experiment config" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "bad experiment config" in err and "Traceback" not in err
+        assert not (tmp_path / "t.csv").exists()
 
     @pytest.mark.parametrize("raw", ["abc", "-3"])
     def test_worker_variable_no_runner_can_use(self, tmp_path, capsys, monkeypatch, raw):

@@ -35,10 +35,14 @@ class TestAngleMaps:
         with pytest.raises(ValueError):
             theta_to_f(-90.0)
         assert theta_to_f(89.9999) < 0.5
+        for theta in (np.nan, [10.0, np.nan]):
+            with pytest.raises(ValueError, match="angle must lie in"):
+                theta_to_f(theta)
 
     def test_f_out_of_range(self):
-        with pytest.raises(ValueError):
-            f_to_theta(0.6)
+        for f in (0.6, np.nan, [0.1, np.nan]):
+            with pytest.raises(ValueError, match="spatial frequency must lie in"):
+                f_to_theta(f)
 
     def test_round_trip_random(self):
         rng = np.random.default_rng(0)
