@@ -26,7 +26,6 @@ from .recovery import (
     locate_frequencies,
     merge_atoms,
     recover_amplitudes,
-    recover_coefficients,
 )
 from .baselines import music_spectrum, perturb_initial, rss_estimate
 from .bench import ExperimentConfig, ResultTable, rmse

@@ -13,7 +13,7 @@ import numpy as np
 
 from .baselines import perturb_initial, rss_estimate
 from .focusing import FocusingSet, gamma_oracle, noiseless_measurements
-from .model import ArrayConfig, WidebandScene, synthesize_scene
+from .model import ArrayConfig, WidebandScene, check_integer, synthesize_scene
 from .recovery import RecoveryConfig, estimate_doa
 from .solver import SolverConfig
 
@@ -21,7 +21,7 @@ from .solver import SolverConfig
 def default_alphas(J: int) -> np.ndarray:
     """Frequency ratios of the J largest in-band bins of a 60-point DFT
     over the discrete band [pi/3, 2*pi/3]: bins 20 down to 21-J."""
-    if not (1 <= J <= 19):
+    if check_integer("J", J, 1) > 19:
         raise ValueError("J must lie in 1..19 for the default band")
     return np.arange(20, 20 - J, -1) / 20.0
 
@@ -123,13 +123,10 @@ class ExperimentConfig:
     workers: int = None
 
     def __post_init__(self):
-        for name, low in (("trials", 1), ("master_seed", 0)):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, np.integer)) and value >= low):
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-        if not (self.workers is None or isinstance(self.workers, (int, np.integer))
-                and self.workers >= 1):
-            raise ValueError(f"workers must be None or an integer >= 1, got {self.workers!r}")
+        check_integer("trials", self.trials, 1)
+        check_integer("master_seed", self.master_seed, 0)
+        if self.workers is not None:
+            check_integer("workers", self.workers, 1)
         if not self.methods:
             raise ValueError("method list must be nonempty")
         if not set(self.methods) <= {"wgs", "rss"}:

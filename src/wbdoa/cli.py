@@ -15,7 +15,7 @@ import numpy as np
 from . import bench
 from .bench import ExperimentConfig, ResultTable, default_alphas
 from .focusing import FocusingSet, gamma_blind, gamma_oracle
-from .model import ArrayConfig, SubbandData, WidebandScene, synthesize_scene
+from .model import ArrayConfig, SubbandData, WidebandScene, check_integer, synthesize_scene
 from .recovery import RecoveryConfig, estimate_doa
 from .solver import SolverConfig
 
@@ -45,16 +45,16 @@ def _scene_from_doc(doc):
     """
     try:
         arr = doc["array"]
-        array = ArrayConfig(M=int(arr["M"]), c=float(arr.get("c", 1500.0)),
+        array = ArrayConfig(M=arr["M"], c=float(arr.get("c", 1500.0)),
                             omega1=float(arr.get("omega1", 2 * np.pi * 1000.0)))
         sub = doc.get("subbands", {})
         if "alphas" in sub:
             alphas = np.asarray(sub["alphas"], dtype=float)
         else:
-            alphas = default_alphas(int(sub.get("J", 10)))
+            alphas = default_alphas(sub.get("J", 10))
         sc = doc["scene"]
         angles = tuple(float(a) for a in sc.get("angles_deg", ()))
-        seed = int(sc.get("seed", 0))
+        seed = check_integer("seed", sc.get("seed", 0), 0)
         focusing = FocusingSet.build(alphas, array.M)
         if "spectra" in sc:
             spectra = np.array([[complex(re, im) for re, im in row]

@@ -14,6 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def check_integer(name: str, value, low: int):
+    """value if it is an integer >= low, else ValueError; a bool is no integer."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ArrayConfig:
     """Uniform linear array geometry and physical constants.
@@ -36,8 +43,7 @@ class ArrayConfig:
     omega1: float
 
     def __post_init__(self):
-        if self.M < 2:
-            raise ValueError(f"need at least 2 sensors, got M={self.M}")
+        check_integer("M", self.M, 2)
         if self.c <= 0:
             raise ValueError(f"propagation speed must be positive, got {self.c}")
         if self.omega1 <= 0:

@@ -71,17 +71,6 @@ def locate_frequencies(poly: DualPolynomial, peak_tol: float = 0.05) -> np.ndarr
     return fs[poly(fs) >= 1.0 - peak_tol]
 
 
-def recover_coefficients(poly: DualPolynomial, fs) -> list:
-    """Unit cross-band coefficient vectors at the located frequencies.
-
-    The raw vector is the conjugate of the polynomial vector at f_hat; its
-    norm is P(f_hat), 1 at exact optimality, and it is renormalized here.
-    """
-    fs = np.asarray(fs, dtype=float)
-    vs = poly.vector(fs).conj()
-    return [v / nrm if nrm > 0 else v for v, nrm in zip(vs, poly(fs))]
-
-
 def merge_atoms(fs, betas, cs, min_separation: float):
     """Merge atoms closer than min_separation (circular distance), heaviest first.
 
@@ -161,8 +150,8 @@ def recover_amplitudes(Y: np.ndarray, fs, cs, focusing: FocusingSet) -> np.ndarr
         [build_atom(f, c, focusing).ravel() for f, c in zip(fs, cs)], axis=1
     )
     A = np.vstack([cols.real, cols.imag])
-    b = np.concatenate([np.asarray(Y, complex).ravel().real,
-                        np.asarray(Y, complex).ravel().imag])
+    y = np.asarray(Y, complex).ravel()
+    b = np.concatenate([y.real, y.imag])
     return _nnls(*np.linalg.qr(A), b)
 
 
@@ -199,8 +188,8 @@ def estimate_doa(subbands: SubbandData, gamma: float,
     """Full pipeline: focusing, dual SDP, peak localization, amplitudes, merge.
 
     The duality gap |sum beta_hat - dual objective| of the fit on every
-    peak, and relGap (gap / dual objective), are attached as quality
-    diagnostics; near zero on noiseless data by strong duality.
+    peak is attached as a quality diagnostic; near zero on noiseless data
+    by strong duality.
     A solve that stops short of Optimal raises a UserWarning; the estimate
     is still returned, with the status in its diagnostics.  A focusing set
     built for other bins than the subbands' raises ValueError.
@@ -220,13 +209,16 @@ def estimate_doa(subbands: SubbandData, gamma: float,
                       f"a non-converged dual")
     poly = DualPolynomial(Hbar=solution.Hbar)
     fs = locate_frequencies(poly, peak_tol=config.peak_tol)
-    cs = recover_coefficients(poly, fs)
+    # each peak's unit coefficient vector is the conjugate polynomial vector
+    # there over its norm P(f_hat), which is >= 1 - peak_tol > 0.5
+    vectors = poly.vector(fs)
+    peak_values = np.linalg.norm(vectors, axis=-1)
+    cs = list(vectors.conj() / peak_values[:, None])
     X_opt = primal_reconstruction(subbands.Y, solution.H, gamma)
     betas = recover_amplitudes(X_opt, fs, cs, focusing)
     # strong-duality check over the full decomposition of X_opt, before merging
     total = float(np.sum(betas))
     gap = abs(total - solution.objective)
-    peak_values = poly(fs).tolist()
     radius = config.min_separation if config.min_separation is not None else 0.5 / subbands.M
     fs, betas, cs = merge_atoms(fs, betas, cs, radius)
     keep = betas >= AMP_FLOOR * betas.max(initial=0.0)
@@ -240,10 +232,9 @@ def estimate_doa(subbands: SubbandData, gamma: float,
         betas=betas[keep],
         diagnostics={
             "dualityGap": gap,
-            "relGap": gap / solution.objective if solution.objective else 0.0,
             "dualObjective": solution.objective,
             "totalAmplitude": total,
-            "peakValues": peak_values,
+            "peakValues": peak_values.tolist(),
             "minorAtoms": minor,
             "solverStatus": solution.status,
             "solverIterations": solution.iterations,

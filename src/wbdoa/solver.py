@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atoms import ConicProblem
+from .model import check_integer
 
 # x-step relaxation alpha: x_hat = alpha x + (1 - alpha) z_prev
 RELAXATION = 1.8
@@ -39,8 +40,7 @@ class SolverConfig:
     eps_rel: float = 1e-6
 
     def __post_init__(self):
-        if not (isinstance(self.max_iter, (int, np.integer)) and self.max_iter >= 1):
-            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+        check_integer("max_iter", self.max_iter, 1)
         if not all(np.isfinite(e) and e > 0 for e in (self.eps_abs, self.eps_rel)):
             raise ValueError("tolerances eps_abs and eps_rel must be finite and positive")
 

@@ -39,6 +39,9 @@ class TestDefaultAlphas:
             default_alphas(0)
         with pytest.raises(ValueError):
             default_alphas(20)
+        for J in (10.5, 10.0, True):
+            with pytest.raises(ValueError, match="J must be an integer >= 1"):
+                default_alphas(J)
 
 
 class TestTrialSeed:
@@ -225,6 +228,13 @@ class TestExperimentConfig:
         {"workers": "two"},
         {"workers": 1.5},
         {"workers": 0},
+        {"M": 8.5},
+        {"J": 10.5},
+        {"J": 10.0},
+        {"trials": True},
+        {"master_seed": False},
+        {"workers": True},
+        {"solver_max_iter": True},
     ], ids=["M1", "J25", "music", "wgs-music", "rss-J3", "resolution-rss-J2",
             "rss-M3", "resolution-rss-M2", "max-iter-0", "eps-abs-0", "snr-empty",
             "snr-nan", "snr-minus-inf",
@@ -233,7 +243,8 @@ class TestExperimentConfig:
             "max-iter-fraction", "angles-empty", "angles-nan", "angles-95",
             "angles-repeated", "theta1-nan", "seed-negative", "trials-fraction",
             "delta-negative", "delta-zero", "delta-past-endfire", "workers-text",
-            "workers-fraction", "workers-zero"])
+            "workers-fraction", "workers-zero", "M-fraction", "J-fraction",
+            "J-float", "trials-bool", "seed-bool", "workers-bool", "max-iter-bool"])
     def test_rejects_what_no_runner_can_use(self, change):
         with pytest.raises(ValueError):
             ExperimentConfig(**{"scenario": "rmse_vs_snr", **change})

@@ -63,6 +63,21 @@ class TestSimulate:
             assert "need at least one bin" in err
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("part, key, value", [
+        ("array", "M", 8.7), ("array", "M", 12.0), ("array", "M", True),
+        ("subbands", "J", 4.9), ("subbands", "J", True),
+        ("scene", "seed", 1.5), ("scene", "seed", True),
+    ])
+    def test_non_integral_count_or_seed(self, tmp_path, capsys, part, key, value):
+        # int() once truncated these: M=8.7, J=4.9 simulated M=8, J=4
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**SCENE, part: {**SCENE[part], key: value}}))
+        assert cli_main(["simulate", "--config", str(bad),
+                         "--output", str(tmp_path / "o.csv")]) == 1
+        err = capsys.readouterr().err
+        assert f"bad scene config: {key} must be an integer" in err
+        assert "Traceback" not in err and not (tmp_path / "o.csv").exists()
+
     @pytest.mark.parametrize("snr_db", [None, 10.0])
     def test_nan_angle(self, tmp_path, capsys, snr_db):
         bad = tmp_path / "bad.json"
@@ -251,6 +266,7 @@ class TestBenchmark:
         {"scenario": "resolution", "delta_theta_list": [-3]},
         {"scenario": "resolution", "theta1_deg": -85, "delta_theta_list": [5]},
         {"workers": "two"}, {"workers": 1.5}, {"workers": 0},
+        {"M": 8.5}, {"J": 10.5}, {"trials": True},
     ], ids=["M1", "J25", "music", "rss-J3", "rss-M3", "resolution-rss-M2",
             "max-iter-0", "snr-empty", "snr-nan",
             "snr-minus-inf", "init-err-negative", "resolution-delta-empty",
@@ -258,7 +274,7 @@ class TestBenchmark:
             "angles-nan", "angles-95", "angles-repeated", "resolution-theta1-nan",
             "seed-negative", "trials-fraction", "resolution-delta-negative",
             "resolution-delta-past-endfire", "workers-text", "workers-fraction",
-            "workers-zero"])
+            "workers-zero", "M-fraction", "J-fraction", "trials-bool"])
     def test_config_no_runner_can_use(self, tmp_path, capsys, change):
         cfg = tmp_path / "bench.json"
         cfg.write_text(json.dumps({"scenario": "rmse_vs_snr", **change}))

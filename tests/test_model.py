@@ -132,6 +132,12 @@ class TestArrayConfig:
         with pytest.raises(ValueError):
             ArrayConfig(M=4, c=-1.0, omega1=1.0)
 
+    @pytest.mark.parametrize("M", [8.5, 8.0, True, "8"])
+    def test_non_integer_sensor_count(self, M):
+        with pytest.raises(ValueError, match="M must be an integer >= 2"):
+            ArrayConfig(M=M, c=1500.0, omega1=1.0)
+        assert ArrayConfig(M=np.int64(8), c=1500.0, omega1=1.0).M == 8
+
 
 @pytest.fixture
 def arr():

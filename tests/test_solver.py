@@ -370,7 +370,7 @@ class TestSolve:
     @pytest.mark.parametrize("field, value", [
         ("eps_abs", float("nan")), ("eps_abs", float("inf")),
         ("eps_rel", float("nan")), ("eps_rel", float("inf")), ("eps_rel", 0.0),
-        ("max_iter", 1.5), ("max_iter", 100.0), ("max_iter", -3),
+        ("max_iter", 1.5), ("max_iter", 100.0), ("max_iter", -3), ("max_iter", True),
     ])
     def test_tolerance_and_budget_validation(self, field, value):
         with pytest.raises(ValueError, match=field):
