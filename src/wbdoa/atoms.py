@@ -29,14 +29,9 @@ def build_atom(f: float, c, focusing: FocusingSet) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DualPolynomial:
-    """Wrapper around Hbar evaluating P(f) = ||Hbar^H a(f)||_2."""
+    """The dual polynomial P(f) = ||Hbar^H a(f)||_2, the norm of its vector."""
 
     Hbar: np.ndarray
-
-    def __call__(self, f):
-        """P(f): a float for scalar f, else an array shaped like f."""
-        vals = np.linalg.norm(self.vector(f), axis=-1)
-        return float(vals) if vals.ndim == 0 else vals
 
     def vector(self, f) -> np.ndarray:
         """The J-vector [hbar_1^H a(f), ..., hbar_J^H a(f)]; an array of f

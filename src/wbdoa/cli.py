@@ -94,8 +94,7 @@ def _cmd_estimate(args):
         focusing = FocusingSet.build(data.alphas, data.M)
         array, scene, sigma2 = None, None, args.sigma2
     try:
-        rec = RecoveryConfig(peak_tol=args.peak_tol,
-                             solver=SolverConfig(max_iter=args.max_iter))
+        rec = RecoveryConfig(solver=SolverConfig(max_iter=args.max_iter))
         # safety scales gamma: an under-estimate can make the problem infeasible in noise
         if not (np.isfinite(args.gamma_safety) and args.gamma_safety > 0):
             raise ValueError(f"safety must be finite and positive, got {args.gamma_safety}")
@@ -177,7 +176,6 @@ def build_parser():
                     dest="gamma_mode")
     pe.add_argument("--gamma-safety", type=float, default=1.0, dest="gamma_safety")
     pe.add_argument("--sigma2", type=float, default=None)
-    pe.add_argument("--peak-tol", type=float, default=0.05, dest="peak_tol")
     pe.add_argument("--max-iter", type=int, default=50000, dest="max_iter")
     pe.set_defaults(func=_cmd_estimate)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ArrayConfig, WidebandScene, steering_vector, theta_to_f
+from .model import ArrayConfig, WidebandScene, check_integer, steering_vector, theta_to_f
 
 
 def focusing_matrix(alpha: float, M: int) -> np.ndarray:
@@ -25,9 +25,7 @@ def focusing_matrix(alpha: float, M: int) -> np.ndarray:
     """
     if not (0 < alpha <= 1):
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    if M < 2:
-        raise ValueError("M must be at least 2")
-    m = np.arange(M)
+    m = np.arange(check_integer("M", M, 2))
     return np.sinc(alpha * m[:, None] - m[None, :])
 
 

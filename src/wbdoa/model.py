@@ -240,7 +240,8 @@ def subband_transform(time_signals: np.ndarray, dft_size: int, band, J: int) -> 
     if x.ndim != 2:
         raise ValueError("time_signals must be M x T")
     M, T = x.shape
-    if dft_size > T:
+    check_integer("J", J, 1)
+    if check_integer("dft_size", dft_size, 1) > T:
         raise ValueError(f"dft_size={dft_size} exceeds signal length T={T}")
     lo, hi = band
     if not (0 < lo < hi < np.pi):
@@ -248,7 +249,7 @@ def subband_transform(time_signals: np.ndarray, dft_size: int, band, J: int) -> 
     spec = np.fft.fft(x[:, :dft_size], n=dft_size, axis=1)
     bin_omegas = 2 * np.pi * np.arange(dft_size) / dft_size
     in_band = np.nonzero((bin_omegas >= lo) & (bin_omegas <= hi))[0]
-    if not 1 <= J <= in_band.size:
+    if J > in_band.size:
         raise ValueError(f"J={J} must lie in 1..{in_band.size}, the bins inside the band")
     chosen = in_band[np.argsort(bin_omegas[in_band])[::-1][:J]]
     omegas = bin_omegas[chosen]

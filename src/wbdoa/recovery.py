@@ -56,19 +56,25 @@ class DoaEstimate:
 # atoms below this fraction of the largest merged amplitude absorb the fidelity
 # budget (focusing error, noise), not a source; they go to diagnostics["minorAtoms"]
 AMP_FLOOR = 0.05
+# a maximum of P within this of 1 is a peak; below 0.5, so every peak vector
+# has norm P(f) > 0.5 and its unit coefficient vector never divides by near zero
+PEAK_TOL = 0.05
 
 
 def _wrap(f):
-    """Frequency offset(s) wrapped into [-1/2, 1/2)."""
-    return (f + 0.5) % 1.0 - 0.5
+    """Frequency offset(s) wrapped into [-1/2, 1/2]; exact for |f| < 1, so a
+    frequency already in range comes back bit for bit."""
+    return f - np.round(f)
 
 
-def locate_frequencies(poly: DualPolynomial, peak_tol: float = 0.05) -> np.ndarray:
-    """Spatial frequencies where P has a local maximum within peak_tol of 1, sorted."""
-    if not (0 < peak_tol < 0.5):
-        raise ValueError("peak_tol must lie in (0, 0.5)")
+def locate_frequencies(poly: DualPolynomial) -> tuple:
+    """(fs, vectors): the sorted spatial frequencies where P has a local
+    maximum within PEAK_TOL of 1, and the polynomial vector at each, one
+    row per frequency."""
     fs = poly.maxima()
-    return fs[poly(fs) >= 1.0 - peak_tol]
+    vectors = poly.vector(fs)
+    keep = np.linalg.norm(vectors, axis=-1) >= 1.0 - PEAK_TOL
+    return fs[keep], vectors[keep]
 
 
 def merge_atoms(fs, betas, cs, min_separation: float):
@@ -157,14 +163,11 @@ def recover_amplitudes(Y: np.ndarray, fs, cs, focusing: FocusingSet) -> np.ndarr
 
 @dataclass
 class RecoveryConfig:
-    peak_tol: float = 0.05
     # merge radius of merge_atoms in f units (None = 0.5 / M)
     min_separation: float = None
     solver: SolverConfig = None
 
     def __post_init__(self):
-        if not (0 < self.peak_tol < 0.5):
-            raise ValueError(f"peak_tol must lie in (0, 0.5), got {self.peak_tol}")
         if not (self.min_separation is None or 0 <= self.min_separation < np.inf):
             raise ValueError("min_separation must be None or finite and nonnegative, "
                              f"got {self.min_separation}")
@@ -182,8 +185,7 @@ def primal_reconstruction(Y: np.ndarray, H: np.ndarray, gamma: float) -> np.ndar
     return Y - np.sqrt(gamma) * H / nrm
 
 
-def estimate_doa(subbands: SubbandData, gamma: float,
-                 focusing: FocusingSet = None,
+def estimate_doa(subbands: SubbandData, gamma: float, focusing: FocusingSet,
                  config: RecoveryConfig = None) -> DoaEstimate:
     """Full pipeline: focusing, dual SDP, peak localization, amplitudes, merge.
 
@@ -196,10 +198,8 @@ def estimate_doa(subbands: SubbandData, gamma: float,
     """
     if config is None:
         config = RecoveryConfig()
-    if focusing is None:
-        focusing = FocusingSet.build(subbands.alphas, subbands.M)
-    elif not (focusing.alphas.shape == subbands.alphas.shape
-              and np.allclose(focusing.alphas, subbands.alphas, rtol=1e-12, atol=0.0)):
+    if not (focusing.alphas.shape == subbands.alphas.shape
+            and np.allclose(focusing.alphas, subbands.alphas, rtol=1e-12, atol=0.0)):
         raise ValueError("focusing set was built for other bins than the subbands'")
     solution = solve(ConicProblem(Y=subbands.Y, focusing=focusing, gamma=gamma),
                      config.solver)
@@ -207,11 +207,9 @@ def estimate_doa(subbands: SubbandData, gamma: float,
         warnings.warn(f"dual SDP solve stopped with status {solution.status} after "
                       f"{solution.iterations} iterations; the estimate is built from "
                       f"a non-converged dual")
-    poly = DualPolynomial(Hbar=solution.Hbar)
-    fs = locate_frequencies(poly, peak_tol=config.peak_tol)
+    fs, vectors = locate_frequencies(DualPolynomial(Hbar=solution.Hbar))
     # each peak's unit coefficient vector is the conjugate polynomial vector
-    # there over its norm P(f_hat), which is >= 1 - peak_tol > 0.5
-    vectors = poly.vector(fs)
+    # there over its norm P(f_hat)
     peak_values = np.linalg.norm(vectors, axis=-1)
     cs = list(vectors.conj() / peak_values[:, None])
     X_opt = primal_reconstruction(subbands.Y, solution.H, gamma)

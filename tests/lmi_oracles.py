@@ -1,12 +1,17 @@
 """Reference computations for the LMI side of the dual SDP, used only by
-the tests: the columnwise map H -> Hbar, the dual atomic norm, the real
-embedding of a Hermitian matrix, and an alternating-projection search for
-the Q certificate of a dual polynomial."""
+the tests: the value of a dual polynomial, the columnwise map H -> Hbar,
+the dual atomic norm, the real embedding of a Hermitian matrix, and an
+alternating-projection search for the Q certificate of a dual polynomial."""
 
 import numpy as np
 
 from wbdoa.atoms import DualPolynomial
 from wbdoa.solver import _project_trace, psd_project
+
+
+def poly_value(poly: DualPolynomial, f):
+    """P(f) = ||Hbar^H a(f)||_2, shaped like f."""
+    return np.linalg.norm(poly.vector(f), axis=-1)
 
 
 def hbar(H: np.ndarray, focusing) -> np.ndarray:
@@ -18,7 +23,7 @@ def dual_atomic_norm(H: np.ndarray, focusing) -> float:
     """max_f ||Hbar^H a(f)||_2: the largest P at its local maxima, or P(0)
     if P is constant."""
     poly = DualPolynomial(Hbar=hbar(np.asarray(H, dtype=complex), focusing))
-    return float(np.max(poly(poly.maxima()), initial=poly(0.0)))
+    return float(np.max(poly_value(poly, poly.maxima()), initial=poly_value(poly, 0.0)))
 
 
 def complex_to_real_embed(W: np.ndarray) -> np.ndarray:

@@ -5,7 +5,9 @@ classes.  A refactor that drops one of those names makes the benchmark
 lose a span, or makes the snr_sweep study record no operations so that
 every planned one counts as failed; one that drops a config field makes
 every operation raise; one that drops a field of the solve result makes
-the traced run's certificate fail every solve.  These tests read
+the traced run's certificate fail every solve; one that renames a
+diagnostics key the benchmark judges an estimate by makes every wgs
+operation fail.  These tests read
 spans.py, workloads.py and run.py as text, without importing or changing
 them, and parse solver.py, baselines.py and recovery.py for the calls
 the projection and stage spans wrap."""
@@ -15,10 +17,12 @@ import dataclasses
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import wbdoa.baselines
 import wbdoa.bench
+import wbdoa.focusing
 import wbdoa.model
 import wbdoa.recovery
 import wbdoa.solver
@@ -107,6 +111,31 @@ def test_solve_result_has_what_the_traced_run_reads():
     wanted = {"H", "Hbar", "Q", "iterations", "status"}
     assert wanted <= read
     assert wanted <= {f.name for f in dataclasses.fields(wbdoa.solver.ConicSolution)}
+
+
+def test_estimate_diagnostics_have_what_judge_wgs_reads():
+    # judge_wgs fails an operation on a missing solverStatus ("solver status
+    # None") and raises on a missing dualObjective
+    tree = ast.parse(WORKLOADS.read_text())
+    judge = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "judge_wgs")
+    read = set()
+    for node in ast.walk(judge):
+        if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+                and node.value.id == "diag" and isinstance(node.slice, ast.Constant)):
+            read.add(node.slice.value)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "get" and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "diag" and isinstance(node.args[0], ast.Constant)):
+            read.add(node.args[0].value)
+    assert {"solverStatus", "solverIterations", "dualObjective"} <= read
+    cfg = wbdoa.model.ArrayConfig(M=8, c=1500.0, omega1=2 * np.pi * 1000)
+    foc = wbdoa.focusing.FocusingSet.build(wbdoa.bench.default_alphas(4), cfg.M)
+    scene = wbdoa.bench.random_scene(cfg, (10.0,), foc, None, 0)
+    data = wbdoa.model.synthesize_scene(cfg, scene, foc)
+    gamma = max(wbdoa.focusing.gamma_oracle(data.Y, cfg, scene, foc), 1e-10)
+    est = wbdoa.recovery.estimate_doa(data, gamma, foc)
+    assert read <= est.diagnostics.keys()
 
 
 def _global_calls(path, function):

@@ -164,9 +164,8 @@ class TestEstimate:
         (["--sigma2", "nan"], "noise variance"),
         (["--sigma2", "inf"], "noise variance"),
         (["--sigma2", "1e308"], "gamma overflows"),
-        (["--peak-tol", "0.7"], "peak_tol"),
         (["--max-iter", "0"], "max_iter"),
-    ], ids=["sigma2-nan", "sigma2-inf", "sigma2-overflow", "peak-tol", "max-iter"])
+    ], ids=["sigma2-nan", "sigma2-inf", "sigma2-overflow", "max-iter"])
     def test_bad_estimate_option(self, scene_path, tmp_path, capsys, option, message):
         data_csv = tmp_path / "data.csv"
         cli_main(["simulate", "--config", str(scene_path), "--output", str(data_csv)])

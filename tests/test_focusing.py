@@ -66,6 +66,11 @@ class TestFocusingSet:
         with pytest.raises(ValueError, match="need at least one bin"):
             FocusingSet.build([], 4)
 
+    @pytest.mark.parametrize("M", [8.5, 3.0, True])
+    def test_non_integer_m_rejected(self, M):
+        with pytest.raises(ValueError, match="M must be an integer"):
+            FocusingSet.build([1.0, 0.9], M)
+
     def test_columns(self):
         # column j is T_j a(f), to the bit
         fs = FocusingSet.build([1.0, 0.9, 0.75], 7)

@@ -320,6 +320,13 @@ class TestSubbandTransform:
         with pytest.raises(ValueError):
             subband_transform(x, 60, (np.pi / 3, 2 * np.pi / 3), J)
 
+    @pytest.mark.parametrize("dft_size, J", [(60, True), (60, 2.5), (60, 3.0), (60.5, 10)],
+                             ids=["J-bool", "J-fraction", "J-float", "dft-size-fraction"])
+    def test_non_integer_sizes_rejected(self, dft_size, J):
+        x = np.zeros((2, 64))
+        with pytest.raises(ValueError, match="must be an integer"):
+            subband_transform(x, dft_size, (np.pi / 3, 2 * np.pi / 3), J)
+
     def test_too_few_bins(self):
         x = np.zeros((2, 64))
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import nnls as scipy_nnls
 
+from lmi_oracles import poly_value
 from wbdoa.atoms import ConicProblem, build_atom
 from wbdoa.bench import random_scene
 from wbdoa.focusing import FocusingSet, gamma_oracle, noiseless_measurements
@@ -21,6 +22,7 @@ from wbdoa.model import (
     theta_to_f,
 )
 from wbdoa.recovery import (
+    PEAK_TOL,
     DualPolynomial,
     RecoveryConfig,
     _nnls,
@@ -40,27 +42,26 @@ class TestDualPolynomial:
         poly = DualPolynomial(Hbar=Hbar)
         for f in rng.uniform(-0.5, 0.5, 20):
             a = steering_vector(f, 6)
-            assert poly(f) == pytest.approx(np.linalg.norm(Hbar.conj().T @ a),
-                                            rel=1e-13)
+            assert poly_value(poly, f) == pytest.approx(np.linalg.norm(Hbar.conj().T @ a),
+                                                        rel=1e-13)
             assert np.allclose(poly.vector(f), Hbar.conj().T @ a, atol=1e-13)
 
     def test_polynomial_on_an_array_matches_scalar_calls(self):
         rng = np.random.default_rng(4)
         poly = DualPolynomial(Hbar=rng.standard_normal((9, 5)) + 1j * rng.standard_normal((9, 5)))
         fs = rng.uniform(-0.5, 0.5, (3, 4))
-        vals = poly(fs)
-        assert vals.shape == (3, 4)
-        np.testing.assert_array_max_ulp(vals.ravel(), [poly(f) for f in fs.ravel()], maxulp=4)
-        assert isinstance(poly(0.1), float)
+        vecs = poly.vector(fs)
+        assert vecs.shape == (3, 4, 5)
+        np.testing.assert_array_max_ulp(vecs.reshape(12, 5).view(float),
+                                        np.stack([poly.vector(f) for f in fs.ravel()]).view(float),
+                                        maxulp=4)
 
 
 class TestRecoveryConfig:
     @pytest.mark.parametrize("kwargs", [
-        {"peak_tol": 0.7}, {"peak_tol": 0.0},
         {"min_separation": -1e-3}, {"min_separation": float("nan")},
         {"min_separation": float("inf")},
-    ], ids=["peak-tol-high", "peak-tol-zero",
-            "min-sep-negative", "min-sep-nan", "min-sep-inf"])
+    ], ids=["min-sep-negative", "min-sep-nan", "min-sep-inf"])
     def test_rejects_out_of_range(self, kwargs):
         with pytest.raises(ValueError):
             RecoveryConfig(**kwargs)
@@ -77,16 +78,16 @@ class TestLocateFrequencies:
 
     def test_single_peak(self):
         f0 = 0.173
-        fs = locate_frequencies(self._planted_poly(f0))
+        fs, _ = locate_frequencies(self._planted_poly(f0))
         assert fs.size == 1
         assert fs[0] == pytest.approx(f0, abs=1e-7)
 
     def test_no_peaks_when_small(self):
         poly = DualPolynomial(Hbar=0.5 * (steering_vector(0.1, 12) / 12)[:, None])
-        assert locate_frequencies(poly).size == 0
+        assert locate_frequencies(poly)[0].size == 0
 
     def test_wraparound_peak(self):
-        fs = locate_frequencies(self._planted_poly(-0.499))
+        fs, _ = locate_frequencies(self._planted_poly(-0.499))
         assert fs.size == 1
         d = abs(fs[0] - (-0.499))
         assert min(d, 1 - d) < 1e-6
@@ -96,14 +97,14 @@ class TestLocateFrequencies:
         M = 10
         col = steering_vector(0.2, M) / (M * np.sqrt(2))
         poly = DualPolynomial(Hbar=np.stack([col, col], axis=1))
-        fs = locate_frequencies(poly)
+        fs, _ = locate_frequencies(poly)
         assert fs.size == 1
 
     def test_real_hbar_single_peak_at_zero(self):
         # real Hbar makes P even, so its peak at f = 0 has equal values on
-        # both sides; the sidelobes stay below 1 - peak_tol
+        # both sides; the sidelobes stay below 1 - PEAK_TOL
         poly = DualPolynomial(Hbar=np.full((8, 1), 1.0 / 8, dtype=complex))
-        fs = locate_frequencies(poly)
+        fs, _ = locate_frequencies(poly)
         assert fs.size == 1
         assert abs(fs[0]) < 1e-12
 
@@ -116,10 +117,10 @@ class TestLocateFrequencies:
         Hbar = (steering_vector(f0, M) / (M - 1))[:, None]
         Hbar[zero_row] = 0.0
         poly = DualPolynomial(Hbar=Hbar)
-        fs = locate_frequencies(poly)
+        fs, vectors = locate_frequencies(poly)
         assert fs.size == 1
         assert fs[0] == pytest.approx(f0, abs=1e-12)
-        assert poly(fs[0]) == pytest.approx(1.0, abs=1e-14)
+        assert np.linalg.norm(vectors[0]) == pytest.approx(1.0, abs=1e-14)
 
     def test_flat_peak_found(self):
         # columns a(0.2 -+ delta/2)/M at the delta where their two peaks
@@ -129,34 +130,29 @@ class TestLocateFrequencies:
         M, delta = 16, 0.0519745568
         Hbar = np.stack([steering_vector(0.2 - delta / 2, M),
                          steering_vector(0.2 + delta / 2, M)], axis=1)
-        poly = DualPolynomial(Hbar=Hbar / DualPolynomial(Hbar=Hbar)(0.2))
-        fs = locate_frequencies(poly)
+        poly = DualPolynomial(Hbar=Hbar / poly_value(DualPolynomial(Hbar=Hbar), 0.2))
+        fs, _ = locate_frequencies(poly)
         assert fs.size >= 1
         assert np.all(np.abs(fs - 0.2) < 1e-3)
 
     @pytest.mark.parametrize("row", [None, 3], ids=["zero", "single-row"])
     def test_constant_polynomial_has_no_peak(self, row):
         # Hbar = 0, or one nonzero row, makes P constant (here 1.2 for the
-        # row): no maximum, so no peak even though P >= 1 - peak_tol
+        # row): no maximum, so no peak even though P >= 1 - PEAK_TOL
         Hbar = np.zeros((8, 3), dtype=complex)
         if row is not None:
             Hbar[row] = [0.96, 0.72j, 0.0]
         poly = DualPolynomial(Hbar=Hbar)
+        fs, vectors = locate_frequencies(poly)
         assert poly.maxima().size == 0
-        assert locate_frequencies(poly).size == 0
-
-    def test_validation(self):
-        poly = self._planted_poly(0.1)
-        with pytest.raises(ValueError):
-            locate_frequencies(poly, peak_tol=0.7)
+        assert fs.size == 0 and vectors.shape == (0, 3)
 
     @settings(max_examples=40, deadline=None)
-    @given(M=st.integers(2, 48), J=st.integers(1, 19),
-           peak_tol=st.sampled_from([0.05, 0.3]), top=st.floats(1.0, 1.03),
+    @given(M=st.integers(2, 48), J=st.integers(1, 19), top=st.floats(1.0, 1.03),
            seed=st.integers(0, 2**32 - 1))
-    def test_every_near_one_maximum_found(self, M, J, peak_tol, top, seed):
+    def test_every_near_one_maximum_found(self, M, J, top, seed):
         # random Hbar scaled so the maximum of P on a 2^16-point grid is
-        # top: several local maxima lie within peak_tol of 1
+        # top: several local maxima lie within PEAK_TOL of 1
         rng = np.random.default_rng(seed)
         Hbar = rng.standard_normal((M, J)) + 1j * rng.standard_normal((M, J))
         grid = np.linspace(-0.5, 0.5, 1 << 16, endpoint=False)
@@ -165,14 +161,18 @@ class TestLocateFrequencies:
         Hbar *= scale
         vals *= scale
         poly = DualPolynomial(Hbar=Hbar)
-        fs = locate_frequencies(poly, peak_tol=peak_tol)
-        # each returned f is a local maximum within peak_tol of 1
-        assert np.all(poly(fs) >= poly(fs - 1e-6)) and np.all(poly(fs) >= poly(fs + 1e-6))
-        assert np.all(poly(fs) >= 1.0 - peak_tol)
+        fs, vectors = locate_frequencies(poly)
+        # each returned f is a local maximum within PEAK_TOL of 1, returned
+        # with the polynomial vector there
+        assert vectors.tobytes() == poly.vector(fs).tobytes()
+        peaks = np.linalg.norm(vectors, axis=-1)
+        assert np.all(peaks >= poly_value(poly, fs - 1e-6))
+        assert np.all(peaks >= poly_value(poly, fs + 1e-6))
+        assert np.all(peaks >= 1.0 - PEAK_TOL)
         # each grid maximum clearly above the threshold has a true maximum
         # within one grid step, which must have been returned
         cand = grid[(vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1))
-                    & (vals >= 1.0 - peak_tol + 1e-6)]
+                    & (vals >= 1.0 - PEAK_TOL + 1e-6)]
         assert cand.size >= 1
         gaps = np.abs((cand[:, None] - fs[None, :] + 0.5) % 1.0 - 0.5)
         assert np.all(gaps.min(axis=1, initial=1.0) <= 1.0 / grid.size)
@@ -281,6 +281,11 @@ class TestMergeAtoms:
         assert np.array_equal(betas, [2.0, 1.0])
         assert cs[0] is self.cs[1] and cs[1] is self.cs[0]
 
+    def test_lone_atoms_keep_their_bits(self):
+        fs, betas, cs = merge_atoms([0.1, -0.3], [1.0, 1.0], self.cs[:2], 0.01)
+        assert fs.tolist() == [-0.3, 0.1]
+        assert betas.tolist() == [1.0, 1.0]
+
     def test_empty(self):
         fs, betas, cs = merge_atoms([], [], [], 0.1)
         assert fs.size == 0 and betas.size == 0 and cs == []
@@ -342,12 +347,12 @@ class TestEstimateDoa:
         # peakValues covers every located atom, minor ones included, so
         # only the locate threshold is guaranteed
         for p in est.diagnostics["peakValues"]:
-            assert p >= 1.0 - 0.05
+            assert p >= 1.0 - PEAK_TOL
 
     def test_coefficients_are_the_peak_vectors(self, pipeline_setup):
         # each c_k is conj(P vector) / P at its located peak, read from the
         # same deterministic solve; this draw merges no atoms, so every kept
-        # atom is one located peak (its f only re-wrapped, within an ulp)
+        # atom is one located peak, at the same f
         cfg, focusing = pipeline_setup
         scene = random_scene(cfg, (-5.0, 15.0, 40.0), focusing, None, 0)
         data = synthesize_scene(cfg, scene, focusing)
@@ -357,11 +362,10 @@ class TestEstimateDoa:
         assert len(d["peakValues"]) == est.Khat + len(d["minorAtoms"])
         poly = DualPolynomial(Hbar=solve(ConicProblem(Y=data.Y, focusing=focusing,
                                                       gamma=gamma)).Hbar)
-        peaks = locate_frequencies(poly)
-        assert d["peakValues"] == poly(peaks).tolist()
+        peaks, vectors = locate_frequencies(poly)
+        assert d["peakValues"] == np.linalg.norm(vectors, axis=-1).tolist()
         for f, c in zip(est.fs, est.cs):
-            k = int(np.argmin(np.abs(peaks - f)))
-            assert abs(peaks[k] - f) <= 1e-15
+            (k,) = np.flatnonzero(peaks == f)
             assert c.tobytes() == (poly.vector(peaks[k]).conj() / d["peakValues"][k]).tobytes()
             assert np.linalg.norm(c) == pytest.approx(1.0, abs=1e-15)
 
@@ -394,6 +398,13 @@ class TestEstimateDoa:
         other = FocusingSet.build(np.linspace(1.0, 0.5, 10), cfg.M)
         with pytest.raises(ValueError, match="other bins"):
             estimate_doa(data, gamma, other)
+
+    def test_focusing_set_required(self, pipeline_setup):
+        cfg, focusing = pipeline_setup
+        scene = random_scene(cfg, (15.0,), focusing, None, 0)
+        data = synthesize_scene(cfg, scene, focusing)
+        with pytest.raises(TypeError):
+            estimate_doa(data, 1.0)
 
     def test_time_domain_front_end(self, pipeline_setup):
         # bin-aligned tones x_m[n] = sum_k sum_j s_kj e^{-2 pi i alpha_j f_k m}
@@ -468,7 +479,7 @@ class TestEstimateDoa:
         scene = WidebandScene(angles_deg=(10.0,), source_spectra=spectra)
         data = synthesize_scene(cfg, scene, focusing)
         gamma = gamma_oracle(data.Y, cfg, scene, focusing)
-        config = RecoveryConfig(peak_tol=0.02, solver=SolverConfig(eps_abs=1e-8, eps_rel=1e-7))
+        config = RecoveryConfig(solver=SolverConfig(eps_abs=1e-8, eps_rel=1e-7))
         est = estimate_doa(data, gamma, focusing, config)
         assert est.Khat == 1
         assert est.thetas[0] == pytest.approx(10.0, abs=0.05)
