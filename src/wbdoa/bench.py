@@ -138,6 +138,12 @@ class ExperimentConfig:
         default_alphas(self.J)
         SolverConfig(max_iter=self.solver_max_iter, eps_abs=self.solver_eps_abs,
                      eps_rel=self.solver_eps_rel)
+        for name in ("angles_deg", "snr_grid_db", "delta_theta_list"):
+            if np.ndim(getattr(self, name)) != 1:
+                raise ValueError(f"{name} must be a flat list")
+        snr = self.resolution_snr_db
+        if isinstance(snr, bool) or not isinstance(snr, (int, float, np.integer, np.floating)):
+            raise ValueError(f"resolution_snr_db must be a real number, got {snr!r}")
         for name in ("snr_grid_db", "delta_theta_list", "resolution_snr_db"):
             values = np.atleast_1d(getattr(self, name))
             if values.size == 0 or not np.all(np.isfinite(values)):

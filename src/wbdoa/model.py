@@ -172,15 +172,13 @@ def f_to_theta(f):
 def steering_vector(f, M: int) -> np.ndarray:
     """Steering vector a(f) with entries exp(-i*2*pi*f*m), m = 0..M-1; an
     array of frequencies gives one vector per entry along a new last axis."""
-    if M < 1:
-        raise ValueError("M must be at least 1")
-    return np.exp(-2j * np.pi * np.asarray(f)[..., None] * np.arange(M))
+    return np.exp(-2j * np.pi * np.asarray(f)[..., None] * np.arange(check_integer("M", M, 1)))
 
 
 def steering_matrix(fs, M: int) -> np.ndarray:
     """Stack steering vectors columnwise: M x len(fs)."""
     fs = np.atleast_1d(np.asarray(fs, dtype=float))
-    m = np.arange(M)[:, None]
+    m = np.arange(check_integer("M", M, 1))[:, None]
     return np.exp(-2j * np.pi * m * fs[None, :])
 
 

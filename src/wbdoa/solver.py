@@ -10,9 +10,9 @@ block [[Q, Hbar], [Hbar^H, I_J]]:
       (Toeplitz-trace conditions on Q, Hbar = columnwise T_j^H h_j,
       identity lower-right block),
   (c) over-relaxation of the x-step by RELAXATION (Boyd et al., ADMM,
-      2011, sec. 3.4.3) and the scaled dual update; the step size is
-      adapted by balancing each residual against its own stopping
-      tolerance, within a factor 1e3 of its starting value.
+      2011, sec. 3.4.3) and the scaled dual update; `_check` holds the
+      stopping test and the step size, balanced on the residuals against
+      their own tolerances within a factor 1e3 of its starting value.
 
 The reported iterate is the affine-feasible one, so the linear constraints
 hold exactly and only the PSD violation is a residual.
@@ -152,8 +152,31 @@ def _pair_norm(H: np.ndarray, S: np.ndarray) -> float:
     return np.sqrt(np.linalg.norm(H) ** 2 + np.linalg.norm(S) ** 2)
 
 
+def _check(k, x, z, z_prev, u, t, t0, config):
+    """Stopping and step-size rules after iteration k, on the (H, S) pairs x,
+    z, z_prev and scaled dual u: (status or None, step for t and u, residuals).
+
+    Optimal when both residuals meet their tolerances, else MaxIter at the
+    last iteration.  The step is 0.5 or 2 when one residual over its own
+    tolerance exceeds twice the other, while k < max_iter // 2 and t stays
+    within [1e-3, 1e3] * t0 (Wohlberg, arXiv:1704.06209); else 1.0."""
+    dim = np.sqrt(2.0 * (z[0].size + z[1].size))
+    r_norm = _pair_norm(x[0] - z[0], x[1] - z[1])
+    s_norm = _pair_norm(z[0] - z_prev[0], z[1] - z_prev[1]) / t
+    eps_pri = config.eps_abs * dim + config.eps_rel * max(_pair_norm(*x), _pair_norm(*z))
+    eps_dual = config.eps_abs * dim + config.eps_rel * (_pair_norm(*u) / t)
+    residuals = {"primal": float(r_norm), "dual": float(s_norm)}
+    if r_norm <= eps_pri and s_norm <= eps_dual:
+        return "Optimal", 1.0, residuals
+    if k >= config.max_iter // 2:
+        return ("MaxIter" if k == config.max_iter else None), 1.0, residuals
+    r_rel, s_rel = r_norm / eps_pri, s_norm / eps_dual
+    step = 0.5 if r_rel > 2.0 * s_rel else 2.0 if s_rel > 2.0 * r_rel else 1.0
+    return None, (step if 1e-3 <= t * step / t0 <= 1e3 else 1.0), residuals
+
+
 def solve(problem: ConicProblem, config: SolverConfig = None) -> ConicSolution:
-    """Run the splitting iteration until the KKT residuals meet tolerance."""
+    """Run the splitting iteration until `_check` stops it."""
     if config is None:
         config = SolverConfig()
     M, J = problem.M, problem.J
@@ -168,9 +191,6 @@ def solve(problem: ConicProblem, config: SolverConfig = None) -> ConicSolution:
     Su = np.zeros_like(Sz)
 
     t0 = t = 1.0 / max(1.0, float(np.linalg.norm(problem.Y)))
-
-    status = "MaxIter"
-    dim = np.sqrt(2.0 * (M * J + n * n))
 
     for k in range(1, config.max_iter + 1):
         Hx = _prox_objective(Hz - Hu, problem, t)
@@ -188,36 +208,21 @@ def solve(problem: ConicProblem, config: SolverConfig = None) -> ConicSolution:
         Su -= Sz
 
         if k % CHECK_EVERY == 0 or k == config.max_iter:
-            r_norm = _pair_norm(Hx - Hz, Sx - Sz)
-            s_norm = _pair_norm(Hz - Hz_prev, Sz - Sz_prev) / t
-            x_norm, z_norm = _pair_norm(Hx, Sx), _pair_norm(Hz, Sz)
-            u_norm = _pair_norm(Hu, Su) / t
-            eps_pri = config.eps_abs * dim + config.eps_rel * max(x_norm, z_norm)
-            eps_dual = config.eps_abs * dim + config.eps_rel * u_norm
-            if r_norm <= eps_pri and s_norm <= eps_dual:
-                status = "Optimal"
+            status, step, residuals = _check(k, (Hx, Sx), (Hz, Sz), (Hz_prev, Sz_prev),
+                                             (Hu, Su), t, t0, config)
+            if status:
                 break
-            if k < config.max_iter // 2:
-                r_rel, s_rel = r_norm / eps_pri, s_norm / eps_dual
-                step = 0.5 if r_rel > 2.0 * s_rel else 2.0 if s_rel > 2.0 * r_rel else 1.0
-                if step != 1.0 and 1e-3 <= t * step / t0 <= 1e3:
-                    Hu *= step
-                    Su *= step
-                    t *= step
+            Hu *= step
+            Su *= step
+            t *= step
 
-    evals = np.linalg.eigvalsh(0.5 * (Sz + Sz.conj().T))
-    residuals = {
-        "psdViolation": float(max(0.0, -evals[0])),
-        "primal": float(r_norm),
-        "dual": float(s_norm),
-    }
+    psd_violation = float(max(0.0, -np.linalg.eigvalsh(Sz)[0]))  # Sz is Hermitian
     return ConicSolution(
         H=Hz,
         Hbar=Sz[:M, M:].copy(),
         Q=Sz[:M, :M].copy(),
         objective=problem.objective(Hz),
-        residuals=residuals,
+        residuals={"psdViolation": psd_violation, **residuals},
         iterations=k,
         status=status,
     )
-

@@ -235,6 +235,9 @@ class TestExperimentConfig:
         {"master_seed": False},
         {"workers": True},
         {"solver_max_iter": True},
+        {"angles_deg": ((1.0, 2.0),)},
+        {"snr_grid_db": ((10.0,),)},
+        {"scenario": "resolution", "resolution_snr_db": (10.0,)},
     ], ids=["M1", "J25", "music", "wgs-music", "rss-J3", "resolution-rss-J2",
             "rss-M3", "resolution-rss-M2", "max-iter-0", "eps-abs-0", "snr-empty",
             "snr-nan", "snr-minus-inf",
@@ -244,7 +247,8 @@ class TestExperimentConfig:
             "angles-repeated", "theta1-nan", "seed-negative", "trials-fraction",
             "delta-negative", "delta-zero", "delta-past-endfire", "workers-text",
             "workers-fraction", "workers-zero", "M-fraction", "J-fraction",
-            "J-float", "trials-bool", "seed-bool", "workers-bool", "max-iter-bool"])
+            "J-float", "trials-bool", "seed-bool", "workers-bool", "max-iter-bool",
+            "angles-nested", "snr-nested", "resolution-snr-list"])
     def test_rejects_what_no_runner_can_use(self, change):
         with pytest.raises(ValueError):
             ExperimentConfig(**{"scenario": "rmse_vs_snr", **change})

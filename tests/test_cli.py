@@ -266,6 +266,8 @@ class TestBenchmark:
         {"scenario": "resolution", "theta1_deg": -85, "delta_theta_list": [5]},
         {"workers": "two"}, {"workers": 1.5}, {"workers": 0},
         {"M": 8.5}, {"J": 10.5}, {"trials": True},
+        {"trials": 1, "methods": ["wgs"], "angles_deg": [[1, 2]]}, {"snr_grid_db": [[10]]},
+        {"scenario": "resolution", "resolution_snr_db": [10]},
     ], ids=["M1", "J25", "music", "rss-J3", "rss-M3", "resolution-rss-M2",
             "max-iter-0", "snr-empty", "snr-nan",
             "snr-minus-inf", "init-err-negative", "resolution-delta-empty",
@@ -273,7 +275,8 @@ class TestBenchmark:
             "angles-nan", "angles-95", "angles-repeated", "resolution-theta1-nan",
             "seed-negative", "trials-fraction", "resolution-delta-negative",
             "resolution-delta-past-endfire", "workers-text", "workers-fraction",
-            "workers-zero", "M-fraction", "J-fraction", "trials-bool"])
+            "workers-zero", "M-fraction", "J-fraction", "trials-bool", "angles-nested",
+            "snr-nested", "resolution-snr-list"])
     def test_config_no_runner_can_use(self, tmp_path, capsys, change):
         cfg = tmp_path / "bench.json"
         cfg.write_text(json.dumps({"scenario": "rmse_vs_snr", **change}))

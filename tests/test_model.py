@@ -13,6 +13,7 @@ from wbdoa.model import (
     WidebandScene,
     f_to_theta,
     stationary_frequencies,
+    steering_matrix,
     steering_vector,
     subband_transform,
     synthesize_scene,
@@ -87,6 +88,15 @@ class TestSteeringVector:
         for f in (-0.31, 0.08, 0.44):
             assert np.allclose(steering_vector(-f, 10),
                                np.conj(steering_vector(f, 10)), atol=1e-13)
+
+    @pytest.mark.parametrize("helper, f, M", [
+        (steering_vector, 0.1, 8.5), (steering_vector, 0.1, True),
+        (steering_matrix, [0.1], 8.5), (steering_matrix, [0.1], 0),
+    ], ids=["vector-fraction", "vector-bool", "matrix-fraction", "matrix-zero"])
+    def test_non_integer_or_empty_m_rejected(self, helper, f, M):
+        # each call once returned 9, 1, 9 x 1 or 0 x 1 entries with no error
+        with pytest.raises(ValueError, match="M must be an integer >= 1"):
+            helper(f, M)
 
 
 class TestStationaryFrequencies:

@@ -15,6 +15,7 @@ from wbdoa.model import (
 from wbdoa.solver import (
     ConicSolution,
     SolverConfig,
+    _check,
     _project_trace,
     affine_project,
     psd_project,
@@ -416,6 +417,62 @@ class TestConvergence:
                     SolverConfig(max_iter=10000))
         assert sol.status == "MaxIter"
         assert np.isfinite(sol.objective) and sol.objective < 1e8
+
+
+def _pairs(r, s, t=1.0):
+    """(x, z, z_prev, u) on 1 x 1 blocks, so dim = 2, with primal residual
+    norm r and dual residual norm s at step size t; z and u are zero."""
+    zero = np.zeros((1, 1), dtype=complex)
+    return ((np.full((1, 1), r, dtype=complex), zero), (zero, zero),
+            (np.full((1, 1), -s * t, dtype=complex), zero), (zero, zero))
+
+
+class TestCheck:
+    """The stopping and step-size rules on hand-made iterates."""
+
+    # eps_abs * dim = 1, and eps_rel barely moves eps_pri from 1 (eps_dual
+    # stays exactly 1 with u = 0); max_iter // 2 = 18
+    CONFIG = SolverConfig(max_iter=37, eps_abs=0.5, eps_rel=1e-9)
+
+    def check(self, k, r, s, t=1.0, t0=1.0):
+        return _check(k, *_pairs(r, s, t), t, t0, self.CONFIG)
+
+    def test_optimal_when_both_residuals_meet_tolerance(self):
+        status, step, residuals = self.check(5, 0.9, 0.8)
+        assert (status, step) == ("Optimal", 1.0)
+        assert residuals == {"primal": pytest.approx(0.9), "dual": pytest.approx(0.8)}
+        assert all(type(v) is float for v in residuals.values())
+
+    @pytest.mark.parametrize("r, s", [(1.1, 0.8), (0.9, 1.1)], ids=["primal", "dual"])
+    def test_one_residual_over_tolerance_is_not_optimal(self, r, s):
+        for k in (5, 25, 36):
+            status, _, residuals = self.check(k, r, s)
+            assert status is None
+            assert residuals == {"primal": pytest.approx(r), "dual": pytest.approx(s)}
+
+    def test_max_iter_only_at_the_last_iteration(self):
+        assert self.check(36, 5.0, 5.0)[0] is None
+        assert self.check(37, 5.0, 5.0)[:2] == ("MaxIter", 1.0)
+        assert self.check(37, 0.5, 0.5)[0] == "Optimal"
+
+    @pytest.mark.parametrize("r, s, step", [
+        (2.1, 1.0, 0.5), (1.0, 2.1, 2.0), (1.9, 1.0, 1.0), (1.0, 1.9, 1.0),
+    ], ids=["primal-heavy", "dual-heavy", "balanced-primal", "balanced-dual"])
+    def test_balancing_rule(self, r, s, step):
+        assert self.check(17, r, s) == (None, step, {"primal": pytest.approx(r),
+                                                     "dual": pytest.approx(s)})
+
+    @pytest.mark.parametrize("k", [18, 25, 36])
+    def test_step_fixed_in_the_second_half_of_the_budget(self, k):
+        assert self.check(k, 3.0, 1.0)[1] == 1.0
+        assert self.check(k, 1.0, 3.0)[1] == 1.0
+
+    @pytest.mark.parametrize("t, r, s, step", [
+        (512.0, 1.0, 3.0, 1.0), (256.0, 1.0, 3.0, 2.0),
+        (2.0 ** -9, 3.0, 1.0, 1.0), (2.0 ** -8, 3.0, 1.0, 0.5),
+    ], ids=["past-1e3", "up-to-512x", "below-1e-3", "down-to-512th"])
+    def test_step_keeps_t_within_1e3_of_t0(self, t, r, s, step):
+        assert self.check(5, r, s, t=0.25 * t, t0=0.25)[1] == step
 
 
 class TestQCertificate:
