@@ -13,7 +13,7 @@ import numpy as np
 
 from .baselines import perturb_initial, rss_estimate
 from .focusing import FocusingSet, gamma_oracle, noiseless_measurements
-from .model import ArrayConfig, WidebandScene, check_integer, synthesize_scene
+from .model import ArrayConfig, WidebandScene, check_integer, check_real, synthesize_scene
 from .recovery import RecoveryConfig, estimate_doa
 from .solver import SolverConfig
 
@@ -127,6 +127,14 @@ class ExperimentConfig:
         check_integer("master_seed", self.master_seed, 0)
         if self.workers is not None:
             check_integer("workers", self.workers, 1)
+        for name in ("theta1_deg", "resolution_snr_db", "c", "omega1", "init_err_deg",
+                     "solver_eps_abs", "solver_eps_rel"):
+            check_real(name, getattr(self, name))
+        for name in ("angles_deg", "snr_grid_db", "delta_theta_list"):
+            if np.ndim(getattr(self, name)) != 1:
+                raise ValueError(f"{name} must be a flat list")
+            for value in getattr(self, name):
+                check_real(f"each of {name}", value)
         if not self.methods:
             raise ValueError("method list must be nonempty")
         if not set(self.methods) <= {"wgs", "rss"}:
@@ -138,12 +146,6 @@ class ExperimentConfig:
         default_alphas(self.J)
         SolverConfig(max_iter=self.solver_max_iter, eps_abs=self.solver_eps_abs,
                      eps_rel=self.solver_eps_rel)
-        for name in ("angles_deg", "snr_grid_db", "delta_theta_list"):
-            if np.ndim(getattr(self, name)) != 1:
-                raise ValueError(f"{name} must be a flat list")
-        snr = self.resolution_snr_db
-        if isinstance(snr, bool) or not isinstance(snr, (int, float, np.integer, np.floating)):
-            raise ValueError(f"resolution_snr_db must be a real number, got {snr!r}")
         for name in ("snr_grid_db", "delta_theta_list", "resolution_snr_db"):
             values = np.atleast_1d(getattr(self, name))
             if values.size == 0 or not np.all(np.isfinite(values)):

@@ -92,6 +92,9 @@ def gamma_blind(Y: np.ndarray, sigma2: float, focusing: FocusingSet) -> float:
     """
     if not (np.isfinite(sigma2) and sigma2 >= 0):
         raise ValueError(f"noise variance must be finite and nonnegative, got {sigma2}")
+    if Y.shape != (focusing.M, focusing.J):
+        raise ValueError(f"Y shape {Y.shape} inconsistent with focusing set "
+                         f"({focusing.M} x {focusing.J})")
     M, J = Y.shape
     noise_power = M * J * sigma2
     f_grid = np.linspace(-0.5, 0.5, 64, endpoint=False)

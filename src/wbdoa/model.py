@@ -21,6 +21,13 @@ def check_integer(name: str, value, low: int):
     return value
 
 
+def check_real(name: str, value):
+    """value if it is a real number, else ValueError; a bool is no number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ArrayConfig:
     """Uniform linear array geometry and physical constants.

@@ -5,7 +5,8 @@ block [[Q, Hbar], [Hbar^H, I_J]]:
 
   (a) proximal step for the concave objective in H (linear term plus exact
       block soft-thresholding for the -sqrt(gamma)*||H||_F term) together
-      with projection of S onto the PSD cone,
+      with projection of S onto the PSD cone, warm-started between checks
+      from the previous negative eigenspace once M + J >= WARM_MIN_SIZE,
   (b) Euclidean projection of (H, S) onto the affine constraint set
       (Toeplitz-trace conditions on Q, Hbar = columnwise T_j^H h_j,
       identity lower-right block),
@@ -25,12 +26,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atoms import ConicProblem
-from .model import check_integer
+from .model import check_integer, check_real
 
 # x-step relaxation alpha: x_hat = alpha x + (1 - alpha) z_prev
 RELAXATION = 1.8
 # iterations between residual checks (and step-size updates)
 CHECK_EVERY = 25
+# Warm-started PSD projection (Rontsis, Goulart & Nakatsukasa, JOTA 2022):
+# from this block size n = M + J, `solve` passes the previous negative
+# eigenspace between checks; below it every projection is a full eigh
+WARM_MIN_SIZE = 40
+# blocks [V, WV, W^2 V] of the Krylov space of the warm step
+KRYLOV_DEPTH = 3
+# eigenvectors carried above the negative ones in the next basis
+BASIS_EXTRA = 2
+# largest Ritz residual of the negative pairs the warm step trusts, over ||W||_F
+RITZ_TOL = 1e-3
 
 
 @dataclass
@@ -41,6 +52,8 @@ class SolverConfig:
 
     def __post_init__(self):
         check_integer("max_iter", self.max_iter, 1)
+        check_real("eps_abs", self.eps_abs)
+        check_real("eps_rel", self.eps_rel)
         if not all(np.isfinite(e) and e > 0 for e in (self.eps_abs, self.eps_rel)):
             raise ValueError("tolerances eps_abs and eps_rel must be finite and positive")
 
@@ -56,30 +69,70 @@ class ConicSolution:
     status: str  # Optimal | MaxIter
 
 
-def psd_project(W: np.ndarray) -> np.ndarray:
+def psd_project(W: np.ndarray, basis: np.ndarray = None):
     """Frobenius-nearest PSD matrix to the Hermitian part of W, by clipping
-    negative eigenvalues.
+    negative eigenvalues: (P, next basis).
 
-    The result is rebuilt from the smaller eigenspace: W - V_- L_- V_-^H
-    when at most half the eigenvalues are negative (the cheaper product),
-    else V_+ L_+ V_+^H (subtracting a large negative part from W would
-    cancel and could leave the result slightly indefinite).
+    Without a basis the clip comes from a full eigh, and the result is
+    rebuilt from the smaller eigenspace: W - V_- L_- V_-^H when at most half
+    the eigenvalues are negative (the cheaper product), else V_+ L_+ V_+^H
+    (subtracting a large negative part from W would cancel and could leave
+    the result slightly indefinite).
+
+    With a basis, an orthonormal n x p block near the negative eigenspace
+    (the previous call's next basis), one Rayleigh-Ritz step on the Krylov
+    space [V, WV, W^2 V] stands in for the eigh; it falls back to the eigh
+    when that space is not smaller than W, when no Ritz value is negative
+    or when the negative Ritz pairs leave a residual above RITZ_TOL ||W||_F.
+    A negative eigenvalue whose eigenvector the Krylov space misses goes
+    unclipped, so the warm step is only as good as its basis.
+
+    The next basis holds the negative eigen- or Ritz vectors and the
+    BASIS_EXTRA after them.
     """
     W = np.asarray(W, dtype=complex)
     W = W + W.conj().T
     W *= 0.5
+    if basis is not None and KRYLOV_DEPTH * basis.shape[1] < W.shape[0]:
+        warm = _ritz_project(W, basis)
+        if warm is not None:
+            return warm
     try:
         evals, evecs = np.linalg.eigh(W)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigendecomposition failed on {W.shape} block") from exc
     neg = int(np.searchsorted(evals, 0.0))  # eigenvalues are ascending
+    basis = evecs[:, :neg + BASIS_EXTRA]
     if neg == 0:
-        return W
+        return W, basis
     if 2 * neg <= evals.size:
         V = evecs[:, :neg]
-        return W - (V * evals[:neg]) @ V.conj().T
+        return W - (V * evals[:neg]) @ V.conj().T, basis
     V = evecs[:, neg:]
-    return (V * evals[neg:]) @ V.conj().T
+    return (V * evals[neg:]) @ V.conj().T, basis
+
+
+def _ritz_project(W: np.ndarray, V: np.ndarray):
+    """(W - X_- L_- X_-^H, next basis) from the Ritz pairs of the Hermitian
+    W on its Krylov space from V, or None when they cannot be trusted."""
+    blocks = [V]
+    for _ in range(KRYLOV_DEPTH - 1):
+        blocks.append(W @ blocks[-1])
+    Q = np.linalg.qr(np.hstack(blocks))[0]  # Householder: orthonormal even if rank-deficient
+    WQ = W @ Q
+    try:
+        ritz, Z = np.linalg.eigh(Q.conj().T @ WQ)
+    except np.linalg.LinAlgError:  # non-finite W: left to the full eigh
+        return None
+    neg = int(np.searchsorted(ritz, 0.0))
+    if neg == 0:
+        return None
+    basis = Q @ Z[:, :neg + BASIS_EXTRA]
+    X, L = basis[:, :neg], ritz[:neg]
+    residual = np.linalg.norm(WQ @ Z[:, :neg] - X * L)
+    if not residual <= RITZ_TOL * np.linalg.norm(W):  # also refuses NaN
+        return None
+    return W - (X * L) @ X.conj().T, basis
 
 
 def _project_trace(Q: np.ndarray) -> np.ndarray:
@@ -192,9 +245,15 @@ def solve(problem: ConicProblem, config: SolverConfig = None) -> ConicSolution:
 
     t0 = t = 1.0 / max(1.0, float(np.linalg.norm(problem.Y)))
 
+    # every projection up to the first check and at each check is exact,
+    # so the status and the residuals never rest on a warm step
+    warm = n >= WARM_MIN_SIZE
+    basis = None
     for k in range(1, config.max_iter + 1):
+        check = k % CHECK_EVERY == 0 or k == config.max_iter
+        exact = not warm or k <= CHECK_EVERY or check
         Hx = _prox_objective(Hz - Hu, problem, t)
-        Sx = psd_project(Sz - Su)
+        Sx, basis = psd_project(Sz - Su, None if exact else basis)
         Hz_prev, Sz_prev = Hz, Sz
         Hx_hat = (1.0 - RELAXATION) * Hz_prev
         Hx_hat += RELAXATION * Hx
@@ -207,7 +266,7 @@ def solve(problem: ConicProblem, config: SolverConfig = None) -> ConicSolution:
         Hu -= Hz
         Su -= Sz
 
-        if k % CHECK_EVERY == 0 or k == config.max_iter:
+        if check:
             status, step, residuals = _check(k, (Hx, Sx), (Hz, Sz), (Hz_prev, Sz_prev),
                                              (Hu, Su), t, t0, config)
             if status:

@@ -53,7 +53,7 @@ def find_q_certificate(Hbar: np.ndarray, max_iter: int = 20000, tol: float = 1e-
     S = S0
     lam_min = -np.inf
     for _ in range(max_iter):
-        Q = psd_project(S)[:M, :M]
+        Q = psd_project(S)[0][:M, :M]
         S = S0.copy()
         S[:M, :M] = _project_trace(0.5 * (Q + Q.conj().T))
         lam_min = float(np.linalg.eigvalsh(S)[0])

@@ -162,7 +162,7 @@ def test_05_solver_unit_oracles():
         ev, V = np.linalg.eigh(R)
         Rp = (V * np.clip(ev, 0.0, None)) @ V.T
         oracle = Rp[:12, :12] + 1j * Rp[12:, :12]
-        psd_ok &= np.max(np.abs(psd_project(W) - oracle)) < 1e-10
+        psd_ok &= np.max(np.abs(psd_project(W)[0] - oracle)) < 1e-10
     focusing = FocusingSet.build([1.0, 0.8, 0.6], 6)
     prog = ConicProblem(
         Y=rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3)),

@@ -238,6 +238,16 @@ class TestExperimentConfig:
         {"angles_deg": ((1.0, 2.0),)},
         {"snr_grid_db": ((10.0,),)},
         {"scenario": "resolution", "resolution_snr_db": (10.0,)},
+        {"solver_eps_abs": True},
+        {"solver_eps_rel": True},
+        {"solver_eps_abs": "1e-6"},
+        {"init_err_deg": True},
+        {"angles_deg": (True, 20.0)},
+        {"snr_grid_db": (True,)},
+        {"omega1": True},
+        {"c": True},
+        {"scenario": "resolution", "theta1_deg": True},
+        {"scenario": "resolution", "delta_theta_list": (True,)},
     ], ids=["M1", "J25", "music", "wgs-music", "rss-J3", "resolution-rss-J2",
             "rss-M3", "resolution-rss-M2", "max-iter-0", "eps-abs-0", "snr-empty",
             "snr-nan", "snr-minus-inf",
@@ -248,7 +258,9 @@ class TestExperimentConfig:
             "delta-negative", "delta-zero", "delta-past-endfire", "workers-text",
             "workers-fraction", "workers-zero", "M-fraction", "J-fraction",
             "J-float", "trials-bool", "seed-bool", "workers-bool", "max-iter-bool",
-            "angles-nested", "snr-nested", "resolution-snr-list"])
+            "angles-nested", "snr-nested", "resolution-snr-list", "eps-abs-bool",
+            "eps-rel-bool", "eps-abs-text", "init-err-bool", "angles-bool", "snr-bool",
+            "omega1-bool", "c-bool", "theta1-bool", "delta-bool"])
     def test_rejects_what_no_runner_can_use(self, change):
         with pytest.raises(ValueError):
             ExperimentConfig(**{"scenario": "rmse_vs_snr", **change})

@@ -268,6 +268,10 @@ class TestBenchmark:
         {"M": 8.5}, {"J": 10.5}, {"trials": True},
         {"trials": 1, "methods": ["wgs"], "angles_deg": [[1, 2]]}, {"snr_grid_db": [[10]]},
         {"scenario": "resolution", "resolution_snr_db": [10]},
+        {"solver_eps_abs": True}, {"solver_eps_rel": True}, {"solver_eps_abs": "1e-6"},
+        {"init_err_deg": True}, {"angles_deg": [True, 20]}, {"snr_grid_db": [True]},
+        {"omega1": True}, {"scenario": "resolution", "theta1_deg": True},
+        {"scenario": "resolution", "delta_theta_list": [True]},
     ], ids=["M1", "J25", "music", "rss-J3", "rss-M3", "resolution-rss-M2",
             "max-iter-0", "snr-empty", "snr-nan",
             "snr-minus-inf", "init-err-negative", "resolution-delta-empty",
@@ -276,7 +280,9 @@ class TestBenchmark:
             "seed-negative", "trials-fraction", "resolution-delta-negative",
             "resolution-delta-past-endfire", "workers-text", "workers-fraction",
             "workers-zero", "M-fraction", "J-fraction", "trials-bool", "angles-nested",
-            "snr-nested", "resolution-snr-list"])
+            "snr-nested", "resolution-snr-list", "eps-abs-bool", "eps-rel-bool",
+            "eps-abs-text", "init-err-bool", "angles-bool", "snr-bool", "omega1-bool",
+            "resolution-theta1-bool", "resolution-delta-bool"])
     def test_config_no_runner_can_use(self, tmp_path, capsys, change):
         cfg = tmp_path / "bench.json"
         cfg.write_text(json.dumps({"scenario": "rmse_vs_snr", **change}))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -160,3 +162,12 @@ class TestGamma:
             ratios.append(g_est / g_true)
         ratios = np.array(ratios)
         assert np.all(ratios > 1 / 3) and np.all(ratios < 3)
+
+    @pytest.mark.parametrize("shape", [(6, 4), (8, 3)], ids=["M", "J"])
+    def test_gamma_blind_rejects_data_of_another_shape(self, shape):
+        # an M = 6 Y with an M = 8 set would mix the noise power of one
+        # array with the focusing errors of the other
+        focusing = FocusingSet.build([1.0, 0.9, 0.8, 0.7], 8)
+        message = f"{shape} inconsistent with focusing set (8 x 4)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            gamma_blind(np.ones(shape, dtype=complex), 0.1, focusing)

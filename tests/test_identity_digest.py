@@ -15,11 +15,14 @@ def _digest(*args):
 def test_digest_is_repeatable():
     first = _digest("--src", str(ROOT / "src"), "--draws", "1")
     assert first == _digest("--src", str(ROOT / "src"), "--draws", "1")
-    solve_line, estimate_line = first.splitlines()
+    solve_line, estimate_line, warm_line = first.splitlines()
     # 3 scenes under 4 configs, plus the gamma = 1 problem
     assert solve_line.startswith("solve problems=13 ")
     assert estimate_line.startswith("estimate_doa draws=3 ")
-    assert all(len(line.rsplit("sha256=", 1)[1]) == 64 for line in (solve_line, estimate_line))
+    # one noiseless M = 32, J = 10 scene
+    assert warm_line.startswith("warm_solve problems=1 ")
+    assert all(len(line.rsplit("sha256=", 1)[1]) == 64
+               for line in (solve_line, estimate_line, warm_line))
 
 
 def test_digest_refuses_a_package_from_another_tree(tmp_path):

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
+import wbdoa.solver as solver_module
+from wbdoa import bench
 from wbdoa.atoms import ConicProblem
 from wbdoa.focusing import FocusingSet, gamma_oracle, noiseless_measurements
 from wbdoa.model import (
@@ -12,7 +14,10 @@ from wbdoa.model import (
     steering_vector,
     synthesize_scene,
 )
+from wbdoa.recovery import RecoveryConfig, estimate_doa
 from wbdoa.solver import (
+    CHECK_EVERY,
+    RITZ_TOL,
     ConicSolution,
     SolverConfig,
     _check,
@@ -48,10 +53,10 @@ class TestPsdProject:
         rng = np.random.default_rng(1)
         A = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
         P = A @ A.conj().T
-        assert np.allclose(psd_project(P), P, atol=1e-12)
+        assert np.allclose(psd_project(P)[0], P, atol=1e-12)
 
     def test_negative_definite_to_zero(self):
-        assert np.allclose(psd_project(-np.eye(4)), 0.0)
+        assert np.allclose(psd_project(-np.eye(4))[0], 0.0)
 
     def test_against_real_embedding_oracle(self):
         # project the real embedding with a separately coded eigen-clip and
@@ -64,12 +69,12 @@ class TestPsdProject:
             ev, V = np.linalg.eigh(R)
             Rp = (V * np.clip(ev, 0.0, None)) @ V.T
             back = Rp[:5, :5] + 1j * Rp[5:, :5]
-            assert np.allclose(psd_project(W), back, atol=1e-10)
+            assert np.allclose(psd_project(W)[0], back, atol=1e-10)
 
     def test_result_is_psd(self):
         rng = np.random.default_rng(3)
         A = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        out = psd_project(A + A.conj().T)
+        out = psd_project(A + A.conj().T)[0]
         assert np.linalg.eigvalsh(out).min() >= -1e-12
 
 
@@ -235,10 +240,10 @@ class TestPsdProjectProperties:
     def test_cone_idempotence_and_moreau(self, n, scale, seed):
         A = scale * _crandn(np.random.default_rng(seed), n, n)
         W = A + A.conj().T
-        P, N = psd_project(W), psd_project(-W)
+        P, N = psd_project(W)[0], psd_project(-W)[0]
         size = np.linalg.norm(W)
         assert np.linalg.eigvalsh(0.5 * (P + P.conj().T))[0] >= -1e-12 * size
-        assert _rel_err(psd_project(P), P) <= 1e-12
+        assert _rel_err(psd_project(P)[0], P) <= 1e-12
         # Moreau: W = P(W) - P(-W) with the two parts orthogonal
         assert _rel_err(P - N, W) <= 1e-12
         assert abs(np.vdot(P, N)) <= 1e-12 * size ** 2
@@ -266,7 +271,7 @@ class TestPsdProjectBranches:
         W = (U * evals) @ U.conj().T
         W = 0.5 * (W + W.conj().T)
         assert np.count_nonzero(np.linalg.eigvalsh(W) < 0) == neg
-        assert _rel_err(psd_project(W), _clip_all(W)) <= 1e-12
+        assert _rel_err(psd_project(W)[0], _clip_all(W)) <= 1e-12
 
     @pytest.mark.parametrize("neg", [0, 4, 9], ids=["none", "few", "most"])
     def test_projects_the_hermitian_part(self, neg):
@@ -278,9 +283,163 @@ class TestPsdProjectBranches:
         W = (U * (rng.uniform(0.5, 2.0, n) * np.where(np.arange(n) < neg, -1.0, 1.0))) @ U.conj().T
         W = 0.5 * (W + W.conj().T)
         A = _crandn(rng, n, n)
-        P = psd_project(W + (A - A.conj().T))
+        P = psd_project(W + (A - A.conj().T))[0]
         assert _rel_err(P, _clip_all(W)) <= 1e-12
         assert _rel_err(P, P.conj().T) <= 1e-12
+
+
+def _with_eigenvalues(rng, evals):
+    """A Hermitian matrix with the given spectrum and random eigenvectors."""
+    U, _ = np.linalg.qr(_crandn(rng, evals.size, evals.size))
+    W = (U * evals) @ U.conj().T
+    return 0.5 * (W + W.conj().T)
+
+
+class TestWarmPsdProject:
+    """The Rayleigh-Ritz step on the Krylov space of the previous basis."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(40, 72), data=st.data(), scale=st.sampled_from([1e-3, 1.0, 1e3]),
+           size=st.floats(0.0, 1e-2), seed=st.integers(0, 2**32 - 1))
+    def test_perturbed_input_matches_the_exact_projection(self, n, data, scale, size, seed):
+        # eigenvalues at least scale/2 away from zero, and a perturbation of
+        # at most 1e-2 ||W||_F, whose spectral norm stays well inside that gap:
+        # the negative eigenspace of W + E lies near the basis taken from W
+        neg = data.draw(st.integers(1, n // 3 - 2))  # Krylov space smaller than n
+        rng = np.random.default_rng(seed)
+        sign = np.where(np.arange(n) < neg, -1.0, 1.0)
+        W = _with_eigenvalues(rng, scale * rng.uniform(0.5, 2.0, n) * sign)
+        E = _crandn(rng, n, n)
+        E = E + E.conj().T
+        E *= size * np.linalg.norm(W) / np.linalg.norm(E)
+        _, basis = psd_project(W)
+        assert basis.shape == (n, neg + solver_module.BASIS_EXTRA)
+        warm, next_basis = psd_project(W + E, basis)
+        exact, _ = psd_project(W + E)
+        assert next_basis.shape[0] == n
+        if not np.array_equal(warm, exact):  # else the warm step fell back
+            assert np.linalg.norm(warm - exact) <= RITZ_TOL * np.linalg.norm(W + E)
+
+    def test_basis_orthogonal_to_the_negative_eigenspace_falls_back(self):
+        # on a diagonal W the span of unit vectors is invariant: the Krylov
+        # space holds only the positive eigenvalues, so no Ritz value is
+        # negative and the eigh projects
+        n = 48
+        evals = np.linspace(1.0, 2.0, n)
+        evals[:5] = -np.arange(1.0, 6.0)
+        W = np.diag(evals).astype(complex)
+        basis = np.eye(n, dtype=complex)[:, 10:17]
+        got, _ = psd_project(W, basis)
+        assert np.array_equal(got, psd_project(W)[0])
+        assert np.array_equal(got, np.diag(np.clip(evals, 0.0, None)))
+
+    def test_a_negative_eigenspace_the_krylov_space_misses_stays(self):
+        # the blind spot of the warm step: the basis meets the eigenvalue -1
+        # but not -2, whose eigenvector is orthogonal to an invariant Krylov
+        # space; the Ritz pair for -1 is exact, so the step trusts itself and
+        # returns an indefinite matrix.  solve projects exactly up to the
+        # first check and at every check, so neither its status nor its
+        # residuals rest on such a step
+        n = 48
+        evals = np.linspace(1.0, 2.0, n)
+        evals[:2] = (-1.0, -2.0)
+        W = np.diag(evals).astype(complex)
+        basis = np.eye(n, dtype=complex)[:, [0, 10, 11]]
+        got, _ = psd_project(W, basis)
+        kept = np.clip(evals, 0.0, None)
+        kept[1] = -2.0
+        assert np.allclose(got, np.diag(kept))
+        assert np.linalg.eigvalsh(psd_project(W)[0])[0] >= 0.0
+
+    def test_a_basis_as_large_as_the_block_falls_back(self):
+        # a Krylov space of KRYLOV_DEPTH * p >= n columns would cost more
+        # than the eigh it replaces
+        rng = np.random.default_rng(4)
+        n = 42
+        W = _with_eigenvalues(rng, rng.uniform(-2.0, 2.0, n))
+        basis = np.linalg.qr(_crandn(rng, n, n // solver_module.KRYLOV_DEPTH))[0]
+        assert np.array_equal(psd_project(W, basis)[0], psd_project(W)[0])
+
+    def test_non_finite_input_takes_the_exact_path(self):
+        # a NaN residual is no trusted one: the eigh decides, as without a basis
+        rng = np.random.default_rng(5)
+        n = 45
+        W = _with_eigenvalues(rng, rng.uniform(0.5, 2.0, n) * np.where(np.arange(n) < 4, -1, 1))
+        _, basis = psd_project(W)
+        W[3, 3] = np.nan
+        np.testing.assert_array_equal(psd_project(W, basis)[0], psd_project(W)[0])
+
+
+def _bases_seen(monkeypatch):
+    """Wrap the module-global psd_project; the list records, per call,
+    whether it was given a basis."""
+    seen, project = [], solver_module.psd_project
+
+    def spy(W, basis=None):
+        seen.append(basis is not None)
+        return project(W, basis)
+
+    monkeypatch.setattr(solver_module, "psd_project", spy)
+    return seen
+
+
+def _noiseless_draw(M, J, seed):
+    array = ArrayConfig(M=M, c=1500.0, omega1=2 * np.pi * 1000.0)
+    focusing = FocusingSet.build(bench.default_alphas(J), M)
+    scene = bench.random_scene(array, (-5.0, 15.0, 40.0), focusing, None, seed)
+    data = synthesize_scene(array, scene, focusing)
+    return data, max(gamma_oracle(data.Y, array, scene, focusing), 1e-10), focusing
+
+
+class TestWarmSolve:
+    """Where solve passes a basis: only from WARM_MIN_SIZE, never at a check."""
+
+    def test_the_paper_size_never_passes_a_basis(self, monkeypatch):
+        assert 16 + 10 < solver_module.WARM_MIN_SIZE
+        seen = _bases_seen(monkeypatch)
+        data, gamma, focusing = _noiseless_draw(16, 10, 0)
+        sol = solve(ConicProblem(Y=data.Y, focusing=focusing, gamma=gamma))
+        assert len(seen) == sol.iterations > 2 * CHECK_EVERY
+        assert not any(seen)
+
+    def test_every_check_projects_exactly(self, monkeypatch):
+        # max_iter off the check schedule, so the last iteration is a check too
+        seen = _bases_seen(monkeypatch)
+        trusted, ritz_project = [], solver_module._ritz_project
+
+        def spy(W, V):
+            out = ritz_project(W, V)
+            trusted.append(out is not None)
+            return out
+
+        monkeypatch.setattr(solver_module, "_ritz_project", spy)
+        data, gamma, focusing = _noiseless_draw(32, 10, 0)
+        config = SolverConfig(max_iter=4 * CHECK_EVERY + 7, eps_abs=1e-12, eps_rel=1e-12)
+        sol = solve(ConicProblem(Y=data.Y, focusing=focusing, gamma=gamma), config)
+        assert sol.status == "MaxIter"
+        assert len(seen) == config.max_iter
+        for k, warm in enumerate(seen, start=1):
+            exact = k <= CHECK_EVERY or k % CHECK_EVERY == 0 or k == config.max_iter
+            assert warm is not exact, k
+        # the warm step answers the calls that get a basis, or there is no gain
+        assert len(trusted) == sum(seen) and np.mean(trusted) >= 0.9
+
+    def test_warm_estimates_agree_with_the_exact_path(self, monkeypatch):
+        # M = 32, J = 10 is a 42 x 42 block, above the gate; a gate past
+        # every size forces the exact path for the reference
+        rec = RecoveryConfig(min_separation=0.2 / 32,
+                             solver=SolverConfig(max_iter=20000, eps_abs=1e-6, eps_rel=1e-5))
+        for seed in range(3):
+            data, gamma, focusing = _noiseless_draw(32, 10, seed)
+            warm = estimate_doa(data, gamma, focusing, rec)
+            with monkeypatch.context() as m:
+                m.setattr(solver_module, "WARM_MIN_SIZE", 10**9)
+                exact = estimate_doa(data, gamma, focusing, rec)
+            assert warm.diagnostics["solverStatus"] == "Optimal"
+            assert warm.thetas.size == exact.thetas.size == 3
+            assert np.max(np.abs(np.sort(warm.thetas) - np.sort(exact.thetas))) <= 1e-3
+            its = warm.diagnostics["solverIterations"], exact.diagnostics["solverIterations"]
+            assert its[0] <= its[1] + 25, its
 
 
 class TestSolve:
@@ -372,6 +531,7 @@ class TestSolve:
         ("eps_abs", float("nan")), ("eps_abs", float("inf")),
         ("eps_rel", float("nan")), ("eps_rel", float("inf")), ("eps_rel", 0.0),
         ("max_iter", 1.5), ("max_iter", 100.0), ("max_iter", -3), ("max_iter", True),
+        ("eps_abs", True), ("eps_rel", True), ("eps_abs", "1e-6"), ("eps_rel", None),
     ])
     def test_tolerance_and_budget_validation(self, field, value):
         with pytest.raises(ValueError, match=field):

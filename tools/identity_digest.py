@@ -18,8 +18,11 @@ Groups:
   estimate_doa  120 draws: the same scenes for seeds 0-39 under the bench
                 tolerances and merge radius.  Hashes fs, betas and each c
                 (tobytes) and repr of the diagnostics.
+  warm_solve    4 problems above the block size of the warm-started PSD
+                projection: noiseless bench.random_scene seeds 0-3 at
+                M=32, J=10 under the bench tolerances, hashed as in solve.
 
---draws N uses seeds 0..N-1 in both groups.  BLAS threads are pinned to one
+--draws N uses seeds 0..N-1 in every group.  BLAS threads are pinned to one
 (OPENBLAS_NUM_THREADS=1, unless already set) before numpy is imported,
 since the thread count can change rounding.  Digests compare only between
 runs on one machine: another BLAS build or CPU may round differently.
@@ -39,7 +42,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", required=True, help="directory holding the wbdoa package")
     parser.add_argument("--draws", type=int, default=None,
-                        help="seeds per group (default: 10 for solve, 40 for estimate_doa)")
+                        help="seeds per group (default: 10 for solve, 40 for estimate_doa, "
+                             "4 for warm_solve)")
     args = parser.parse_args(argv)
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     src = Path(args.src).resolve()
@@ -59,12 +63,26 @@ def main(argv=None):
     focusing = FocusingSet.build(bench.default_alphas(10), array.M)
     bench_tol = SolverConfig(max_iter=20000, eps_abs=1e-6, eps_rel=1e-5)
 
-    def scenes(seeds):
+    def scenes(seeds, array=array, focusing=focusing, snrs_db=SNRS_DB):
         for seed in range(seeds):
-            for snr_db in SNRS_DB:
+            for snr_db in snrs_db:
                 scene = bench.random_scene(array, ANGLES_DEG, focusing, snr_db, seed)
                 data = synthesize_scene(array, scene, focusing)
                 yield data, max(gamma_oracle(data.Y, array, scene, focusing), 1e-10)
+
+    def hash_solves(group, problems):
+        digest, iterations, statuses = hashlib.sha256(), 0, {}
+        for problem, config in problems:
+            sol = solve(problem, config)
+            for a in (sol.H, sol.Hbar, sol.Q):
+                digest.update(a.tobytes())
+            values = [sol.objective, *sol.residuals.values(), sol.iterations, sol.status]
+            digest.update(repr(values).encode())
+            iterations += sol.iterations
+            statuses[sol.status] = statuses.get(sol.status, 0) + 1
+        counts = " ".join(f"{s}={n}" for s, n in sorted(statuses.items()))
+        print(f"{group} problems={len(problems)} iterations={iterations} {counts} "
+              f"sha256={digest.hexdigest()}")
 
     problems = []
     for data, gamma in scenes(10 if args.draws is None else args.draws):
@@ -75,18 +93,7 @@ def main(argv=None):
     Y = rng.standard_normal((16, 10)) + 1j * rng.standard_normal((16, 10))
     problems.append((ConicProblem(Y=Y, focusing=focusing, gamma=1.0), SolverConfig(max_iter=3000)))
 
-    digest, iterations, statuses = hashlib.sha256(), 0, {}
-    for problem, config in problems:
-        sol = solve(problem, config)
-        for a in (sol.H, sol.Hbar, sol.Q):
-            digest.update(a.tobytes())
-        values = [sol.objective, *sol.residuals.values(), sol.iterations, sol.status]
-        digest.update(repr(values).encode())
-        iterations += sol.iterations
-        statuses[sol.status] = statuses.get(sol.status, 0) + 1
-    counts = " ".join(f"{s}={n}" for s, n in sorted(statuses.items()))
-    print(f"solve problems={len(problems)} iterations={iterations} {counts} "
-          f"sha256={digest.hexdigest()}")
+    hash_solves("solve", problems)
 
     digest, draws = hashlib.sha256(), 0
     rec = RecoveryConfig(min_separation=0.2 / array.M, solver=bench_tol)
@@ -97,6 +104,13 @@ def main(argv=None):
         digest.update(repr(est.diagnostics).encode())
         draws += 1
     print(f"estimate_doa draws={draws} sha256={digest.hexdigest()}")
+
+    warm_array = ArrayConfig(M=32, c=1500.0, omega1=2 * np.pi * 1000.0)
+    warm_focusing = FocusingSet.build(bench.default_alphas(10), warm_array.M)
+    hash_solves("warm_solve", [
+        (ConicProblem(Y=data.Y, focusing=warm_focusing, gamma=gamma), bench_tol)
+        for data, gamma in scenes(4 if args.draws is None else args.draws,
+                                  warm_array, warm_focusing, (None,))])
 
 
 if __name__ == "__main__":
