@@ -11,7 +11,7 @@ from .model import (
     theta_to_f,
 )
 from .focusing import FocusingSet, focusing_error, focusing_matrix
-from .atoms import ConicProblem, DualPolynomial, build_atom
+from .atoms import ConicProblem, build_atom
 from .solver import (
     ConicSolution,
     SolverConfig,

@@ -1,4 +1,4 @@
-"""Atom set, atomic/dual atomic norms, and the dual SDP.
+"""Atom set and the dual SDP of the atomic-norm recovery problem.
 
 An atom A(f, c) = [T_1 a(f), ..., T_J a(f)] diag(c) couples one spatial
 frequency to all J subbands through a unit cross-band coefficient vector c.
@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .focusing import FocusingSet
-from .model import stationary_frequencies, steering_vector
 
 
 def build_atom(f: float, c, focusing: FocusingSet) -> np.ndarray:
@@ -25,22 +24,6 @@ def build_atom(f: float, c, focusing: FocusingSet) -> np.ndarray:
     if nrm < 1e-12:
         raise ValueError("coefficient vector must be nonzero")
     return c / nrm * focusing.columns(f)
-
-
-@dataclass(frozen=True)
-class DualPolynomial:
-    """The dual polynomial P(f) = ||Hbar^H a(f)||_2, the norm of its vector."""
-
-    Hbar: np.ndarray
-
-    def vector(self, f) -> np.ndarray:
-        """The J-vector [hbar_1^H a(f), ..., hbar_J^H a(f)]; an array of f
-        gives one per entry along a new last axis."""
-        a = steering_vector(f, self.Hbar.shape[0])
-        return (self.Hbar.conj().T @ a[..., None])[..., 0]
-
-    def maxima(self) -> np.ndarray:
-        return stationary_frequencies(self.Hbar @ self.Hbar.conj().T, maxima=True)
 
 
 @dataclass(frozen=True)

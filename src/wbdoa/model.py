@@ -51,10 +51,10 @@ class ArrayConfig:
 
     def __post_init__(self):
         check_integer("M", self.M, 2)
-        if self.c <= 0:
-            raise ValueError(f"propagation speed must be positive, got {self.c}")
-        if self.omega1 <= 0:
-            raise ValueError(f"reference frequency must be positive, got {self.omega1}")
+        for name, what in (("c", "propagation speed"), ("omega1", "reference frequency")):
+            if not 0 < getattr(self, name) < np.inf:  # also refuses NaN
+                raise ValueError(f"{name} ({what}) must be finite and positive, "
+                                 f"got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

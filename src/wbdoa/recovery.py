@@ -1,8 +1,8 @@
 """DOA recovery from the optimal dual variables.
 
-At the dual optimum the polynomial P(f) = ||Hbar^H a(f)||_2 touches 1
+At the dual optimum the dual polynomial P(f) = ||Hbar^H a(f)||_2 touches 1
 exactly at the recovered spatial frequencies.  Peaks of P near 1 give the
-frequency estimates, evaluating the polynomial vector there gives the
+frequency estimates, the polynomial vector Hbar^H a(f) there gives the
 cross-band coefficient directions, and a nonnegative least squares fit on
 the located atoms gives the amplitudes.  Atoms closer than the merge
 radius are then merged by amplitude into one.
@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .atoms import ConicProblem, DualPolynomial, build_atom
+from .atoms import ConicProblem, build_atom
 from .focusing import FocusingSet
-from .model import SubbandData, f_to_theta
+from .model import SubbandData, f_to_theta, stationary_frequencies, steering_vector
 from .solver import SolverConfig, solve
 
 
@@ -67,20 +67,23 @@ def _wrap(f):
     return f - np.round(f)
 
 
-def locate_frequencies(poly: DualPolynomial) -> tuple:
-    """(fs, vectors): the sorted spatial frequencies where P has a local
-    maximum within PEAK_TOL of 1, and the polynomial vector at each, one
-    row per frequency."""
-    fs = poly.maxima()
-    vectors = poly.vector(fs)
-    keep = np.linalg.norm(vectors, axis=-1) >= 1.0 - PEAK_TOL
-    return fs[keep], vectors[keep]
+def locate_frequencies(Hbar: np.ndarray) -> tuple:
+    """(fs, cs, peak_values): the sorted spatial frequencies where the dual
+    polynomial P(f) = ||Hbar^H a(f)||_2 of the M x J Hbar has a local
+    maximum within PEAK_TOL of 1, the unit coefficient vector
+    conj(Hbar^H a(f)) / P(f) at each (one row per frequency) and P there."""
+    fs = stationary_frequencies(Hbar @ Hbar.conj().T, maxima=True)
+    vectors = (Hbar.conj().T @ steering_vector(fs, Hbar.shape[0])[..., None])[..., 0]
+    values = np.linalg.norm(vectors, axis=-1)
+    keep = values >= 1.0 - PEAK_TOL
+    return fs[keep], vectors[keep].conj() / values[keep, None], values[keep]
 
 
 def merge_atoms(fs, betas, cs, min_separation: float):
     """Merge atoms closer than min_separation (circular distance), heaviest first.
 
-    A group becomes one atom at its amplitude-weighted mean frequency
+    A group, the heaviest free atom and every free atom closer to it (none
+    at radius 0), becomes one atom at its amplitude-weighted mean frequency
     (unwrapped around the heaviest member) with the summed amplitude and
     the heaviest member's c.  Returns (fs, betas, cs) sorted by frequency.
     """
@@ -91,6 +94,7 @@ def merge_atoms(fs, betas, cs, min_separation: float):
         if free[i]:
             offsets = _wrap(fs - fs[i])
             group = free & (np.abs(offsets) < min_separation)
+            group[i] = True
             free &= ~group
             weight = betas[group].sum()
             shift = offsets[group] @ betas[group] / weight if weight > 0 else 0.0
@@ -207,11 +211,7 @@ def estimate_doa(subbands: SubbandData, gamma: float, focusing: FocusingSet,
         warnings.warn(f"dual SDP solve stopped with status {solution.status} after "
                       f"{solution.iterations} iterations; the estimate is built from "
                       f"a non-converged dual")
-    fs, vectors = locate_frequencies(DualPolynomial(Hbar=solution.Hbar))
-    # each peak's unit coefficient vector is the conjugate polynomial vector
-    # there over its norm P(f_hat)
-    peak_values = np.linalg.norm(vectors, axis=-1)
-    cs = list(vectors.conj() / peak_values[:, None])
+    fs, cs, peak_values = locate_frequencies(solution.Hbar)
     X_opt = primal_reconstruction(subbands.Y, solution.H, gamma)
     betas = recover_amplitudes(X_opt, fs, cs, focusing)
     # strong-duality check over the full decomposition of X_opt, before merging

@@ -88,7 +88,8 @@ def psd_project(W: np.ndarray, basis: np.ndarray = None):
     unclipped, so the warm step is only as good as its basis.
 
     The next basis holds the negative eigen- or Ritz vectors and the
-    BASIS_EXTRA after them.
+    BASIS_EXTRA after them.  A failed eigh or a non-finite W (which no Ritz
+    residual passes) raises RuntimeError.
     """
     W = np.asarray(W, dtype=complex)
     W = W + W.conj().T
@@ -99,6 +100,8 @@ def psd_project(W: np.ndarray, basis: np.ndarray = None):
             return warm
     try:
         evals, evecs = np.linalg.eigh(W)
+        if not np.isfinite(evals).all():  # eigh returns NaN, not an error, on NaN or Inf
+            raise np.linalg.LinAlgError("non-finite eigenvalues")
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigendecomposition failed on {W.shape} block") from exc
     neg = int(np.searchsorted(evals, 0.0))  # eigenvalues are ascending

@@ -5,13 +5,14 @@ alternating-projection search for the Q certificate of a dual polynomial."""
 
 import numpy as np
 
-from wbdoa.atoms import DualPolynomial
+from wbdoa.model import stationary_frequencies, steering_vector
 from wbdoa.solver import _project_trace, psd_project
 
 
-def poly_value(poly: DualPolynomial, f):
-    """P(f) = ||Hbar^H a(f)||_2, shaped like f."""
-    return np.linalg.norm(poly.vector(f), axis=-1)
+def poly_value(Hbar: np.ndarray, f):
+    """P(f) = ||Hbar^H a(f)||_2, shaped like f, straight from its definition."""
+    a = steering_vector(f, Hbar.shape[0])
+    return np.linalg.norm(np.einsum("mj,...m->...j", Hbar.conj(), a), axis=-1)
 
 
 def hbar(H: np.ndarray, focusing) -> np.ndarray:
@@ -22,8 +23,9 @@ def hbar(H: np.ndarray, focusing) -> np.ndarray:
 def dual_atomic_norm(H: np.ndarray, focusing) -> float:
     """max_f ||Hbar^H a(f)||_2: the largest P at its local maxima, or P(0)
     if P is constant."""
-    poly = DualPolynomial(Hbar=hbar(np.asarray(H, dtype=complex), focusing))
-    return float(np.max(poly_value(poly, poly.maxima()), initial=poly_value(poly, 0.0)))
+    Hbar = hbar(np.asarray(H, dtype=complex), focusing)
+    maxima = stationary_frequencies(Hbar @ Hbar.conj().T, maxima=True)
+    return float(np.max(poly_value(Hbar, maxima), initial=poly_value(Hbar, 0.0)))
 
 
 def complex_to_real_embed(W: np.ndarray) -> np.ndarray:

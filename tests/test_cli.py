@@ -272,6 +272,8 @@ class TestBenchmark:
         {"init_err_deg": True}, {"angles_deg": [True, 20]}, {"snr_grid_db": [True]},
         {"omega1": True}, {"scenario": "resolution", "theta1_deg": True},
         {"scenario": "resolution", "delta_theta_list": [True]},
+        {"c": float("nan")}, {"c": float("inf")}, {"c": float("-inf")},
+        {"omega1": float("nan")}, {"omega1": float("inf")}, {"omega1": float("-inf")},
     ], ids=["M1", "J25", "music", "rss-J3", "rss-M3", "resolution-rss-M2",
             "max-iter-0", "snr-empty", "snr-nan",
             "snr-minus-inf", "init-err-negative", "resolution-delta-empty",
@@ -282,7 +284,8 @@ class TestBenchmark:
             "workers-zero", "M-fraction", "J-fraction", "trials-bool", "angles-nested",
             "snr-nested", "resolution-snr-list", "eps-abs-bool", "eps-rel-bool",
             "eps-abs-text", "init-err-bool", "angles-bool", "snr-bool", "omega1-bool",
-            "resolution-theta1-bool", "resolution-delta-bool"])
+            "resolution-theta1-bool", "resolution-delta-bool", "c-nan", "c-inf",
+            "c-minus-inf", "omega1-nan", "omega1-inf", "omega1-minus-inf"])
     def test_config_no_runner_can_use(self, tmp_path, capsys, change):
         cfg = tmp_path / "bench.json"
         cfg.write_text(json.dumps({"scenario": "rmse_vs_snr", **change}))
@@ -291,6 +294,8 @@ class TestBenchmark:
         err = capsys.readouterr().err
         assert "bad experiment config" in err and "Traceback" not in err
         assert not (tmp_path / "t.csv").exists()
+        if set(change) <= {"c", "omega1"}:  # the error names the field
+            assert f"bad experiment config: {next(iter(change))} " in err
 
     @pytest.mark.parametrize("raw", ["abc", "-3"])
     def test_worker_variable_no_runner_can_use(self, tmp_path, capsys, monkeypatch, raw):

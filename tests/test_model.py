@@ -142,6 +142,14 @@ class TestArrayConfig:
         with pytest.raises(ValueError):
             ArrayConfig(M=4, c=-1.0, omega1=1.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 0.0],
+                             ids=["nan", "inf", "minus-inf", "zero"])
+    @pytest.mark.parametrize("name", ["c", "omega1"])
+    def test_speed_and_frequency_finite_and_positive(self, name, value):
+        kwargs = {"M": 4, "c": 1500.0, "omega1": 1.0, name: value}
+        with pytest.raises(ValueError, match=f"^{name} .* must be finite and positive"):
+            ArrayConfig(**kwargs)
+
     @pytest.mark.parametrize("M", [8.5, 8.0, True, "8"])
     def test_non_integer_sensor_count(self, M):
         with pytest.raises(ValueError, match="M must be an integer >= 2"):

@@ -15,6 +15,7 @@ from wbdoa.model import (
     ArrayConfig,
     SubbandData,
     WidebandScene,
+    stationary_frequencies,
     steering_matrix,
     steering_vector,
     subband_transform,
@@ -23,7 +24,6 @@ from wbdoa.model import (
 )
 from wbdoa.recovery import (
     PEAK_TOL,
-    DualPolynomial,
     RecoveryConfig,
     _nnls,
     estimate_doa,
@@ -35,26 +35,46 @@ from wbdoa.recovery import (
 from wbdoa.solver import SolverConfig, solve
 
 
-class TestDualPolynomial:
+def _peak_vector(Hbar, f):
+    """Hbar^H a(f), evaluated as locate_frequencies does, so bit for bit."""
+    return (Hbar.conj().T @ steering_vector(f, Hbar.shape[0])[..., None])[..., 0]
+
+
+def _with_peak_height(Hbar, top):
+    """Hbar scaled so the maximum of P on a 2^16-point grid is top: (the
+    scaled Hbar, the grid, P on it)."""
+    grid = np.linspace(-0.5, 0.5, 1 << 16, endpoint=False)
+    vals = np.linalg.norm(Hbar.conj().T @ steering_matrix(grid, Hbar.shape[0]), axis=0)
+    scale = top / vals.max()
+    return Hbar * scale, grid, vals * scale
+
+
+class TestPeakReading:
+    """locate_frequencies reads P, and the unit coefficient vectors, at its peaks."""
+
     def test_values_match_direct_formula(self):
         rng = np.random.default_rng(0)
-        Hbar = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
-        poly = DualPolynomial(Hbar=Hbar)
-        for f in rng.uniform(-0.5, 0.5, 20):
-            a = steering_vector(f, 6)
-            assert poly_value(poly, f) == pytest.approx(np.linalg.norm(Hbar.conj().T @ a),
-                                                        rel=1e-13)
-            assert np.allclose(poly.vector(f), Hbar.conj().T @ a, atol=1e-13)
+        Hbar, _, _ = _with_peak_height(
+            rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3)), 1.0)
+        fs, cs, values = locate_frequencies(Hbar)
+        assert fs.size >= 1
+        for f, c, value in zip(fs, cs, values):
+            v = Hbar.conj().T @ steering_vector(f, 6)
+            assert value == pytest.approx(np.linalg.norm(v), rel=1e-13)
+            assert value == pytest.approx(poly_value(Hbar, f), rel=1e-13)
+            assert np.allclose(c, v.conj() / np.linalg.norm(v), atol=1e-13)
 
-    def test_polynomial_on_an_array_matches_scalar_calls(self):
+    def test_peaks_on_an_array_match_scalar_calls(self):
         rng = np.random.default_rng(4)
-        poly = DualPolynomial(Hbar=rng.standard_normal((9, 5)) + 1j * rng.standard_normal((9, 5)))
-        fs = rng.uniform(-0.5, 0.5, (3, 4))
-        vecs = poly.vector(fs)
-        assert vecs.shape == (3, 4, 5)
-        np.testing.assert_array_max_ulp(vecs.reshape(12, 5).view(float),
-                                        np.stack([poly.vector(f) for f in fs.ravel()]).view(float),
-                                        maxulp=4)
+        Hbar, _, _ = _with_peak_height(
+            rng.standard_normal((9, 5)) + 1j * rng.standard_normal((9, 5)), 1.0)
+        fs, cs, values = locate_frequencies(Hbar)
+        assert fs.size >= 1 and cs.shape == (fs.size, 5) and values.shape == fs.shape
+        vecs = np.stack([Hbar.conj().T @ steering_vector(f, 9) for f in fs])
+        norms = np.linalg.norm(vecs, axis=-1)
+        np.testing.assert_array_max_ulp(values, norms, maxulp=4)
+        np.testing.assert_array_max_ulp(cs.view(float),
+                                        (vecs.conj() / norms[:, None]).view(float), maxulp=4)
 
 
 class TestRecoveryConfig:
@@ -72,22 +92,22 @@ class TestRecoveryConfig:
 
 
 class TestLocateFrequencies:
-    def _planted_poly(self, f0, M=12):
+    def _planted_hbar(self, f0, M=12):
         # single-column Hbar = a(f0)/M: Dirichlet kernel peaking at 1
-        return DualPolynomial(Hbar=(steering_vector(f0, M) / M)[:, None])
+        return (steering_vector(f0, M) / M)[:, None]
 
     def test_single_peak(self):
         f0 = 0.173
-        fs, _ = locate_frequencies(self._planted_poly(f0))
+        fs, _, _ = locate_frequencies(self._planted_hbar(f0))
         assert fs.size == 1
         assert fs[0] == pytest.approx(f0, abs=1e-7)
 
     def test_no_peaks_when_small(self):
-        poly = DualPolynomial(Hbar=0.5 * (steering_vector(0.1, 12) / 12)[:, None])
-        assert locate_frequencies(poly)[0].size == 0
+        Hbar = 0.5 * (steering_vector(0.1, 12) / 12)[:, None]
+        assert locate_frequencies(Hbar)[0].size == 0
 
     def test_wraparound_peak(self):
-        fs, _ = locate_frequencies(self._planted_poly(-0.499))
+        fs, _, _ = locate_frequencies(self._planted_hbar(-0.499))
         assert fs.size == 1
         d = abs(fs[0] - (-0.499))
         assert min(d, 1 - d) < 1e-6
@@ -96,15 +116,13 @@ class TestLocateFrequencies:
         # two-column Hbar with both columns the same atom creates one peak
         M = 10
         col = steering_vector(0.2, M) / (M * np.sqrt(2))
-        poly = DualPolynomial(Hbar=np.stack([col, col], axis=1))
-        fs, _ = locate_frequencies(poly)
+        fs, _, _ = locate_frequencies(np.stack([col, col], axis=1))
         assert fs.size == 1
 
     def test_real_hbar_single_peak_at_zero(self):
         # real Hbar makes P even, so its peak at f = 0 has equal values on
         # both sides; the sidelobes stay below 1 - PEAK_TOL
-        poly = DualPolynomial(Hbar=np.full((8, 1), 1.0 / 8, dtype=complex))
-        fs, _ = locate_frequencies(poly)
+        fs, _, _ = locate_frequencies(np.full((8, 1), 1.0 / 8, dtype=complex))
         assert fs.size == 1
         assert abs(fs[0]) < 1e-12
 
@@ -116,11 +134,11 @@ class TestLocateFrequencies:
         M, f0 = 10, 0.237
         Hbar = (steering_vector(f0, M) / (M - 1))[:, None]
         Hbar[zero_row] = 0.0
-        poly = DualPolynomial(Hbar=Hbar)
-        fs, vectors = locate_frequencies(poly)
+        fs, cs, values = locate_frequencies(Hbar)
         assert fs.size == 1
         assert fs[0] == pytest.approx(f0, abs=1e-12)
-        assert np.linalg.norm(vectors[0]) == pytest.approx(1.0, abs=1e-14)
+        assert values[0] == pytest.approx(1.0, abs=1e-14)
+        assert np.linalg.norm(cs[0]) == pytest.approx(1.0, abs=1e-15)
 
     def test_flat_peak_found(self):
         # columns a(0.2 -+ delta/2)/M at the delta where their two peaks
@@ -130,8 +148,7 @@ class TestLocateFrequencies:
         M, delta = 16, 0.0519745568
         Hbar = np.stack([steering_vector(0.2 - delta / 2, M),
                          steering_vector(0.2 + delta / 2, M)], axis=1)
-        poly = DualPolynomial(Hbar=Hbar / poly_value(DualPolynomial(Hbar=Hbar), 0.2))
-        fs, _ = locate_frequencies(poly)
+        fs, _, _ = locate_frequencies(Hbar / poly_value(Hbar, 0.2))
         assert fs.size >= 1
         assert np.all(np.abs(fs - 0.2) < 1e-3)
 
@@ -142,10 +159,9 @@ class TestLocateFrequencies:
         Hbar = np.zeros((8, 3), dtype=complex)
         if row is not None:
             Hbar[row] = [0.96, 0.72j, 0.0]
-        poly = DualPolynomial(Hbar=Hbar)
-        fs, vectors = locate_frequencies(poly)
-        assert poly.maxima().size == 0
-        assert fs.size == 0 and vectors.shape == (0, 3)
+        fs, cs, values = locate_frequencies(Hbar)
+        assert stationary_frequencies(Hbar @ Hbar.conj().T, maxima=True).size == 0
+        assert fs.size == 0 and cs.shape == (0, 3) and values.shape == (0,)
 
     @settings(max_examples=40, deadline=None)
     @given(M=st.integers(2, 48), J=st.integers(1, 19), top=st.floats(1.0, 1.03),
@@ -154,20 +170,16 @@ class TestLocateFrequencies:
         # random Hbar scaled so the maximum of P on a 2^16-point grid is
         # top: several local maxima lie within PEAK_TOL of 1
         rng = np.random.default_rng(seed)
-        Hbar = rng.standard_normal((M, J)) + 1j * rng.standard_normal((M, J))
-        grid = np.linspace(-0.5, 0.5, 1 << 16, endpoint=False)
-        vals = np.linalg.norm(Hbar.conj().T @ steering_matrix(grid, M), axis=0)
-        scale = top / vals.max()
-        Hbar *= scale
-        vals *= scale
-        poly = DualPolynomial(Hbar=Hbar)
-        fs, vectors = locate_frequencies(poly)
+        Hbar, grid, vals = _with_peak_height(
+            rng.standard_normal((M, J)) + 1j * rng.standard_normal((M, J)), top)
+        fs, cs, peaks = locate_frequencies(Hbar)
         # each returned f is a local maximum within PEAK_TOL of 1, returned
-        # with the polynomial vector there
-        assert vectors.tobytes() == poly.vector(fs).tobytes()
-        peaks = np.linalg.norm(vectors, axis=-1)
-        assert np.all(peaks >= poly_value(poly, fs - 1e-6))
-        assert np.all(peaks >= poly_value(poly, fs + 1e-6))
+        # with P there and the conjugate polynomial vector over it
+        vectors = _peak_vector(Hbar, fs)
+        assert peaks.tobytes() == np.linalg.norm(vectors, axis=-1).tobytes()
+        assert cs.tobytes() == (vectors.conj() / peaks[:, None]).tobytes()
+        assert np.all(peaks >= poly_value(Hbar, fs - 1e-6))
+        assert np.all(peaks >= poly_value(Hbar, fs + 1e-6))
         assert np.all(peaks >= 1.0 - PEAK_TOL)
         # each grid maximum clearly above the threshold has a true maximum
         # within one grid step, which must have been returned
@@ -290,6 +302,20 @@ class TestMergeAtoms:
         fs, betas, cs = merge_atoms([], [], [], 0.1)
         assert fs.size == 0 and betas.size == 0 and cs == []
 
+    def test_zero_radius_keeps_every_atom(self):
+        # at radius 0 no other atom is closer than the radius, but the
+        # heaviest one still forms its own group with its own amplitude
+        fs, betas, cs = merge_atoms([0.1, 0.11, -0.3], [1.0, 3.0, 0.5], self.cs, 0.0)
+        assert fs.tolist() == [-0.3, 0.1, 0.11]
+        assert betas.tolist() == [0.5, 1.0, 3.0]
+        assert cs[0] is self.cs[2] and cs[1] is self.cs[0] and cs[2] is self.cs[1]
+
+    def test_zero_radius_keeps_two_atoms_at_one_frequency(self):
+        fs, betas, cs = merge_atoms([0.2, 0.2], [1.0, 2.0], self.cs[:2], 0.0)
+        assert fs.tolist() == [0.2, 0.2]
+        assert sorted(betas.tolist()) == [1.0, 2.0]
+        assert {id(c) for c in cs} == {id(c) for c in self.cs[:2]}
+
 
 class TestPrimalReconstruction:
     def test_zero_h_returns_y(self):
@@ -360,13 +386,15 @@ class TestEstimateDoa:
         est = estimate_doa(data, gamma, focusing)
         d = est.diagnostics
         assert len(d["peakValues"]) == est.Khat + len(d["minorAtoms"])
-        poly = DualPolynomial(Hbar=solve(ConicProblem(Y=data.Y, focusing=focusing,
-                                                      gamma=gamma)).Hbar)
-        peaks, vectors = locate_frequencies(poly)
-        assert d["peakValues"] == np.linalg.norm(vectors, axis=-1).tolist()
+        Hbar = solve(ConicProblem(Y=data.Y, focusing=focusing, gamma=gamma)).Hbar
+        peaks, cs, values = locate_frequencies(Hbar)
+        assert d["peakValues"] == values.tolist()
+        assert d["peakValues"] == np.linalg.norm(_peak_vector(Hbar, peaks), axis=-1).tolist()
         for f, c in zip(est.fs, est.cs):
             (k,) = np.flatnonzero(peaks == f)
-            assert c.tobytes() == (poly.vector(peaks[k]).conj() / d["peakValues"][k]).tobytes()
+            assert c.tobytes() == cs[k].tobytes()
+            assert c.tobytes() == (_peak_vector(Hbar, peaks[k]).conj()
+                                   / d["peakValues"][k]).tobytes()
             assert np.linalg.norm(c) == pytest.approx(1.0, abs=1e-15)
 
     def test_split_peak_merged_after_fit(self, pipeline_setup):
@@ -385,6 +413,25 @@ class TestEstimateDoa:
         assert est.Khat == 3
         assert np.max(np.abs(est.thetas - np.array(angles))) <= 0.1
         assert est.diagnostics["dualityGap"] / est.diagnostics["dualObjective"] <= 1e-3
+
+    def test_zero_merge_radius(self, pipeline_setup):
+        # perfbench's noiseless scene of seed 3, scene 0: its fit has a
+        # 0.057 atom at -70.34 deg, under AMP_FLOOR of the largest; merging
+        # at radius 0 once zeroed every amplitude, so that atom was kept
+        cfg, focusing = pipeline_setup
+        rng = np.random.default_rng(np.random.SeedSequence([3, 16, 10]))
+        spectra = (rng.standard_normal((3, 10)) + 1j * rng.standard_normal((3, 10))) / np.sqrt(2)
+        scene = WidebandScene(angles_deg=(-5.0, 15.0, 40.0), source_spectra=spectra)
+        data = synthesize_scene(cfg, scene, focusing)
+        gamma = max(gamma_oracle(data.Y, cfg, scene, focusing), 1e-10)
+        default = estimate_doa(data, gamma, focusing)
+        est = estimate_doa(data, gamma, focusing, RecoveryConfig(min_separation=0.0))
+        assert np.all(est.betas > 0)
+        assert np.all(np.abs(est.thetas + 70.34) > 1.0)
+        assert est.thetas.tolist() == default.thetas.tolist()
+        assert est.betas.tolist() == default.betas.tolist()
+        assert [m["theta_deg"] for m in est.diagnostics["minorAtoms"]] == pytest.approx([-70.34],
+                                                                                      abs=0.01)
 
     def test_focusing_for_other_bins_rejected(self, pipeline_setup):
         # the acceptance scene with a focusing set for other bins (same M

@@ -360,14 +360,39 @@ class TestWarmPsdProject:
         basis = np.linalg.qr(_crandn(rng, n, n // solver_module.KRYLOV_DEPTH))[0]
         assert np.array_equal(psd_project(W, basis)[0], psd_project(W)[0])
 
-    def test_non_finite_input_takes_the_exact_path(self):
-        # a NaN residual is no trusted one: the eigh decides, as without a basis
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("n", [4, 26, 45, 67])
+    def test_non_finite_input_takes_the_exact_path(self, n, bad):
+        # a NaN residual is no trusted one: the eigh decides, as without a
+        # basis, and raises on the NaN eigenvalues it returns (at n = 4 some
+        # of them lie between finite ones)
         rng = np.random.default_rng(5)
-        n = 45
         W = _with_eigenvalues(rng, rng.uniform(0.5, 2.0, n) * np.where(np.arange(n) < 4, -1, 1))
         _, basis = psd_project(W)
-        W[3, 3] = np.nan
-        np.testing.assert_array_equal(psd_project(W, basis)[0], psd_project(W)[0])
+        W[3, 3] = bad
+        for b in (basis, None):
+            with pytest.raises(RuntimeError, match="eigendecomposition failed"):
+                psd_project(W, b)
+
+    def test_solve_stops_at_a_non_finite_iterate(self, monkeypatch):
+        # a NaN that enters the iterate stops the solve at the next
+        # projection, not at max_iter
+        calls, project = [], solver_module.affine_project
+
+        def poisoned(block, problem, H):
+            calls.append(None)
+            S, Hz = project(block, problem, H)
+            if len(calls) == 3:
+                S[0, 0] = np.nan
+            return S, Hz
+
+        monkeypatch.setattr(solver_module, "affine_project", poisoned)
+        data, gamma, focusing = _noiseless_draw(16, 10, 0)
+        with pytest.raises(RuntimeError, match="eigendecomposition failed"):
+            solve(ConicProblem(Y=data.Y, focusing=focusing, gamma=gamma),
+                  SolverConfig(max_iter=200))
+        assert len(calls) == 3
 
 
 def _bases_seen(monkeypatch):

@@ -21,6 +21,10 @@ Groups:
   warm_solve    4 problems above the block size of the warm-started PSD
                 projection: noiseless bench.random_scene seeds 0-3 at
                 M=32, J=10 under the bench tolerances, hashed as in solve.
+  rss_estimate  120 draws: the scenes of estimate_doa, from initial angles
+                perturbed as the bench does (perturb_initial by up to 2 deg,
+                seeded by bench.trial_seed(0, SNR index, seed, stream=1)).
+                Hashes the sorted angles (tobytes).
 
 --draws N uses seeds 0..N-1 in every group.  BLAS threads are pinned to one
 (OPENBLAS_NUM_THREADS=1, unless already set) before numpy is imported,
@@ -42,8 +46,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", required=True, help="directory holding the wbdoa package")
     parser.add_argument("--draws", type=int, default=None,
-                        help="seeds per group (default: 10 for solve, 40 for estimate_doa, "
-                             "4 for warm_solve)")
+                        help="seeds per group (default: 10 for solve, 40 for estimate_doa "
+                             "and rss_estimate, 4 for warm_solve)")
     args = parser.parse_args(argv)
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     src = Path(args.src).resolve()
@@ -52,6 +56,7 @@ def main(argv=None):
     import wbdoa
     from wbdoa import bench
     from wbdoa.atoms import ConicProblem
+    from wbdoa.baselines import perturb_initial, rss_estimate
     from wbdoa.focusing import FocusingSet, gamma_oracle
     from wbdoa.model import ArrayConfig, synthesize_scene
     from wbdoa.recovery import RecoveryConfig, estimate_doa
@@ -111,6 +116,14 @@ def main(argv=None):
         (ConicProblem(Y=data.Y, focusing=warm_focusing, gamma=gamma), bench_tol)
         for data, gamma in scenes(4 if args.draws is None else args.draws,
                                   warm_array, warm_focusing, (None,))])
+
+    digest, draws = hashlib.sha256(), 0
+    for i, (data, _) in enumerate(scenes(40 if args.draws is None else args.draws)):
+        seed, point = divmod(i, len(SNRS_DB))
+        init = perturb_initial(ANGLES_DEG, 2.0, bench.trial_seed(0, point, seed, stream=1))
+        digest.update(rss_estimate(data, init).tobytes())
+        draws += 1
+    print(f"rss_estimate draws={draws} sha256={digest.hexdigest()}")
 
 
 if __name__ == "__main__":
