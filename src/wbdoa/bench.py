@@ -32,8 +32,7 @@ def trial_seed(master_seed: int, point_index: int, trial_index: int, stream: int
     return int(ss.generate_state(1)[0])
 
 
-def random_scene(cfg: ArrayConfig, angles_deg, focusing: FocusingSet, snr_db,
-                 seed: int) -> WidebandScene:
+def random_scene(angles_deg, focusing: FocusingSet, snr_db, seed: int) -> WidebandScene:
     """Scene with i.i.d. circular Gaussian spectra over the bins of
     ``focusing``, noise sized to the SNR.
 
@@ -49,8 +48,8 @@ def random_scene(cfg: ArrayConfig, angles_deg, focusing: FocusingSet, snr_db,
                            noise_variance=0.0, seed=noise_seed)
     if snr_db is None:
         return scene0
-    X = noiseless_measurements(cfg, scene0, focusing)
-    sigma2 = float(np.linalg.norm(X) ** 2) / (cfg.M * J * 10.0 ** (snr_db / 10.0))
+    X = noiseless_measurements(scene0, focusing)
+    sigma2 = float(np.linalg.norm(X) ** 2) / (focusing.M * J * 10.0 ** (snr_db / 10.0))
     return replace(scene0, noise_variance=sigma2)
 
 
@@ -221,9 +220,11 @@ class ResultTable:
             raise ValueError("table has no rows")
         return table
 
-    def to_json(self, path=None):
+    def to_json(self, path=None, include_runtime: bool = False):
+        """The rows as JSON, runtimes zeroed by default as in to_csv."""
         doc = {"rows": [
-            {**r, "rmse_deg": None if np.isnan(r["rmse_deg"]) else r["rmse_deg"]}
+            {**r, "rmse_deg": None if np.isnan(r["rmse_deg"]) else r["rmse_deg"],
+             "runtime_s": r["runtime_s"] if include_runtime else 0.0}
             for r in self.rows
         ]}
         if path is None:
@@ -295,7 +296,7 @@ def _run_trial(args):
     """One (method, scene) trial; module-level for process pools."""
     cfg, (array, focusing, rec), method, angles, snr_db, point_index, trial_index = args
     seed = trial_seed(cfg.master_seed, point_index, trial_index)
-    scene = random_scene(array, angles, focusing, snr_db, seed)
+    scene = random_scene(angles, focusing, snr_db, seed)
     data = synthesize_scene(array, scene, focusing)
     K = len(angles)
     if method == "wgs":

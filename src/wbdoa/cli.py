@@ -64,7 +64,7 @@ def _scene_from_doc(doc):
                                   noise_variance=sigma2, seed=seed)
         else:
             snr = sc.get("snr_db", None)
-            scene = bench.random_scene(array, angles, focusing,
+            scene = bench.random_scene(angles, focusing,
                                        None if snr is None else float(snr), seed)
         data = synthesize_scene(array, scene, focusing)
     except (KeyError, TypeError, ValueError) as exc:
@@ -139,7 +139,7 @@ def _cmd_benchmark(args):
     table = bench.run_experiment(cfg)
     table.to_csv(args.output, include_runtime=args.timings)
     if args.json_output:
-        table.to_json(args.json_output)
+        table.to_json(args.json_output, include_runtime=args.timings)
     print(f"benchmark: wrote {args.output}")
     return 0
 
@@ -148,9 +148,9 @@ def _cmd_report(args):
     try:
         table = ResultTable.from_csv(args.table)
         if args.format == "csv":
-            table.to_csv(args.output)
+            table.to_csv(args.output, include_runtime=True)
         elif args.format == "json":
-            table.to_json(args.output)
+            table.to_json(args.output, include_runtime=True)
         else:
             table.to_svg(args.output, log_y=args.log_y)
     except ValueError as exc:

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ArrayConfig, WidebandScene, check_integer, steering_vector, theta_to_f
+from .model import (ArrayConfig, WidebandScene, check_bins, check_integer, steering_vector,
+                    theta_to_f)
 
 
 def focusing_matrix(alpha: float, M: int) -> np.ndarray:
@@ -63,10 +64,10 @@ def focusing_error(f: float, focusing: FocusingSet) -> np.ndarray:
     return steering_vector(focusing.alphas * f, focusing.M).T - focusing.columns(f)
 
 
-def noiseless_measurements(cfg: ArrayConfig, scene: WidebandScene,
-                           focusing: FocusingSet) -> np.ndarray:
+def noiseless_measurements(scene: WidebandScene, focusing: FocusingSet) -> np.ndarray:
     """The focused-model matrix sum_k s_k(omega_j) * T_j a(f_k), column-wise."""
-    X = np.zeros((cfg.M, focusing.J), dtype=complex)
+    check_bins(scene, focusing.J)
+    X = np.zeros((focusing.M, focusing.J), dtype=complex)
     for th, s in zip(scene.angles_deg, scene.source_spectra):
         X += s * focusing.columns(theta_to_f(th))
     return X
@@ -77,9 +78,13 @@ def gamma_oracle(Y: np.ndarray, cfg: ArrayConfig, scene: WidebandScene,
     """Realized noise-plus-focusing-error power ||Y - X*||_F^2.
 
     Requires the true scene; Y must have been synthesized from it so the
-    residual is exactly N + E.
+    residual is exactly N + E.  ``cfg`` is only checked against the focusing
+    set: the model takes M from ``focusing``.
     """
-    X = noiseless_measurements(cfg, scene, focusing)
+    if cfg.M != focusing.M or np.shape(Y) != (focusing.M, focusing.J):
+        raise ValueError(f"Y shape {np.shape(Y)} and array M = {cfg.M} inconsistent "
+                         f"with focusing set ({focusing.M} x {focusing.J})")
+    X = noiseless_measurements(scene, focusing)
     return float(np.linalg.norm(Y - X) ** 2)
 
 

@@ -207,6 +207,13 @@ def stationary_frequencies(G: np.ndarray, maxima: bool) -> np.ndarray:
     return np.sort(-np.angle(z[keep]) / (2 * np.pi))
 
 
+def check_bins(scene: WidebandScene, J: int):
+    """Raise ValueError unless the scene's spectra cover J bins."""
+    if scene.K and scene.source_spectra.shape[1] != J:
+        raise ValueError(
+            f"scene spectra have {scene.source_spectra.shape[1]} bins, subbands have {J}")
+
+
 def synthesize_scene(cfg: ArrayConfig, scene: WidebandScene, bins) -> SubbandData:
     """Simulate the M x J measurement matrix for a scene at the bins
     omega1 * alphas of ``bins`` (a FocusingSet, say; alphas[0] must be 1).
@@ -219,10 +226,7 @@ def synthesize_scene(cfg: ArrayConfig, scene: WidebandScene, bins) -> SubbandDat
     if alphas[0] != 1.0:
         raise ValueError(f"reference bin must have alpha = 1, got {alphas[0]}")
     J = alphas.size
-    if scene.K and scene.source_spectra.shape[1] != J:
-        raise ValueError(
-            f"scene spectra have {scene.source_spectra.shape[1]} bins, subbands have {J}"
-        )
+    check_bins(scene, J)
     Y = np.zeros((cfg.M, J), dtype=complex)
     for th, s in zip(scene.angles_deg, scene.source_spectra):
         Y += steering_vector(alphas * theta_to_f(th), cfg.M).T * s

@@ -4,7 +4,6 @@ import pytest
 from wbdoa.atoms import ConicProblem, build_atom
 from wbdoa.focusing import FocusingSet, noiseless_measurements
 from wbdoa.model import (
-    ArrayConfig,
     WidebandScene,
     steering_matrix,
     steering_vector,
@@ -12,8 +11,6 @@ from wbdoa.model import (
 )
 
 from lmi_oracles import dual_atomic_norm, hbar
-
-ARRAY = ArrayConfig(M=6, c=1500.0, omega1=2 * np.pi * 1000.0)
 
 
 @pytest.fixture
@@ -67,7 +64,7 @@ class TestPlantedAtoms:
         atoms = sum(w * build_atom(theta_to_f(th), s / w, focusing)
                     for w, th, s in zip(weights, scene.angles_deg, spectra))
         assert np.allclose(atoms, X, atol=1e-12)
-        assert np.allclose(noiseless_measurements(ARRAY, scene, focusing), X, atol=1e-12)
+        assert np.allclose(noiseless_measurements(scene, focusing), X, atol=1e-12)
 
 
 class TestDualAtomicNorm:
@@ -116,7 +113,7 @@ class TestDualAtomicNorm:
         rng = np.random.default_rng(29)
         spectra = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
         scene = WidebandScene(angles_deg=(-15.0, 30.0), source_spectra=spectra)
-        X = noiseless_measurements(ARRAY, scene, focusing)
+        X = noiseless_measurements(scene, focusing)
         weight = np.linalg.norm(spectra, axis=1).sum()
         for _ in range(20):
             H = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))

@@ -169,7 +169,7 @@ class TestRssEstimate:
         cfg = ArrayConfig(M=16, c=1500.0, omega1=7001.0)
         focusing = FocusingSet.build(default_alphas(10), cfg.M)
         angles = (-5.0, 15.0, 40.0)
-        data = synthesize_scene(cfg, random_scene(cfg, angles, focusing, 0.0, 3), focusing)
+        data = synthesize_scene(cfg, random_scene(angles, focusing, 0.0, 3), focusing)
         data.save_csv(tmp_path / "data.csv")
         loaded = SubbandData.load_csv(tmp_path / "data.csv")
         assert np.array_equal(loaded.alphas, data.alphas)

@@ -18,7 +18,6 @@ from wbdoa.bench import (
 )
 from wbdoa.cli import cli_main
 from wbdoa.focusing import FocusingSet, noiseless_measurements
-from wbdoa.model import ArrayConfig
 
 
 class TestDefaultAlphas:
@@ -60,25 +59,22 @@ class TestTrialSeed:
 
 class TestRandomScene:
     def test_snr_definition(self):
-        cfg = ArrayConfig(M=8, c=1500.0, omega1=2 * np.pi * 1000)
         focusing = FocusingSet.build(default_alphas(6), 8)
-        scene = random_scene(cfg, (-10.0, 30.0), focusing, snr_db=7.0, seed=3)
-        X = noiseless_measurements(cfg, scene, focusing)
+        scene = random_scene((-10.0, 30.0), focusing, snr_db=7.0, seed=3)
+        X = noiseless_measurements(scene, focusing)
         snr = 10 * np.log10(np.linalg.norm(X) ** 2 /
                             (8 * 6 * scene.noise_variance))
         assert snr == pytest.approx(7.0, abs=1e-10)
 
     def test_noiseless(self):
-        cfg = ArrayConfig(M=8, c=1500.0, omega1=2 * np.pi * 1000)
-        scene = random_scene(cfg, (0.0,), FocusingSet.build(default_alphas(4), 8),
+        scene = random_scene((0.0,), FocusingSet.build(default_alphas(4), 8),
                              snr_db=None, seed=1)
         assert scene.noise_variance == 0.0
 
     def test_seed_determinism(self):
-        cfg = ArrayConfig(M=8, c=1500.0, omega1=2 * np.pi * 1000)
         focusing = FocusingSet.build(default_alphas(4), 8)
-        a = random_scene(cfg, (5.0,), focusing, 10.0, seed=11)
-        b = random_scene(cfg, (5.0,), focusing, 10.0, seed=11)
+        a = random_scene((5.0,), focusing, 10.0, seed=11)
+        b = random_scene((5.0,), focusing, 10.0, seed=11)
         assert np.array_equal(a.source_spectra, b.source_spectra)
         assert a.noise_variance == b.noise_variance
 
@@ -323,6 +319,13 @@ class TestResultTable:
     def test_json(self):
         doc = json.loads(self._table().to_json())
         assert doc["rows"][1]["rmse_deg"] is None
+
+    def test_json_runtime_zeroed_by_default(self):
+        # as in to_csv, so benchmark --json-output reruns are byte-identical
+        t = self._table()
+        assert [r["runtime_s"] for r in json.loads(t.to_json())["rows"]] == [0.0, 0.0]
+        doc = json.loads(t.to_json(include_runtime=True))
+        assert [r["runtime_s"] for r in doc["rows"]] == [r["runtime_s"] for r in t.rows]
 
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(ValueError):

@@ -131,7 +131,7 @@ def test_estimate_diagnostics_have_what_judge_wgs_reads():
     assert {"solverStatus", "solverIterations", "dualObjective"} <= read
     cfg = wbdoa.model.ArrayConfig(M=8, c=1500.0, omega1=2 * np.pi * 1000)
     foc = wbdoa.focusing.FocusingSet.build(wbdoa.bench.default_alphas(4), cfg.M)
-    scene = wbdoa.bench.random_scene(cfg, (10.0,), foc, None, 0)
+    scene = wbdoa.bench.random_scene((10.0,), foc, None, 0)
     data = wbdoa.model.synthesize_scene(cfg, scene, foc)
     gamma = max(wbdoa.focusing.gamma_oracle(data.Y, cfg, scene, foc), 1e-10)
     est = wbdoa.recovery.estimate_doa(data, gamma, foc)

@@ -234,6 +234,18 @@ class TestBenchmark:
         assert cli_main(["benchmark", "--config", str(cfg), "--output", str(p2)]) == 0
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_json_output_byte_identical_without_timings(self, tmp_path):
+        # the JSON once kept wall-clock runtimes that the CSV zeroes
+        cfg = tmp_path / "bench.json"
+        cfg.write_text(json.dumps(dict(self.CONFIG, methods=["rss"])))
+        out = [tmp_path / f"{name}.json" for name in ("a", "b", "timed")]
+        for path, extra in zip(out, ([], [], ["--timings"])):
+            assert cli_main(["benchmark", "--config", str(cfg), "--output",
+                             str(tmp_path / "t.csv"), "--json-output", str(path), *extra]) == 0
+        assert out[0].read_bytes() == out[1].read_bytes()
+        assert json.loads(out[0].read_text())["rows"][0]["runtime_s"] == 0.0
+        assert json.loads(out[2].read_text())["rows"][0]["runtime_s"] > 0.0
+
     def test_quick_caps_trials(self, tmp_path, capsys):
         doc = dict(self.CONFIG, trials=50, methods=["rss"])
         cfg = tmp_path / "bench.json"
@@ -372,6 +384,20 @@ class TestReport:
         assert cli_main(["report", "--table", str(src), "--format", "json",
                          "--output", str(out)]) == 0
         assert len(json.loads(out.read_text())["rows"]) == 2
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_keeps_runtimes_read(self, tmp_path, fmt):
+        # a table written with --timings once lost its runtimes in csv
+        t = ResultTable()
+        t.add("wgs", 0.0, 1.0, 0.0, 2, 1.25)
+        t.add("wgs", 5.0, 0.5, 0.0, 2, 0.75)
+        src, out = tmp_path / "t.csv", tmp_path / f"out.{fmt}"
+        t.to_csv(src, include_runtime=True)
+        assert cli_main(["report", "--table", str(src), "--format", fmt,
+                         "--output", str(out)]) == 0
+        rows = (ResultTable.from_csv(out).rows if fmt == "csv"
+                else json.loads(out.read_text())["rows"])
+        assert [r["runtime_s"] for r in rows] == [1.25, 0.75]
 
 
 class TestFileErrors:

@@ -113,7 +113,7 @@ class TestAgainstLoops:
     @given(scenes())
     def test_noiseless_measurements(self, drawn):
         cfg, scene, focusing, _ = drawn
-        got = noiseless_measurements(cfg, scene, focusing)
+        got = noiseless_measurements(scene, focusing)
         assert _rel_err(got, _loop_noiseless(cfg, scene, focusing)) <= 1e-13
 
     @settings(max_examples=60, deadline=None)

@@ -120,7 +120,7 @@ class TestGamma:
         rng = np.random.default_rng(5)
         spectra = rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6))
         scene = WidebandScene(angles_deg=(-10.0, 25.0), source_spectra=spectra)
-        X = noiseless_measurements(cfg, scene, focusing)
+        X = noiseless_measurements(scene, focusing)
         # direct loop: column j = sum_k s_kj T_j a(f_k)
         for j in range(6):
             col = np.zeros(cfg.M, dtype=complex)
@@ -137,7 +137,7 @@ class TestGamma:
                               noise_variance=0.2, seed=4)
         data = synthesize_scene(cfg, scene, focusing)
         g = gamma_oracle(data.Y, cfg, scene, focusing)
-        X = noiseless_measurements(cfg, scene, focusing)
+        X = noiseless_measurements(scene, focusing)
         assert g == pytest.approx(np.linalg.norm(data.Y - X) ** 2, rel=1e-12)
 
     def test_gamma_oracle_noiseless_focused_scene(self, setup):
@@ -145,8 +145,30 @@ class TestGamma:
         cfg, focusing = setup
         spectra = np.ones((1, 6), dtype=complex)
         scene = WidebandScene(angles_deg=(30.0,), source_spectra=spectra)
-        X = noiseless_measurements(cfg, scene, focusing)
+        X = noiseless_measurements(scene, focusing)
         assert gamma_oracle(X, cfg, scene, focusing) < 1e-20
+
+    @pytest.mark.parametrize("M, shape", [(8, (8, 1)), (8, (6,)), (8, ()), (8, (6, 8)),
+                                          (4, (8, 6))])
+    def test_gamma_oracle_rejects_inputs_of_another_shape(self, setup, M, shape):
+        # Y - X once broadcast, so an 8 x 1 or length-6 Y gave a wrong gamma
+        _, focusing = setup
+        cfg = ArrayConfig(M=M, c=1500.0, omega1=2 * np.pi * 1000)
+        scene = WidebandScene(angles_deg=(30.0,), source_spectra=np.ones((1, 6), complex))
+        message = f"Y shape {shape} and array M = {M} inconsistent with focusing set (8 x 6)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            gamma_oracle(np.zeros(shape, complex), cfg, scene, focusing)
+
+    @pytest.mark.parametrize("bins", [1, 4])
+    def test_spectra_must_cover_every_bin(self, setup, bins):
+        # a one-bin spectrum once spread over all six bins
+        cfg, focusing = setup
+        scene = WidebandScene(angles_deg=(30.0,), source_spectra=np.ones((1, bins), complex))
+        message = f"scene spectra have {bins} bins, subbands have 6"
+        with pytest.raises(ValueError, match=message):
+            noiseless_measurements(scene, focusing)
+        with pytest.raises(ValueError, match=message):
+            gamma_oracle(np.zeros((8, 6), complex), cfg, scene, focusing)
 
     def test_gamma_blind_tracks_oracle(self, setup):
         cfg, focusing = setup

@@ -411,7 +411,7 @@ def _bases_seen(monkeypatch):
 def _noiseless_draw(M, J, seed):
     array = ArrayConfig(M=M, c=1500.0, omega1=2 * np.pi * 1000.0)
     focusing = FocusingSet.build(bench.default_alphas(J), M)
-    scene = bench.random_scene(array, (-5.0, 15.0, 40.0), focusing, None, seed)
+    scene = bench.random_scene((-5.0, 15.0, 40.0), focusing, None, seed)
     data = synthesize_scene(array, scene, focusing)
     return data, max(gamma_oracle(data.Y, array, scene, focusing), 1e-10), focusing
 
@@ -489,7 +489,7 @@ class TestSolve:
         rng = np.random.default_rng(12345)
         spectra = rng.standard_normal((3, 10)) + 1j * rng.standard_normal((3, 10))
         scene = WidebandScene(angles_deg=(-5.0, 15.0, 40.0), source_spectra=spectra)
-        Y = noiseless_measurements(cfg, scene, focusing)
+        Y = noiseless_measurements(scene, focusing)
         gamma = gamma_oracle(Y, cfg, scene, focusing)
         prog = ConicProblem(Y=Y, focusing=focusing, gamma=gamma)
         sol = solve(prog, SolverConfig(eps_abs=1e-7, eps_rel=1e-6))
@@ -528,8 +528,7 @@ class TestSolve:
         rng = np.random.default_rng(13)
         spectra = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         scene = WidebandScene(angles_deg=(-20.0, 25.0), source_spectra=spectra)
-        X = noiseless_measurements(ArrayConfig(M=6, c=1500.0, omega1=2 * np.pi * 1000),
-                                   scene, focusing)
+        X = noiseless_measurements(scene, focusing)
         prog = ConicProblem(Y=X, focusing=focusing, gamma=0.0)
         sol = solve(prog, SolverConfig(eps_abs=1e-8, eps_rel=1e-7))
         assert sol.objective <= np.linalg.norm(spectra, axis=1).sum() * (1 + 1e-4)

@@ -7,6 +7,15 @@ output bit:
     python tools/identity_digest.py --src src > new.txt
     cmp old.txt new.txt
 
+When the change alters a signature this script calls (random_scene lost
+its ArrayConfig, for one), the old source cannot run the new script. Run
+the old tree's own copy on the old source instead:
+
+    python path/to/old/tools/identity_digest.py --src path/to/old/src > old.txt
+
+Both copies draw the same scenes and hash the same outputs in the same
+order; only the calls differ. So equal lines still prove equal outputs.
+
 Groups:
   solve         121 problems: bench.random_scene seeds 0-9, each noiseless,
                 at 10 dB and at 0 dB (M=16, J=10, angles -5/15/40 deg,
@@ -71,7 +80,7 @@ def main(argv=None):
     def scenes(seeds, array=array, focusing=focusing, snrs_db=SNRS_DB):
         for seed in range(seeds):
             for snr_db in snrs_db:
-                scene = bench.random_scene(array, ANGLES_DEG, focusing, snr_db, seed)
+                scene = bench.random_scene(ANGLES_DEG, focusing, snr_db, seed)
                 data = synthesize_scene(array, scene, focusing)
                 yield data, max(gamma_oracle(data.Y, array, scene, focusing), 1e-10)
 
