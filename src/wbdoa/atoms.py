@@ -9,7 +9,7 @@ semidefinite program over a dual matrix H and a Hermitian certificate Q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,9 +17,11 @@ from .focusing import FocusingSet
 
 
 def build_atom(f: float, c, focusing: FocusingSet) -> np.ndarray:
-    """The M x J matrix A(f, c) = [c_1 T_1 a(f), ..., c_J T_J a(f)]; c is
-    renormalized to unit l2 norm."""
+    """The M x J matrix A(f, c) = [c_1 T_1 a(f), ..., c_J T_J a(f)]; c, one
+    entry per bin, is renormalized to unit l2 norm."""
     c = np.asarray(c, dtype=complex).ravel()
+    if c.size != focusing.J:
+        raise ValueError(f"coefficient vector needs {focusing.J} entries, got {c.size}")
     nrm = np.linalg.norm(c)
     if nrm < 1e-12:
         raise ValueError("coefficient vector must be nonzero")
@@ -42,10 +44,6 @@ class ConicProblem:
     Y: np.ndarray
     focusing: FocusingSet
     gamma: float
-    # J x 2M x 2M real map taking (h_j, hbar_j) to its projection onto
-    # hbar_j = T_j^T h_j: with A_j = (I + 2 T_j T_j^T)^-1 its blocks are
-    # [[A_j, 2 A_j T_j], [T_j^T A_j, 2 T_j^T A_j T_j]]
-    coupling_map: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         Y = np.asarray(self.Y, dtype=complex)
@@ -59,11 +57,6 @@ class ConicProblem:
             raise ValueError("Y must be finite")
         if not (np.isfinite(self.gamma) and self.gamma >= 0):
             raise ValueError("gamma must be finite and nonnegative")
-        T = self.focusing.matrices
-        Tt = T.transpose(0, 2, 1)
-        eye = np.broadcast_to(np.eye(self.M), T.shape)
-        top = np.linalg.solve(eye + 2.0 * T @ Tt, np.concatenate([eye, 2.0 * T], axis=2))
-        object.__setattr__(self, "coupling_map", np.concatenate([top, Tt @ top], axis=1))
 
     @property
     def M(self) -> int:

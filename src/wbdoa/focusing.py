@@ -10,6 +10,7 @@ recovery problem.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,6 +53,15 @@ class FocusingSet:
     @property
     def M(self) -> int:
         return self.matrices.shape[1]
+
+    @cached_property
+    def coupling_map(self) -> np.ndarray:
+        """J x 2M x 2M real projection of (h_j, hbar_j) onto hbar_j = T_j^T h_j,
+        built on first use: [[A, 2AT], [T^T A, 2T^T A T]], A = (I + 2T T^T)^-1."""
+        T, Tt = self.matrices, self.matrices.transpose(0, 2, 1)
+        eye = np.broadcast_to(np.eye(self.M), T.shape)
+        top = np.linalg.solve(eye + 2.0 * T @ Tt, np.concatenate([eye, 2.0 * T], axis=2))
+        return np.concatenate([top, Tt @ top], axis=1)
 
     def columns(self, f: float) -> np.ndarray:
         """The M x J matrix [T_1 a(f), ..., T_J a(f)] at one spatial frequency."""

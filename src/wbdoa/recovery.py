@@ -152,8 +152,11 @@ def recover_amplitudes(Y: np.ndarray, fs, cs, focusing: FocusingSet) -> np.ndarr
 
     Pass the primal reconstruction rather than the raw measurements when
     the amplitudes should certify the strong-duality identity.  Duplicate
-    atoms need no special case: _nnls fits each passive set by lstsq."""
+    atoms need no special case: _nnls fits each passive set by lstsq.  One
+    coefficient vector per frequency, else ValueError."""
     fs = np.asarray(fs, dtype=float)
+    if fs.size != len(cs):
+        raise ValueError(f"{fs.size} frequencies but {len(cs)} coefficient vectors")
     if fs.size == 0:
         return np.array([])
     cols = np.stack(

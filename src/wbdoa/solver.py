@@ -88,10 +88,12 @@ def psd_project(W: np.ndarray, basis: np.ndarray = None):
     unclipped, so the warm step is only as good as its basis.
 
     The next basis holds the negative eigen- or Ritz vectors and the
-    BASIS_EXTRA after them.  A failed eigh or a non-finite W (which no Ritz
-    residual passes) raises RuntimeError.
+    BASIS_EXTRA after them.  A non-square W raises ValueError; a failed eigh
+    or a non-finite W (which no Ritz residual passes) raises RuntimeError.
     """
     W = np.asarray(W, dtype=complex)
+    if W.ndim != 2 or W.shape[0] != W.shape[1]:
+        raise ValueError(f"W must be a square matrix, got shape {W.shape}")
     W = W + W.conj().T
     W *= 0.5
     if basis is not None and KRYLOV_DEPTH * basis.shape[1] < W.shape[0]:
@@ -166,13 +168,13 @@ def affine_project(block: np.ndarray, problem: ConicProblem, H: np.ndarray):
 
     Projects the pair (block, H) jointly onto
     {Q trace conditions, Hbar = columnwise T_j^H h_j, lower-right = I_J}
-    and returns (block, H).  The coupling part applies the problem's
-    precomputed map to the real and imaginary parts of all J bins at once.
+    and returns (block, H), coupling all J bins at once by focusing.coupling_map.
     """
     M, J = problem.M, problem.J
     S = np.asarray(block, dtype=complex)
-    if S.shape != (M + J, M + J):
-        raise ValueError(f"block must be {(M + J, M + J)}, got {S.shape}")
+    if S.shape != (M + J, M + J) or np.shape(H) != (M, J):
+        raise ValueError(f"block and H must be {(M + J, M + J)} and {(M, J)}, "
+                         f"got {S.shape} and {np.shape(H)}")
     out = S + S.conj().T
     out *= 0.5
     # the real J x 2M x 2 input of the map: row j holds (h_j, hbar_j), real
@@ -183,7 +185,7 @@ def affine_project(block: np.ndarray, problem: ConicProblem, H: np.ndarray):
     Xc[:, M:] = out[:M, M:].T
     out[:M, :M] = _project_trace(out[:M, :M])
     out[M:, M:] = np.eye(J)
-    Z = (problem.coupling_map @ X).view(complex)[:, :, 0].T
+    Z = (problem.focusing.coupling_map @ X).view(complex)[:, :, 0].T
     out[:M, M:] = Z[M:]
     out[M:, :M] = Z[M:].conj().T
     return out, Z[:M]

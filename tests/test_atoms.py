@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,14 @@ class TestBuildAtom:
     def test_zero_coefficients_rejected(self, focusing):
         with pytest.raises(ValueError):
             build_atom(0.1, np.zeros(4), focusing)
+
+    @pytest.mark.parametrize("c", [[1.0], np.ones(3), np.ones(5), np.ones((2, 4))],
+                             ids=["one", "J-1", "J+1", "2J"])
+    def test_one_coefficient_per_bin(self, focusing, c):
+        # a one-entry c used to broadcast over all J bins, an atom of norm
+        # sqrt(J) times that of a unit c
+        with pytest.raises(ValueError, match=r"needs 4 entries, got \d+"):
+            build_atom(0.1, c, focusing)
 
 
 class TestPlantedAtoms:
@@ -131,6 +141,12 @@ class TestConicProblem:
         H = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
         expect = np.real(np.trace(Y.conj().T @ H)) - 2.0 * np.linalg.norm(H)
         assert prog.objective(H) == pytest.approx(expect, rel=1e-12)
+
+    def test_holds_only_its_inputs(self, focusing):
+        # the coupling map belongs to the focusing set, built once for it
+        assert [f.name for f in fields(ConicProblem)] == ["Y", "focusing", "gamma"]
+        prog = ConicProblem(Y=np.zeros((6, 4)), focusing=focusing, gamma=1.0)
+        assert not hasattr(prog, "coupling_map")
 
     def test_shape_and_gamma_validation(self, focusing):
         with pytest.raises(ValueError):

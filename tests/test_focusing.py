@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from wbdoa.bench import default_alphas
 from wbdoa.focusing import (
     FocusingSet,
     focusing_error,
@@ -80,6 +81,41 @@ class TestFocusingSet:
         assert cols.shape == (7, 3)
         for j in range(3):
             assert np.array_equal(cols[:, j], fs.matrices[j] @ steering_vector(0.21, 7))
+
+
+def _per_problem_coupling_map(focusing):
+    """The map as each ConicProblem used to build it for itself."""
+    T = focusing.matrices
+    Tt = T.transpose(0, 2, 1)
+    eye = np.broadcast_to(np.eye(focusing.M), T.shape)
+    top = np.linalg.solve(eye + 2.0 * T @ Tt, np.concatenate([eye, 2.0 * T], axis=2))
+    return np.concatenate([top, Tt @ top], axis=1)
+
+
+class TestCouplingMap:
+    @pytest.mark.parametrize("M, J", [(16, 10), (48, 19)])
+    def test_bit_equal_to_the_per_problem_build(self, M, J):
+        focusing = FocusingSet.build(default_alphas(J), M)
+        got = focusing.coupling_map
+        assert got.shape == (J, 2 * M, 2 * M)
+        assert got.tobytes() == _per_problem_coupling_map(focusing).tobytes()
+
+    def test_built_only_on_first_use(self, setup):
+        # building a focusing set, or using it for the model and gamma,
+        # costs no map; the first read caches one that later reads return
+        cfg, focusing = setup
+        assert "coupling_map" not in focusing.__dict__
+        rng = np.random.default_rng(4)
+        scene = WidebandScene(angles_deg=(-10.0, 25.0),
+                              source_spectra=rng.standard_normal((2, focusing.J)) + 0j)
+        data = synthesize_scene(cfg, scene, focusing)
+        gamma_oracle(data.Y, cfg, scene, focusing)
+        gamma_blind(data.Y, 0.0, focusing)
+        focusing_error(0.1, focusing)
+        assert "coupling_map" not in focusing.__dict__
+        first = focusing.coupling_map
+        assert focusing.__dict__["coupling_map"] is first
+        assert focusing.coupling_map is first
 
 
 class TestFocusingError:

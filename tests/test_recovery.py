@@ -208,6 +208,14 @@ class TestRecoverPieces:
         focusing = FocusingSet.build([1.0], 4)
         assert recover_amplitudes(np.zeros((4, 1)), [], [], focusing).size == 0
 
+    @pytest.mark.parametrize("n_f, n_c", [(2, 1), (1, 2), (0, 1)])
+    def test_one_coefficient_vector_per_frequency(self, n_f, n_c):
+        # zipping fs with cs used to drop the unmatched atoms silently
+        focusing = FocusingSet.build([1.0, 0.9, 0.8], 8)
+        Y = focusing.columns(0.1) + focusing.columns(-0.2)
+        with pytest.raises(ValueError, match=f"{n_f} frequencies but {n_c} coefficient"):
+            recover_amplitudes(Y, [0.1, -0.2][:n_f], [np.ones(3)] * n_c, focusing)
+
     @settings(max_examples=60, deadline=None)
     @given(f=st.floats(-0.45, 0.45), u=st.one_of(st.none(), st.floats(-12.0, -3.0)),
            seed=st.integers(0, 2**32 - 1))

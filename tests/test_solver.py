@@ -1,3 +1,6 @@
+import re
+from functools import cached_property
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -71,6 +74,13 @@ class TestPsdProject:
             back = Rp[:5, :5] + 1j * Rp[5:, :5]
             assert np.allclose(psd_project(W)[0], back, atol=1e-10)
 
+    @pytest.mark.parametrize("shape", [(1, 5), (5, 1), (5,), (2, 3, 3)])
+    def test_non_square_rejected(self, shape):
+        # a row or column used to broadcast into an n x n "projection" and a
+        # 1-D input to fail as a numerical error (RuntimeError)
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            psd_project(np.ones(shape))
+
     def test_result_is_psd(self):
         rng = np.random.default_rng(3)
         A = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
@@ -104,6 +114,14 @@ class TestAffineProject:
         for j in range(3):
             Tj = small_problem.focusing.matrices[j]
             assert np.allclose(Bn[:, j], Tj.T @ Hn[:, j], atol=1e-11)
+
+    @pytest.mark.parametrize("shape", [(16, 1), (16,), (1, 10), ()])
+    def test_mis_shaped_h_rejected(self, shape):
+        # each of these used to broadcast into a 16 x 10 projection
+        _, gamma, focusing = _noiseless_draw(16, 10, 0)
+        problem = ConicProblem(Y=np.zeros((16, 10)), focusing=focusing, gamma=gamma)
+        with pytest.raises(ValueError, match=re.escape(f"(16, 10), got (26, 26) and {shape}")):
+            affine_project(np.eye(26), problem, np.zeros(shape, dtype=complex))
 
     def test_idempotent(self, small_problem):
         rng = np.random.default_rng(5)
@@ -393,6 +411,33 @@ class TestWarmPsdProject:
             solve(ConicProblem(Y=data.Y, focusing=focusing, gamma=gamma),
                   SolverConfig(max_iter=200))
         assert len(calls) == 3
+
+
+def test_one_coupling_map_per_focusing_set(monkeypatch):
+    # two problems and three estimates on one focusing set read one map,
+    # built on the first read
+    built, maps_used, project = [], [], solver_module.affine_project
+    build = FocusingSet.__dict__["coupling_map"].func
+
+    def counted(focusing):
+        built.append(None)
+        return build(focusing)
+
+    def spy(block, problem, H):
+        maps_used.append(problem.focusing.coupling_map)
+        return project(block, problem, H)
+
+    prop = cached_property(counted)
+    prop.__set_name__(FocusingSet, "coupling_map")
+    monkeypatch.setattr(FocusingSet, "coupling_map", prop)
+    monkeypatch.setattr(solver_module, "affine_project", spy)
+    data, gamma, focusing = _noiseless_draw(16, 10, 0)
+    first, second = (ConicProblem(Y=data.Y, focusing=focusing, gamma=g) for g in (gamma, 2.0))
+    assert first.focusing.coupling_map is second.focusing.coupling_map
+    for _ in range(3):
+        estimate_doa(data, gamma, focusing)
+    assert len(built) == 1
+    assert maps_used and all(m is first.focusing.coupling_map for m in maps_used)
 
 
 def _bases_seen(monkeypatch):
