@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .focusing import FocusingSet
+from .model import check_real
 
 
 def build_atom(f: float, c, focusing: FocusingSet) -> np.ndarray:
@@ -46,17 +47,8 @@ class ConicProblem:
     gamma: float
 
     def __post_init__(self):
-        Y = np.asarray(self.Y, dtype=complex)
-        object.__setattr__(self, "Y", Y)
-        if Y.shape != (self.M, self.J):
-            raise ValueError(
-                f"Y shape {Y.shape} inconsistent with focusing set "
-                f"({self.M} x {self.J})"
-            )
-        if not np.all(np.isfinite(Y)):
-            raise ValueError("Y must be finite")
-        if not (np.isfinite(self.gamma) and self.gamma >= 0):
-            raise ValueError("gamma must be finite and nonnegative")
+        object.__setattr__(self, "Y", self.focusing.check_data(self.Y))
+        check_real("gamma", self.gamma, "nonnegative")
 
     @property
     def M(self) -> int:

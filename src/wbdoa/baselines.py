@@ -9,13 +9,13 @@ import warnings
 
 import numpy as np
 
-from .model import SubbandData, f_to_theta, stationary_frequencies, steering_matrix, theta_to_f
+from .model import (SubbandData, check_real, f_to_theta, stationary_frequencies, steering_matrix,
+                    theta_to_f)
 
 
 def perturb_initial(true_angles_deg, max_err_deg: float, seed: int):
     """True DOAs plus independent Uniform(-max_err, +max_err) errors."""
-    if not (np.isfinite(max_err_deg) and max_err_deg >= 0):
-        raise ValueError("max_err_deg must be finite and nonnegative")
+    check_real("max_err_deg", max_err_deg, "nonnegative")
     rng = np.random.default_rng(seed)
     true_angles = np.asarray(true_angles_deg, dtype=float)
     return true_angles + rng.uniform(-max_err_deg, max_err_deg, size=true_angles.shape)

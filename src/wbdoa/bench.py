@@ -48,6 +48,7 @@ def random_scene(angles_deg, focusing: FocusingSet, snr_db, seed: int) -> Wideba
                            noise_variance=0.0, seed=noise_seed)
     if snr_db is None:
         return scene0
+    check_real("snr_db", snr_db)
     X = noiseless_measurements(scene0, focusing)
     sigma2 = float(np.linalg.norm(X) ** 2) / (focusing.M * J * 10.0 ** (snr_db / 10.0))
     return replace(scene0, noise_variance=sigma2)
@@ -126,12 +127,12 @@ class ExperimentConfig:
         check_integer("master_seed", self.master_seed, 0)
         if self.workers is not None:
             check_integer("workers", self.workers, 1)
-        for name in ("theta1_deg", "resolution_snr_db", "c", "omega1", "init_err_deg",
-                     "solver_eps_abs", "solver_eps_rel"):
-            check_real(name, getattr(self, name))
+        check_real("theta1_deg", self.theta1_deg)
+        check_real("resolution_snr_db", self.resolution_snr_db)
+        check_real("init_err_deg", self.init_err_deg, "nonnegative")
         for name in ("angles_deg", "snr_grid_db", "delta_theta_list"):
-            if np.ndim(getattr(self, name)) != 1:
-                raise ValueError(f"{name} must be a flat list")
+            if np.ndim(getattr(self, name)) != 1 or len(getattr(self, name)) == 0:
+                raise ValueError(f"{name} must be a nonempty flat list")
             for value in getattr(self, name):
                 check_real(f"each of {name}", value)
         if not self.methods:
@@ -145,20 +146,14 @@ class ExperimentConfig:
         default_alphas(self.J)
         SolverConfig(max_iter=self.solver_max_iter, eps_abs=self.solver_eps_abs,
                      eps_rel=self.solver_eps_rel)
-        for name in ("snr_grid_db", "delta_theta_list", "resolution_snr_db"):
-            values = np.atleast_1d(getattr(self, name))
-            if values.size == 0 or not np.all(np.isfinite(values)):
-                raise ValueError(f"{name} must be nonempty and finite")
         if min(self.delta_theta_list) <= 0:
             raise ValueError("delta_theta_list entries must be positive")
         pairs = [(self.theta1_deg - d, self.theta1_deg) for d in self.delta_theta_list]
         for angles in (self.angles_deg, *pairs):
             a = np.asarray(angles, dtype=float)
-            if a.size == 0 or not np.all(np.abs(a) < 90) or np.unique(a).size < a.size:
-                raise ValueError(f"source angles {list(angles)} must be nonempty, "
-                                 "distinct and inside (-90, 90)")
-        if not (np.isfinite(self.init_err_deg) and self.init_err_deg >= 0):
-            raise ValueError("init_err_deg must be finite and nonnegative")
+            if not np.all(np.abs(a) < 90) or np.unique(a).size < a.size:
+                raise ValueError(f"source angles {list(angles)} must be distinct and inside "
+                                 "(-90, 90)")
         K = len(self.angles_deg) if self.scenario == "rmse_vs_snr" else 2
         if "rss" in self.methods and self.J < K + 1:
             raise ValueError(f"rss needs J >= K+1 = {K + 1} bins, got J={self.J}")

@@ -15,7 +15,8 @@ import numpy as np
 from . import bench
 from .bench import ExperimentConfig, ResultTable, default_alphas
 from .focusing import FocusingSet, gamma_blind, gamma_oracle
-from .model import ArrayConfig, SubbandData, WidebandScene, check_integer, synthesize_scene
+from .model import (ArrayConfig, SubbandData, WidebandScene, check_integer, check_real,
+                    synthesize_scene)
 from .recovery import RecoveryConfig, estimate_doa
 from .solver import SolverConfig
 
@@ -45,13 +46,13 @@ def _scene_from_doc(doc):
     """
     try:
         arr = doc["array"]
-        array = ArrayConfig(M=arr["M"], c=float(arr.get("c", 1500.0)),
-                            omega1=float(arr.get("omega1", 2 * np.pi * 1000.0)))
+        array = ArrayConfig(M=arr["M"], c=arr.get("c", ExperimentConfig.c),
+                            omega1=arr.get("omega1", ExperimentConfig.omega1))
         sub = doc.get("subbands", {})
         if "alphas" in sub:
             alphas = np.asarray(sub["alphas"], dtype=float)
         else:
-            alphas = default_alphas(sub.get("J", 10))
+            alphas = default_alphas(sub.get("J", ExperimentConfig.J))
         sc = doc["scene"]
         angles = tuple(float(a) for a in sc.get("angles_deg", ()))
         seed = check_integer("seed", sc.get("seed", 0), 0)
@@ -59,13 +60,10 @@ def _scene_from_doc(doc):
         if "spectra" in sc:
             spectra = np.array([[complex(re, im) for re, im in row]
                                 for row in sc["spectra"]])
-            sigma2 = float(sc.get("noise_variance", 0.0))
             scene = WidebandScene(angles_deg=angles, source_spectra=spectra,
-                                  noise_variance=sigma2, seed=seed)
+                                  noise_variance=sc.get("noise_variance", 0.0), seed=seed)
         else:
-            snr = sc.get("snr_db", None)
-            scene = bench.random_scene(angles, focusing,
-                                       None if snr is None else float(snr), seed)
+            scene = bench.random_scene(angles, focusing, sc.get("snr_db"), seed)
         data = synthesize_scene(array, scene, focusing)
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad scene config: {exc}")
@@ -96,8 +94,7 @@ def _cmd_estimate(args):
     try:
         rec = RecoveryConfig(solver=SolverConfig(max_iter=args.max_iter))
         # safety scales gamma: an under-estimate can make the problem infeasible in noise
-        if not (np.isfinite(args.gamma_safety) and args.gamma_safety > 0):
-            raise ValueError(f"safety must be finite and positive, got {args.gamma_safety}")
+        check_real("--gamma-safety", args.gamma_safety, "positive")
         if args.gamma_mode == "oracle":
             if scene is None:
                 raise ValueError("oracle mode requires the true scene")
@@ -176,7 +173,7 @@ def build_parser():
                     dest="gamma_mode")
     pe.add_argument("--gamma-safety", type=float, default=1.0, dest="gamma_safety")
     pe.add_argument("--sigma2", type=float, default=None)
-    pe.add_argument("--max-iter", type=int, default=50000, dest="max_iter")
+    pe.add_argument("--max-iter", type=int, default=SolverConfig.max_iter, dest="max_iter")
     pe.set_defaults(func=_cmd_estimate)
 
     pb = sub.add_parser("benchmark", help="experiment JSON -> result table")

@@ -14,8 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import (ArrayConfig, WidebandScene, check_bins, check_integer, steering_vector,
-                    theta_to_f)
+from .model import (ArrayConfig, WidebandScene, check_bins, check_integer, check_real,
+                    steering_vector, theta_to_f)
 
 
 def focusing_matrix(alpha: float, M: int) -> np.ndarray:
@@ -33,17 +33,19 @@ def focusing_matrix(alpha: float, M: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FocusingSet:
-    """The J focusing matrices for a set of frequency ratios."""
+    """The J focusing matrices for a set of frequency ratios.  Every solve on
+    a set shares its arrays, so those of ``build`` are read-only."""
 
     matrices: np.ndarray  # J x M x M, real
     alphas: np.ndarray
 
     @classmethod
     def build(cls, alphas, M: int) -> "FocusingSet":
-        alphas = np.asarray(alphas, dtype=float)
+        alphas = np.array(alphas, dtype=float)  # a copy: the caller's array stays writable
         if alphas.size == 0:
             raise ValueError("need at least one bin to build a focusing set")
         mats = np.stack([focusing_matrix(a, M) for a in alphas])
+        alphas.flags.writeable = mats.flags.writeable = False
         return cls(matrices=mats, alphas=alphas)
 
     @property
@@ -61,7 +63,19 @@ class FocusingSet:
         T, Tt = self.matrices, self.matrices.transpose(0, 2, 1)
         eye = np.broadcast_to(np.eye(self.M), T.shape)
         top = np.linalg.solve(eye + 2.0 * T @ Tt, np.concatenate([eye, 2.0 * T], axis=2))
-        return np.concatenate([top, Tt @ top], axis=1)
+        coupling = np.concatenate([top, Tt @ top], axis=1)
+        coupling.flags.writeable = False
+        return coupling
+
+    def check_data(self, Y) -> np.ndarray:
+        """Y as a finite complex M x J array, else ValueError."""
+        Y = np.asarray(Y, dtype=complex)
+        if Y.shape != (self.M, self.J):
+            raise ValueError(f"Y shape {Y.shape} inconsistent with focusing set "
+                             f"({self.M} x {self.J})")
+        if not np.all(np.isfinite(Y)):
+            raise ValueError("Y must be finite")
+        return Y
 
     def columns(self, f: float) -> np.ndarray:
         """The M x J matrix [T_1 a(f), ..., T_J a(f)] at one spatial frequency."""
@@ -105,11 +119,8 @@ def gamma_blind(Y: np.ndarray, sigma2: float, focusing: FocusingSet) -> float:
     spreading the estimated per-band signal power over a coarse 64-point grid
     of candidate spatial frequencies, weighted by a conventional beamformer.
     """
-    if not (np.isfinite(sigma2) and sigma2 >= 0):
-        raise ValueError(f"noise variance must be finite and nonnegative, got {sigma2}")
-    if Y.shape != (focusing.M, focusing.J):
-        raise ValueError(f"Y shape {Y.shape} inconsistent with focusing set "
-                         f"({focusing.M} x {focusing.J})")
+    check_real("sigma2 (noise variance)", sigma2, "nonnegative")
+    Y = focusing.check_data(Y)
     M, J = Y.shape
     noise_power = M * J * sigma2
     f_grid = np.linspace(-0.5, 0.5, 64, endpoint=False)

@@ -21,10 +21,14 @@ def check_integer(name: str, value, low: int):
     return value
 
 
-def check_real(name: str, value):
-    """value if it is a real number, else ValueError; a bool is no number."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
+def check_real(name: str, value, sign: str = None):
+    """value if it is a finite real number, of the given sign ("positive" or
+    "nonnegative") if any, else ValueError; a bool is no number."""
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    if not (real and -np.inf < value < np.inf and (sign != "positive" or value > 0)
+            and (sign != "nonnegative" or value >= 0)):
+        raise ValueError(f"{name} must be finite and {sign}, got {value!r}" if sign
+                         else f"{name} must be finite, got {value!r}")
     return value
 
 
@@ -51,10 +55,8 @@ class ArrayConfig:
 
     def __post_init__(self):
         check_integer("M", self.M, 2)
-        for name, what in (("c", "propagation speed"), ("omega1", "reference frequency")):
-            if not 0 < getattr(self, name) < np.inf:  # also refuses NaN
-                raise ValueError(f"{name} ({what}) must be finite and positive, "
-                                 f"got {getattr(self, name)}")
+        check_real("c (propagation speed)", self.c, "positive")
+        check_real("omega1 (reference frequency)", self.omega1, "positive")
 
 
 @dataclass(frozen=True)
@@ -84,9 +86,7 @@ class WidebandScene:
             raise ValueError(
                 f"spectra rows ({spectra.shape[0]}) must match source count ({len(angles)})"
             )
-        if not (np.isfinite(self.noise_variance) and self.noise_variance >= 0):
-            raise ValueError("noise variance must be finite and nonnegative, "
-                             f"got {self.noise_variance}")
+        check_real("noise_variance", self.noise_variance, "nonnegative")
 
     @property
     def K(self) -> int:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .atoms import ConicProblem, build_atom
 from .focusing import FocusingSet
-from .model import SubbandData, f_to_theta, stationary_frequencies, steering_vector
+from .model import SubbandData, check_real, f_to_theta, stationary_frequencies, steering_vector
 from .solver import SolverConfig, solve
 
 
@@ -175,9 +175,8 @@ class RecoveryConfig:
     solver: SolverConfig = None
 
     def __post_init__(self):
-        if not (self.min_separation is None or 0 <= self.min_separation < np.inf):
-            raise ValueError("min_separation must be None or finite and nonnegative, "
-                             f"got {self.min_separation}")
+        if self.min_separation is not None:
+            check_real("min_separation", self.min_separation, "nonnegative")
 
 
 def primal_reconstruction(Y: np.ndarray, H: np.ndarray, gamma: float) -> np.ndarray:

@@ -52,10 +52,8 @@ class SolverConfig:
 
     def __post_init__(self):
         check_integer("max_iter", self.max_iter, 1)
-        check_real("eps_abs", self.eps_abs)
-        check_real("eps_rel", self.eps_rel)
-        if not all(np.isfinite(e) and e > 0 for e in (self.eps_abs, self.eps_rel)):
-            raise ValueError("tolerances eps_abs and eps_rel must be finite and positive")
+        check_real("eps_abs", self.eps_abs, "positive")
+        check_real("eps_rel", self.eps_rel, "positive")
 
 
 @dataclass

@@ -78,6 +78,22 @@ class TestSimulate:
         assert f"bad scene config: {key} must be an integer" in err
         assert "Traceback" not in err and not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("part, key, value", [
+        ("array", "c", True), ("array", "omega1", "7001"), ("scene", "snr_db", "10"),
+        ("scene", "noise_variance", True),
+    ])
+    def test_real_value_not_a_number(self, tmp_path, capsys, part, key, value):
+        # float() once cast these to 1.0, 7001.0, 10.0 and 1.0 and simulated them
+        doc = {**SCENE, "scene": {"angles_deg": [10.0], "spectra": [[[1.0, 0.0]] * 6]}
+               if key == "noise_variance" else SCENE["scene"]}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**doc, part: {**doc[part], key: value}}))
+        assert cli_main(["simulate", "--config", str(bad),
+                         "--output", str(tmp_path / "o.csv")]) == 1
+        err = capsys.readouterr().err
+        assert f"bad scene config: {key} " in err and "must be finite" in err
+        assert "Traceback" not in err and not (tmp_path / "o.csv").exists()
+
     @pytest.mark.parametrize("snr_db", [None, 10.0])
     def test_nan_angle(self, tmp_path, capsys, snr_db):
         bad = tmp_path / "bad.json"

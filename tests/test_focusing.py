@@ -74,6 +74,16 @@ class TestFocusingSet:
         with pytest.raises(ValueError, match="M must be an integer"):
             FocusingSet.build([1.0, 0.9], M)
 
+    def test_shared_arrays_are_read_only(self):
+        # every solve on a set shares these; a write would change them all
+        alphas = np.array([1.0, 0.9, 0.8])
+        fs = FocusingSet.build(alphas, 4)
+        for shared in (fs.matrices, fs.alphas, fs.coupling_map):
+            with pytest.raises(ValueError, match="read-only"):
+                shared[0] = 0.0
+        alphas[0] = 0.5  # the caller's own array is copied, never flagged
+        assert fs.alphas[0] == 1.0
+
     def test_columns(self):
         # column j is T_j a(f), to the bit
         fs = FocusingSet.build([1.0, 0.9, 0.75], 7)
@@ -220,6 +230,20 @@ class TestGamma:
             ratios.append(g_est / g_true)
         ratios = np.array(ratios)
         assert np.all(ratios > 1 / 3) and np.all(ratios < 3)
+
+    def test_gamma_blind_reads_nested_lists(self):
+        # Y.shape was read before any conversion: AttributeError on a list
+        focusing = FocusingSet.build([1.0, 0.9, 0.8], 4)
+        Y = np.arange(12.0).reshape(4, 3) + 1j
+        assert gamma_blind(Y.tolist(), 0.1, focusing) == gamma_blind(Y, 0.1, focusing)
+
+    def test_gamma_blind_rejects_non_finite_data(self):
+        # a NaN entry once gave a NaN gamma
+        focusing = FocusingSet.build([1.0, 0.9, 0.8], 4)
+        Y = np.ones((4, 3), dtype=complex)
+        Y[1, 2] = np.nan
+        with pytest.raises(ValueError, match="Y must be finite"):
+            gamma_blind(Y, 0.1, focusing)
 
     @pytest.mark.parametrize("shape", [(6, 4), (8, 3)], ids=["M", "J"])
     def test_gamma_blind_rejects_data_of_another_shape(self, shape):
