@@ -13,7 +13,8 @@ import numpy as np
 
 from .baselines import perturb_initial, rss_estimate
 from .focusing import FocusingSet, gamma_oracle, noiseless_measurements
-from .model import ArrayConfig, WidebandScene, check_integer, check_real, synthesize_scene
+from .model import (ArrayConfig, WidebandScene, check_angles, check_integer, check_real,
+                    synthesize_scene)
 from .recovery import RecoveryConfig, estimate_doa
 from .solver import SolverConfig
 
@@ -40,7 +41,7 @@ def random_scene(angles_deg, focusing: FocusingSet, snr_db, seed: int) -> Wideba
     with X* the focused-model measurements.  ``snr_db=None`` means noiseless.
     """
     K, J = len(angles_deg), focusing.J
-    ss = np.random.SeedSequence(seed)
+    ss = np.random.SeedSequence(check_integer("seed", seed, 0))
     spectra_seed, noise_seed = (int(s.generate_state(1)[0]) for s in ss.spawn(2))
     rng = np.random.default_rng(spectra_seed)
     spectra = (rng.standard_normal((K, J)) + 1j * rng.standard_normal((K, J))) / np.sqrt(2)
@@ -133,6 +134,7 @@ class ExperimentConfig:
         for name in ("angles_deg", "snr_grid_db", "delta_theta_list"):
             if np.ndim(getattr(self, name)) != 1 or len(getattr(self, name)) == 0:
                 raise ValueError(f"{name} must be a nonempty flat list")
+        for name in ("snr_grid_db", "delta_theta_list"):
             for value in getattr(self, name):
                 check_real(f"each of {name}", value)
         if not self.methods:
@@ -148,12 +150,10 @@ class ExperimentConfig:
                      eps_rel=self.solver_eps_rel)
         if min(self.delta_theta_list) <= 0:
             raise ValueError("delta_theta_list entries must be positive")
-        pairs = [(self.theta1_deg - d, self.theta1_deg) for d in self.delta_theta_list]
-        for angles in (self.angles_deg, *pairs):
-            a = np.asarray(angles, dtype=float)
-            if not np.all(np.abs(a) < 90) or np.unique(a).size < a.size:
-                raise ValueError(f"source angles {list(angles)} must be distinct and inside "
-                                 "(-90, 90)")
+        check_angles("angles_deg", self.angles_deg)
+        for d in self.delta_theta_list:
+            check_angles(f"resolution pair at delta_theta {d!r}",
+                         (self.theta1_deg - d, self.theta1_deg))
         K = len(self.angles_deg) if self.scenario == "rmse_vs_snr" else 2
         if "rss" in self.methods and self.J < K + 1:
             raise ValueError(f"rss needs J >= K+1 = {K + 1} bins, got J={self.J}")
@@ -215,15 +215,10 @@ class ResultTable:
             raise ValueError("table has no rows")
         return table
 
-    def to_json(self, path=None, include_runtime: bool = False):
-        """The rows as JSON, runtimes zeroed by default as in to_csv."""
-        doc = {"rows": [
-            {**r, "rmse_deg": None if np.isnan(r["rmse_deg"]) else r["rmse_deg"],
-             "runtime_s": r["runtime_s"] if include_runtime else 0.0}
-            for r in self.rows
-        ]}
-        if path is None:
-            return json.dumps(doc, indent=2)
+    def to_json(self, path):
+        """The rows as JSON, with a Failed RMSE as null."""
+        doc = {"rows": [{**r, "rmse_deg": None if np.isnan(r["rmse_deg"]) else r["rmse_deg"]}
+                        for r in self.rows]}
         with open(path, "w") as fh:
             json.dump(doc, fh, indent=2)
 

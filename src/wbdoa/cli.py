@@ -15,8 +15,7 @@ import numpy as np
 from . import bench
 from .bench import ExperimentConfig, ResultTable, default_alphas
 from .focusing import FocusingSet, gamma_blind, gamma_oracle
-from .model import (ArrayConfig, SubbandData, WidebandScene, check_integer, check_real,
-                    synthesize_scene)
+from .model import ArrayConfig, SubbandData, WidebandScene, check_real, synthesize_scene
 from .recovery import RecoveryConfig, estimate_doa
 from .solver import SolverConfig
 
@@ -54,8 +53,7 @@ def _scene_from_doc(doc):
         else:
             alphas = default_alphas(sub.get("J", ExperimentConfig.J))
         sc = doc["scene"]
-        angles = tuple(float(a) for a in sc.get("angles_deg", ()))
-        seed = check_integer("seed", sc.get("seed", 0), 0)
+        angles, seed = sc.get("angles_deg", ()), sc.get("seed", 0)
         focusing = FocusingSet.build(alphas, array.M)
         if "spectra" in sc:
             spectra = np.array([[complex(re, im) for re, im in row]
@@ -135,8 +133,6 @@ def _cmd_benchmark(args):
           f"methods={list(cfg.methods)} master_seed={cfg.master_seed}")
     table = bench.run_experiment(cfg)
     table.to_csv(args.output, include_runtime=args.timings)
-    if args.json_output:
-        table.to_json(args.json_output, include_runtime=args.timings)
     print(f"benchmark: wrote {args.output}")
     return 0
 
@@ -144,10 +140,8 @@ def _cmd_benchmark(args):
 def _cmd_report(args):
     try:
         table = ResultTable.from_csv(args.table)
-        if args.format == "csv":
-            table.to_csv(args.output, include_runtime=True)
-        elif args.format == "json":
-            table.to_json(args.output, include_runtime=True)
+        if args.format == "json":
+            table.to_json(args.output)
         else:
             table.to_svg(args.output, log_y=args.log_y)
     except ValueError as exc:
@@ -179,15 +173,14 @@ def build_parser():
     pb = sub.add_parser("benchmark", help="experiment JSON -> result table")
     pb.add_argument("--config", required=True)
     pb.add_argument("--output", required=True)
-    pb.add_argument("--json-output", dest="json_output")
     pb.add_argument("--quick", action="store_true", help="cap trials at 20")
     pb.add_argument("--timings", action="store_true",
                     help="include wall-clock runtimes (breaks byte determinism)")
     pb.set_defaults(func=_cmd_benchmark)
 
-    pr = sub.add_parser("report", help="result CSV -> CSV/JSON/SVG")
+    pr = sub.add_parser("report", help="result CSV -> JSON/SVG")
     pr.add_argument("--table", required=True)
-    pr.add_argument("--format", choices=("csv", "json", "svg"), default="svg")
+    pr.add_argument("--format", choices=("json", "svg"), default="svg")
     pr.add_argument("--output", required=True)
     pr.add_argument("--log-y", action="store_true", dest="log_y")
     pr.set_defaults(func=_cmd_report)

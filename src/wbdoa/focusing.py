@@ -108,6 +108,7 @@ def gamma_oracle(Y: np.ndarray, cfg: ArrayConfig, scene: WidebandScene,
     if cfg.M != focusing.M or np.shape(Y) != (focusing.M, focusing.J):
         raise ValueError(f"Y shape {np.shape(Y)} and array M = {cfg.M} inconsistent "
                          f"with focusing set ({focusing.M} x {focusing.J})")
+    Y = focusing.check_data(Y)
     X = noiseless_measurements(scene, focusing)
     return float(np.linalg.norm(Y - X) ** 2)
 

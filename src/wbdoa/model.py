@@ -21,15 +21,31 @@ def check_integer(name: str, value, low: int):
     return value
 
 
+def _is_real(value) -> bool:
+    """Whether value is an int or float scalar; a bool is no number."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def check_real(name: str, value, sign: str = None):
     """value if it is a finite real number, of the given sign ("positive" or
-    "nonnegative") if any, else ValueError; a bool is no number."""
-    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-    if not (real and -np.inf < value < np.inf and (sign != "positive" or value > 0)
+    "nonnegative") if any, else ValueError."""
+    if not (_is_real(value) and -np.inf < value < np.inf and (sign != "positive" or value > 0)
             and (sign != "nonnegative" or value >= 0)):
         raise ValueError(f"{name} must be finite and {sign}, got {value!r}" if sign
                          else f"{name} must be finite, got {value!r}")
     return value
+
+
+def check_angles(name: str, angles) -> tuple:
+    """angles as a tuple of floats if each is a real number strictly inside
+    (-90, 90) degrees and no two are equal, else ValueError."""
+    for a in angles:
+        if not (_is_real(a) and -90 < a < 90):
+            raise ValueError(f"{name}: angle must lie in (-90, 90) degrees, got {a!r}")
+    angles = tuple(float(a) for a in angles)
+    if len(set(angles)) != len(angles):
+        raise ValueError(f"{name}: angles must be pairwise distinct, got {list(angles)}")
+    return angles
 
 
 @dataclass(frozen=True)
@@ -74,19 +90,21 @@ class WidebandScene:
     seed: int = 0
 
     def __post_init__(self):
-        angles = tuple(float(a) for a in self.angles_deg)
+        angles = check_angles("angles_deg", self.angles_deg)
         object.__setattr__(self, "angles_deg", angles)
         spectra = np.atleast_2d(np.asarray(self.source_spectra, dtype=complex))
         if len(angles) == 0:
             spectra = spectra.reshape(0, spectra.shape[1] if spectra.size else 0)
         object.__setattr__(self, "source_spectra", spectra)
-        if len(set(angles)) != len(angles):
-            raise ValueError("source angles must be pairwise distinct")
+        if spectra.ndim != 2 or not np.all(np.isfinite(spectra)):
+            raise ValueError(f"source spectra must be a finite K x J array, got shape "
+                             f"{spectra.shape}")
         if spectra.shape[0] != len(angles):
             raise ValueError(
                 f"spectra rows ({spectra.shape[0]}) must match source count ({len(angles)})"
             )
         check_real("noise_variance", self.noise_variance, "nonnegative")
+        check_integer("seed", self.seed, 0)
 
     @property
     def K(self) -> int:

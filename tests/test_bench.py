@@ -316,15 +316,16 @@ class TestResultTable:
         self._table().to_csv(path)
         assert "Failed" in path.read_text()
 
-    def test_json(self):
-        doc = json.loads(self._table().to_json())
-        assert doc["rows"][1]["rmse_deg"] is None
+    def test_json(self, tmp_path):
+        path = tmp_path / "out.json"
+        self._table().to_json(path)
+        assert json.loads(path.read_text())["rows"][1]["rmse_deg"] is None
 
-    def test_json_runtime_zeroed_by_default(self):
-        # as in to_csv, so benchmark --json-output reruns are byte-identical
-        t = self._table()
-        assert [r["runtime_s"] for r in json.loads(t.to_json())["rows"]] == [0.0, 0.0]
-        doc = json.loads(t.to_json(include_runtime=True))
+    def test_json_keeps_runtimes(self, tmp_path):
+        # a table read from a default CSV already holds zero runtimes
+        t, path = self._table(), tmp_path / "out.json"
+        t.to_json(path)
+        doc = json.loads(path.read_text())
         assert [r["runtime_s"] for r in doc["rows"]] == [r["runtime_s"] for r in t.rows]
 
     def test_empty_rejected(self, tmp_path):

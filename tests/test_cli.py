@@ -8,7 +8,7 @@ from wbdoa import bench
 from wbdoa.cli import _scene_from_doc, cli_main
 from wbdoa.bench import ResultTable
 from wbdoa.focusing import FocusingSet, gamma_blind, gamma_oracle
-from wbdoa.model import SubbandData
+from wbdoa.model import SubbandData, WidebandScene
 
 
 SCENE = {
@@ -104,6 +104,44 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "angle must lie in (-90, 90)" in err and "Traceback" not in err
         assert not (tmp_path / "o.csv").exists()
+
+    BAD_SCENES = {
+        "angles-bool": {"angles_deg": (True, 20.0)},
+        "angles-text": {"angles_deg": ("5", 20.0)},
+        "angles-nan": {"angles_deg": (float("nan"),)},
+        "angles-95": {"angles_deg": (95.0,)},
+        "spectra-nan": {"source_spectra": [[1.0, float("nan"), 1.0, 1.0, 1.0, 1.0]]},
+        "spectra-3d": {"source_spectra": np.ones((1, 6, 1))},
+        "seed-bool": {"seed": True},
+        "seed-fraction": {"seed": 1.5},
+    }
+
+    @pytest.mark.parametrize("bad", BAD_SCENES.values(), ids=BAD_SCENES)
+    def test_bad_scene_refused_on_every_route(self, tmp_path, capsys, bad):
+        # the scene once cast angles with float() and checked neither its
+        # spectra nor its seed: True read as 1 deg, and a NaN spectrum built
+        scene = {"angles_deg": (10.0,), "seed": 0, **bad}
+        spectra = np.asarray(scene.pop("source_spectra", np.ones((len(scene["angles_deg"]), 6))),
+                             dtype=complex)
+        with pytest.raises(ValueError):
+            WidebandScene(source_spectra=spectra, **scene)
+        extras = []
+        if spectra.ndim == 2:  # the scene JSON holds spectra as K x J [re, im] pairs
+            extras.append({"spectra": [[[z.real, z.imag] for z in row] for row in spectra]})
+        if "source_spectra" not in bad:
+            focusing = FocusingSet.build(bench.default_alphas(6), 12)
+            with pytest.raises(ValueError):
+                bench.random_scene(scene["angles_deg"], focusing, None, scene["seed"])
+            extras.append({"snr_db": None})
+        for extra in extras:
+            bad_path, out = tmp_path / "bad.json", tmp_path / "o.csv"
+            doc = {**SCENE, "scene": {"angles_deg": list(scene["angles_deg"]),
+                                      "seed": scene["seed"], **extra}}
+            bad_path.write_text(json.dumps(doc))
+            assert cli_main(["simulate", "--config", str(bad_path), "--output", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: bad scene config: ") and "Traceback" not in err
+            assert not out.exists()
 
 
 class TestEstimate:
@@ -250,14 +288,17 @@ class TestBenchmark:
         assert cli_main(["benchmark", "--config", str(cfg), "--output", str(p2)]) == 0
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_json_output_byte_identical_without_timings(self, tmp_path):
+    def test_json_report_byte_identical_without_timings(self, tmp_path):
         # the JSON once kept wall-clock runtimes that the CSV zeroes
         cfg = tmp_path / "bench.json"
         cfg.write_text(json.dumps(dict(self.CONFIG, methods=["rss"])))
         out = [tmp_path / f"{name}.json" for name in ("a", "b", "timed")]
         for path, extra in zip(out, ([], [], ["--timings"])):
-            assert cli_main(["benchmark", "--config", str(cfg), "--output",
-                             str(tmp_path / "t.csv"), "--json-output", str(path), *extra]) == 0
+            table = tmp_path / "t.csv"
+            assert cli_main(["benchmark", "--config", str(cfg), "--output", str(table),
+                             *extra]) == 0
+            assert cli_main(["report", "--table", str(table), "--format", "json",
+                             "--output", str(path)]) == 0
         assert out[0].read_bytes() == out[1].read_bytes()
         assert json.loads(out[0].read_text())["rows"][0]["runtime_s"] == 0.0
         assert json.loads(out[2].read_text())["rows"][0]["runtime_s"] > 0.0
@@ -401,18 +442,16 @@ class TestReport:
                          "--output", str(out)]) == 0
         assert len(json.loads(out.read_text())["rows"]) == 2
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_keeps_runtimes_read(self, tmp_path, fmt):
-        # a table written with --timings once lost its runtimes in csv
+    def test_keeps_runtimes_read(self, tmp_path):
+        # a table written with --timings keeps its runtimes in the report
         t = ResultTable()
         t.add("wgs", 0.0, 1.0, 0.0, 2, 1.25)
         t.add("wgs", 5.0, 0.5, 0.0, 2, 0.75)
-        src, out = tmp_path / "t.csv", tmp_path / f"out.{fmt}"
+        src, out = tmp_path / "t.csv", tmp_path / "out.json"
         t.to_csv(src, include_runtime=True)
-        assert cli_main(["report", "--table", str(src), "--format", fmt,
+        assert cli_main(["report", "--table", str(src), "--format", "json",
                          "--output", str(out)]) == 0
-        rows = (ResultTable.from_csv(out).rows if fmt == "csv"
-                else json.loads(out.read_text())["rows"])
+        rows = json.loads(out.read_text())["rows"]
         assert [r["runtime_s"] for r in rows] == [1.25, 0.75]
 
 

@@ -205,6 +205,15 @@ class TestGamma:
         with pytest.raises(ValueError, match=re.escape(message)):
             gamma_oracle(np.zeros(shape, complex), cfg, scene, focusing)
 
+    def test_gamma_oracle_rejects_a_nan_entry(self, setup):
+        # a NaN in Y once gave gamma = nan
+        cfg, focusing = setup
+        scene = WidebandScene(angles_deg=(30.0,), source_spectra=np.ones((1, 6), complex))
+        Y = noiseless_measurements(scene, focusing)
+        Y[2, 3] = np.nan
+        with pytest.raises(ValueError, match="Y must be finite"):
+            gamma_oracle(Y, cfg, scene, focusing)
+
     @pytest.mark.parametrize("bins", [1, 4])
     def test_spectra_must_cover_every_bin(self, setup, bins):
         # a one-bin spectrum once spread over all six bins

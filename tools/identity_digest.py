@@ -34,17 +34,22 @@ Groups:
                 perturbed as the bench does (perturb_initial by up to 2 deg,
                 seeded by bench.trial_seed(0, SNR index, seed, stream=1)).
                 Hashes the sorted angles (tobytes).
+  quick_csv     the two studies of `wbdoa benchmark --quick`: rmse_vs_snr
+                and resolution at their defaults, master_seed 0, 20 trials
+                and workers=1.  Hashes the ResultTable.to_csv bytes of each.
 
---draws N uses seeds 0..N-1 in every group.  BLAS threads are pinned to one
-(OPENBLAS_NUM_THREADS=1, unless already set) before numpy is imported,
-since the thread count can change rounding.  Digests compare only between
-runs on one machine: another BLAS build or CPU may round differently.
+--draws N uses seeds 0..N-1 in every group and caps the quick_csv trials
+at N.  BLAS threads are pinned to one (OPENBLAS_NUM_THREADS=1, unless
+already set) before numpy is imported, since the thread count can change
+rounding.  Digests compare only between runs on one machine: another BLAS
+build or CPU may round differently.
 """
 
 import argparse
 import hashlib
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 SNRS_DB = (None, 10.0, 0.0)
@@ -56,7 +61,7 @@ def main(argv=None):
     parser.add_argument("--src", required=True, help="directory holding the wbdoa package")
     parser.add_argument("--draws", type=int, default=None,
                         help="seeds per group (default: 10 for solve, 40 for estimate_doa "
-                             "and rss_estimate, 4 for warm_solve)")
+                             "and rss_estimate, 4 for warm_solve, 20 quick_csv trials)")
     args = parser.parse_args(argv)
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     src = Path(args.src).resolve()
@@ -133,6 +138,18 @@ def main(argv=None):
         digest.update(rss_estimate(data, init).tobytes())
         draws += 1
     print(f"rss_estimate draws={draws} sha256={digest.hexdigest()}")
+
+    digest, rows = hashlib.sha256(), 0
+    trials = 20 if args.draws is None else min(args.draws, 20)
+    with tempfile.TemporaryDirectory() as tmp:
+        for scenario in ("rmse_vs_snr", "resolution"):
+            table = bench.run_experiment(bench.ExperimentConfig(
+                scenario=scenario, trials=trials, master_seed=0, workers=1))
+            path = Path(tmp) / f"{scenario}.csv"
+            table.to_csv(path)
+            digest.update(path.read_bytes())
+            rows += len(table.rows)
+    print(f"quick_csv trials={trials} rows={rows} sha256={digest.hexdigest()}")
 
 
 if __name__ == "__main__":
