@@ -277,8 +277,7 @@ def _study_inputs(cfg: ExperimentConfig) -> tuple:
     array = ArrayConfig(M=cfg.M, c=cfg.c, omega1=cfg.omega1)
     solver = SolverConfig(max_iter=cfg.solver_max_iter, eps_abs=cfg.solver_eps_abs,
                           eps_rel=cfg.solver_eps_rel)
-    # sub-Rayleigh merge radius (f units): the resolution sweep separates close pairs
-    rec = RecoveryConfig(min_separation=0.2 / cfg.M, solver=solver)
+    rec = RecoveryConfig(solver=solver)
     return array, FocusingSet.build(default_alphas(cfg.J), cfg.M), rec
 
 

@@ -95,7 +95,8 @@ def _cmd_estimate(args):
         check_real("--gamma-safety", args.gamma_safety, "positive")
         if args.gamma_mode == "oracle":
             if scene is None:
-                raise ValueError("oracle mode requires the true scene")
+                raise ValueError("oracle mode requires the true scene (a scene JSON); "
+                                 "for a measurement CSV pass --gamma-mode blind --sigma2 S")
             gamma = gamma_oracle(data.Y, array, scene, focusing)
         else:
             if sigma2 is None:
@@ -164,9 +165,11 @@ def build_parser():
     pe.add_argument("--input", required=True)
     pe.add_argument("--output")
     pe.add_argument("--gamma-mode", choices=("oracle", "blind"), default="oracle",
-                    dest="gamma_mode")
+                    dest="gamma_mode", help="oracle (default) needs a scene JSON; a "
+                    "measurement CSV needs --gamma-mode blind --sigma2 S")
     pe.add_argument("--gamma-safety", type=float, default=1.0, dest="gamma_safety")
-    pe.add_argument("--sigma2", type=float, default=None)
+    pe.add_argument("--sigma2", type=float, default=None,
+                    help="noise variance per sensor and bin, for --gamma-mode blind")
     pe.add_argument("--max-iter", type=int, default=SolverConfig.max_iter, dest="max_iter")
     pe.set_defaults(func=_cmd_estimate)
 

@@ -4,8 +4,8 @@ At the dual optimum the dual polynomial P(f) = ||Hbar^H a(f)||_2 touches 1
 exactly at the recovered spatial frequencies.  Peaks of P near 1 give the
 frequency estimates, the polynomial vector Hbar^H a(f) there gives the
 cross-band coefficient directions, and a nonnegative least squares fit on
-the located atoms gives the amplitudes.  Atoms closer than the merge
-radius are then merged by amplitude into one.
+the located atoms gives the amplitudes.  Atoms closer than MERGE_RADIUS / M
+are then merged by amplitude into one.
 """
 
 from __future__ import annotations
@@ -59,6 +59,10 @@ AMP_FLOOR = 0.05
 # a maximum of P within this of 1 is a peak; below 0.5, so every peak vector
 # has norm P(f) > 0.5 and its unit coefficient vector never divides by near zero
 PEAK_TOL = 0.05
+# merge radius in units of 1/M, a fifth of the Rayleigh limit: wide enough to
+# rejoin a source the dual polynomial splits into nearby peaks, narrow enough
+# to keep the sub-Rayleigh pairs the solve resolves
+MERGE_RADIUS = 0.2
 
 
 def _wrap(f):
@@ -79,21 +83,23 @@ def locate_frequencies(Hbar: np.ndarray) -> tuple:
     return fs[keep], vectors[keep].conj() / values[keep, None], values[keep]
 
 
-def merge_atoms(fs, betas, cs, min_separation: float):
-    """Merge atoms closer than min_separation (circular distance), heaviest first.
+def merge_atoms(fs, betas, cs, radius: float):
+    """Merge atoms closer than radius (circular distance), heaviest first.
 
     A group, the heaviest free atom and every free atom closer to it (none
     at radius 0), becomes one atom at its amplitude-weighted mean frequency
     (unwrapped around the heaviest member) with the summed amplitude and
     the heaviest member's c.  Returns (fs, betas, cs) sorted by frequency.
+    A radius that is not a finite real >= 0 raises ValueError.
     """
+    check_real("radius", radius, "nonnegative")
     fs, betas = np.asarray(fs, dtype=float), np.asarray(betas, dtype=float)
     free = np.ones(fs.size, dtype=bool)
     merged = []
     for i in np.argsort(-betas, kind="stable"):
         if free[i]:
             offsets = _wrap(fs - fs[i])
-            group = free & (np.abs(offsets) < min_separation)
+            group = free & (np.abs(offsets) < radius)
             group[i] = True
             free &= ~group
             weight = betas[group].sum()
@@ -170,13 +176,7 @@ def recover_amplitudes(Y: np.ndarray, fs, cs, focusing: FocusingSet) -> np.ndarr
 
 @dataclass
 class RecoveryConfig:
-    # merge radius of merge_atoms in f units (None = 0.5 / M)
-    min_separation: float = None
     solver: SolverConfig = None
-
-    def __post_init__(self):
-        if self.min_separation is not None:
-            check_real("min_separation", self.min_separation, "nonnegative")
 
 
 def primal_reconstruction(Y: np.ndarray, H: np.ndarray, gamma: float) -> np.ndarray:
@@ -219,8 +219,7 @@ def estimate_doa(subbands: SubbandData, gamma: float, focusing: FocusingSet,
     # strong-duality check over the full decomposition of X_opt, before merging
     total = float(np.sum(betas))
     gap = abs(total - solution.objective)
-    radius = config.min_separation if config.min_separation is not None else 0.5 / subbands.M
-    fs, betas, cs = merge_atoms(fs, betas, cs, radius)
+    fs, betas, cs = merge_atoms(fs, betas, cs, MERGE_RADIUS / subbands.M)
     keep = betas >= AMP_FLOOR * betas.max(initial=0.0)
     minor = [
         {"f": float(f), "theta_deg": f_to_theta(f), "beta": float(b)}

@@ -211,14 +211,15 @@ def test_07_strong_duality():
 
     The optimal decomposition can split one physical source into two atoms
     a fraction of 1/M apart (the pair absorbs per-band focusing-error
-    phase), so peak merging is effectively disabled here.
+    phase).  The gap is taken over every located atom, before merging, so
+    the merge radius does not enter it.
     """
     M, J = 8, 4
     alphas = np.arange(8, 4, -1) / 8
     cfg = ArrayConfig(M=M, c=1500.0, omega1=2 * np.pi * 1000)
     focusing = FocusingSet.build(alphas, M)
     rng = np.random.default_rng(4)
-    rec = RecoveryConfig(min_separation=1e-4, solver=SolverConfig(eps_abs=1e-9, eps_rel=1e-8))
+    rec = RecoveryConfig(solver=SolverConfig(eps_abs=1e-9, eps_rel=1e-8))
     worst = 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # near-collinear split atoms

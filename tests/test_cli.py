@@ -231,6 +231,14 @@ class TestEstimate:
         assert cli_main(["estimate", "--input", str(tmp_path / "nope.csv"),
                          "--gamma-mode", "blind", "--sigma2", "0.0"]) == 1
 
+    def test_oracle_on_csv_names_the_blind_mode(self, scene_path, tmp_path, capsys):
+        # a CSV carries no scene, so the default oracle mode cannot run on it
+        data_csv = tmp_path / "data.csv"
+        cli_main(["simulate", "--config", str(scene_path), "--output", str(data_csv)])
+        capsys.readouterr()
+        assert cli_main(["estimate", "--input", str(data_csv)]) == 1
+        assert "--gamma-mode blind --sigma2" in capsys.readouterr().err
+
     def test_blind_needs_sigma2(self, scene_path, tmp_path):
         data_csv = tmp_path / "data.csv"
         cli_main(["simulate", "--config", str(scene_path), "--output", str(data_csv)])

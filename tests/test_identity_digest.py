@@ -15,7 +15,7 @@ def _digest(*args):
 def test_digest_is_repeatable():
     first = _digest("--src", str(ROOT / "src"), "--draws", "1")
     assert first == _digest("--src", str(ROOT / "src"), "--draws", "1")
-    solve_line, estimate_line, warm_line, rss_line, quick_line = first.splitlines()
+    solve_line, estimate_line, warm_line, rss_line, quick_line, api_line = first.splitlines()
     # 3 scenes under 4 configs, plus the gamma = 1 problem
     assert solve_line.startswith("solve problems=13 ")
     assert estimate_line.startswith("estimate_doa draws=3 ")
@@ -25,8 +25,11 @@ def test_digest_is_repeatable():
     assert rss_line.startswith("rss_estimate draws=3 ")
     # one trial per point: 5 SNRs and 10 separations, each for wgs and rss
     assert quick_line.startswith("quick_csv trials=1 rows=30 ")
+    # the estimate_doa scenes under the API defaults
+    assert api_line.startswith("api_estimate draws=3 ")
     assert all(len(line.rsplit("sha256=", 1)[1]) == 64
-               for line in (solve_line, estimate_line, warm_line, rss_line, quick_line))
+               for line in (solve_line, estimate_line, warm_line, rss_line, quick_line,
+                            api_line))
 
 
 def test_digest_refuses_a_package_from_another_tree(tmp_path):

@@ -12,7 +12,7 @@ from wbdoa.baselines import perturb_initial
 from wbdoa.bench import ExperimentConfig, random_scene
 from wbdoa.focusing import FocusingSet, gamma_blind
 from wbdoa.model import ArrayConfig, WidebandScene
-from wbdoa.recovery import RecoveryConfig
+from wbdoa.recovery import merge_atoms
 from wbdoa.solver import SolverConfig
 
 FOCUSING = FocusingSet.build([1.0, 0.9, 0.8], 4)
@@ -30,8 +30,8 @@ SCALARS = {
                            lambda v: ConicProblem(Y=Y, focusing=FOCUSING, gamma=v)),
     "SolverConfig.eps_abs": ("positive", "eps_abs", False, lambda v: SolverConfig(eps_abs=v)),
     "SolverConfig.eps_rel": ("positive", "eps_rel", False, lambda v: SolverConfig(eps_rel=v)),
-    "RecoveryConfig.min_separation": ("nonnegative", "min_separation", True,
-                                      lambda v: RecoveryConfig(min_separation=v)),
+    "merge_atoms.radius": ("nonnegative", "radius", False,
+                           lambda v: merge_atoms([0.1, 0.2], [1.0, 2.0], [None, None], v)),
     "gamma_blind.sigma2": ("nonnegative", "sigma2 (noise variance)", False,
                            lambda v: gamma_blind(Y, v, FOCUSING)),
     "perturb_initial.max_err_deg": ("nonnegative", "max_err_deg", False,

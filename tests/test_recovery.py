@@ -77,20 +77,6 @@ class TestPeakReading:
                                         (vecs.conj() / norms[:, None]).view(float), maxulp=4)
 
 
-class TestRecoveryConfig:
-    @pytest.mark.parametrize("kwargs", [
-        {"min_separation": -1e-3}, {"min_separation": float("nan")},
-        {"min_separation": float("inf")},
-    ], ids=["min-sep-negative", "min-sep-nan", "min-sep-inf"])
-    def test_rejects_out_of_range(self, kwargs):
-        with pytest.raises(ValueError):
-            RecoveryConfig(**kwargs)
-
-    def test_accepts_edges(self):
-        RecoveryConfig(min_separation=0.0)
-        RecoveryConfig(min_separation=None)
-
-
 class TestLocateFrequencies:
     def _planted_hbar(self, f0, M=12):
         # single-column Hbar = a(f0)/M: Dirichlet kernel peaking at 1
@@ -323,6 +309,26 @@ class TestMergeAtoms:
         assert sorted(betas.tolist()) == [1.0, 2.0]
         assert {id(c) for c in cs} == {id(c) for c in self.cs[:2]}
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.floats(-0.5, 0.5), st.floats(0.0, 10.0)), max_size=8),
+           st.floats(0.0, 1.0))
+    def test_properties_at_any_radius(self, atoms, radius):
+        fs_in = np.array([f for f, _ in atoms])
+        betas_in = np.array([b for _, b in atoms])
+        fs, betas, cs = merge_atoms(fs_in, betas_in, list(range(len(atoms))), radius)
+        assert betas.sum() == pytest.approx(betas_in.sum(), rel=1e-12)
+        assert np.all(np.diff(fs) >= 0) and np.all(np.abs(fs) <= 0.5)
+        assert fs.size == betas.size == len(cs) <= len(atoms)
+        diffs = fs_in[:, None] - fs_in
+        gaps = np.abs(diffs - np.round(diffs))[~np.eye(len(atoms), dtype=bool)]
+        if np.all(gaps >= radius):
+            # no atom merges: each comes back as it went in, sorted by (f, beta)
+            # (+ 0.0: a lone -0.0 comes back as 0.0, equal in value)
+            order = sorted(range(len(atoms)), key=atoms.__getitem__)
+            assert cs == order
+            assert fs.tobytes() == (fs_in[order] + 0.0).tobytes()
+            assert betas.tobytes() == betas_in[order].tobytes()
+
 
 class TestPrimalReconstruction:
     def test_zero_h_returns_y(self):
@@ -376,8 +382,7 @@ class TestEstimateDoa:
         scene = random_scene((-5.0, 15.0, 40.0), focusing, snr_db, seed)
         data = synthesize_scene(cfg, scene, focusing)
         gamma = max(gamma_oracle(data.Y, cfg, scene, focusing), 1e-10)
-        rec = RecoveryConfig(min_separation=0.2 / cfg.M,
-                             solver=SolverConfig(max_iter=20000, eps_abs=1e-6, eps_rel=1e-5))
+        rec = RecoveryConfig(solver=SolverConfig(max_iter=20000, eps_abs=1e-6, eps_rel=1e-5))
         phases = np.exp(2j * np.pi * np.random.default_rng(seed).uniform(size=data.J))
         est = estimate_doa(data, gamma, focusing, rec)
         turned = estimate_doa(SubbandData(data.Y * phases, data.omegas), gamma, focusing, rec)
@@ -446,20 +451,32 @@ class TestEstimateDoa:
         # perfbench's noiseless scene of seed 3, scene 0: its fit has a
         # 0.057 atom at -70.34 deg, under AMP_FLOOR of the largest; merging
         # at radius 0 once zeroed every amplitude, so that atom was kept
+        # (radius 0 itself is TestMergeAtoms' test_zero_radius_*)
         cfg, focusing = pipeline_setup
         rng = np.random.default_rng(np.random.SeedSequence([3, 16, 10]))
         spectra = (rng.standard_normal((3, 10)) + 1j * rng.standard_normal((3, 10))) / np.sqrt(2)
         scene = WidebandScene(angles_deg=(-5.0, 15.0, 40.0), source_spectra=spectra)
         data = synthesize_scene(cfg, scene, focusing)
         gamma = max(gamma_oracle(data.Y, cfg, scene, focusing), 1e-10)
-        default = estimate_doa(data, gamma, focusing)
-        est = estimate_doa(data, gamma, focusing, RecoveryConfig(min_separation=0.0))
+        est = estimate_doa(data, gamma, focusing)
         assert np.all(est.betas > 0)
         assert np.all(np.abs(est.thetas + 70.34) > 1.0)
-        assert est.thetas.tolist() == default.thetas.tolist()
-        assert est.betas.tolist() == default.betas.tolist()
         assert [m["theta_deg"] for m in est.diagnostics["minorAtoms"]] == pytest.approx([-70.34],
                                                                                       abs=0.01)
+
+    def test_resolves_a_four_degree_pair_at_defaults(self, pipeline_setup):
+        # 36 and 40 deg lie 0.0275 apart in f, 0.44 of the Rayleigh width
+        # 1/M and inside a 0.5/M merge radius; that radius merged the pair
+        # on 4 of these 10 seeds
+        cfg, focusing = pipeline_setup
+        angles = np.array([36.0, 40.0])
+        resolved = 0
+        for seed in range(1000, 1010):
+            scene = random_scene(tuple(angles), focusing, 10.0, seed)
+            data = synthesize_scene(cfg, scene, focusing)
+            est = estimate_doa(data, gamma_oracle(data.Y, cfg, scene, focusing), focusing)
+            resolved += bool(np.all(np.abs(est.thetas[:, None] - angles).min(axis=0) <= 2.0))
+        assert resolved >= 9
 
     def test_focusing_for_other_bins_rejected(self, pipeline_setup):
         # the acceptance scene with a focusing set for other bins (same M

@@ -497,8 +497,7 @@ class TestWarmSolve:
     def test_warm_estimates_agree_with_the_exact_path(self, monkeypatch):
         # M = 32, J = 10 is a 42 x 42 block, above the gate; a gate past
         # every size forces the exact path for the reference
-        rec = RecoveryConfig(min_separation=0.2 / 32,
-                             solver=SolverConfig(max_iter=20000, eps_abs=1e-6, eps_rel=1e-5))
+        rec = RecoveryConfig(solver=SolverConfig(max_iter=20000, eps_abs=1e-6, eps_rel=1e-5))
         for seed in range(3):
             data, gamma, focusing = _noiseless_draw(32, 10, seed)
             warm = estimate_doa(data, gamma, focusing, rec)

@@ -8,8 +8,10 @@ output bit:
     cmp old.txt new.txt
 
 When the change alters a signature this script calls (random_scene lost
-its ArrayConfig, for one), the old source cannot run the new script. Run
-the old tree's own copy on the old source instead:
+its ArrayConfig, for one), the old source cannot run the new script. The
+same holds when a default it relies on moved: before recovery.MERGE_RADIUS
+the API merged at 0.5/M, and the estimate_doa group passed 0.2/M itself.
+Run the old tree's own copy on the old source instead:
 
     python path/to/old/tools/identity_digest.py --src path/to/old/src > old.txt
 
@@ -25,8 +27,8 @@ Groups:
                 max_iter=3000.  Hashes H, Hbar and Q (tobytes), repr of the
                 objective and of every residuals value, iterations and status.
   estimate_doa  120 draws: the same scenes for seeds 0-39 under the bench
-                tolerances and merge radius.  Hashes fs, betas and each c
-                (tobytes) and repr of the diagnostics.
+                tolerances.  Hashes fs, betas and each c (tobytes) and repr
+                of the diagnostics.
   warm_solve    4 problems above the block size of the warm-started PSD
                 projection: noiseless bench.random_scene seeds 0-3 at
                 M=32, J=10 under the bench tolerances, hashed as in solve.
@@ -37,6 +39,8 @@ Groups:
   quick_csv     the two studies of `wbdoa benchmark --quick`: rmse_vs_snr
                 and resolution at their defaults, master_seed 0, 20 trials
                 and workers=1.  Hashes the ResultTable.to_csv bytes of each.
+  api_estimate  30 draws: the scenes of seeds 0-9 under RecoveryConfig(),
+                the API defaults, hashed as in estimate_doa.
 
 --draws N uses seeds 0..N-1 in every group and caps the quick_csv trials
 at N.  BLAS threads are pinned to one (OPENBLAS_NUM_THREADS=1, unless
@@ -60,8 +64,9 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", required=True, help="directory holding the wbdoa package")
     parser.add_argument("--draws", type=int, default=None,
-                        help="seeds per group (default: 10 for solve, 40 for estimate_doa "
-                             "and rss_estimate, 4 for warm_solve, 20 quick_csv trials)")
+                        help="seeds per group (default: 10 for solve and api_estimate, 40 "
+                             "for estimate_doa and rss_estimate, 4 for warm_solve, 20 "
+                             "quick_csv trials)")
     args = parser.parse_args(argv)
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     src = Path(args.src).resolve()
@@ -114,15 +119,17 @@ def main(argv=None):
 
     hash_solves("solve", problems)
 
-    digest, draws = hashlib.sha256(), 0
-    rec = RecoveryConfig(min_separation=0.2 / array.M, solver=bench_tol)
-    for data, gamma in scenes(40 if args.draws is None else args.draws):
-        est = estimate_doa(data, gamma, focusing, rec)
-        for a in (est.fs, est.betas, *est.cs):
-            digest.update(a.tobytes())
-        digest.update(repr(est.diagnostics).encode())
-        draws += 1
-    print(f"estimate_doa draws={draws} sha256={digest.hexdigest()}")
+    def hash_estimates(group, seeds, config):
+        digest, draws = hashlib.sha256(), 0
+        for data, gamma in scenes(seeds if args.draws is None else args.draws):
+            est = estimate_doa(data, gamma, focusing, config)
+            for a in (est.fs, est.betas, *est.cs):
+                digest.update(a.tobytes())
+            digest.update(repr(est.diagnostics).encode())
+            draws += 1
+        print(f"{group} draws={draws} sha256={digest.hexdigest()}")
+
+    hash_estimates("estimate_doa", 40, RecoveryConfig(solver=bench_tol))
 
     warm_array = ArrayConfig(M=32, c=1500.0, omega1=2 * np.pi * 1000.0)
     warm_focusing = FocusingSet.build(bench.default_alphas(10), warm_array.M)
@@ -150,6 +157,8 @@ def main(argv=None):
             digest.update(path.read_bytes())
             rows += len(table.rows)
     print(f"quick_csv trials={trials} rows={rows} sha256={digest.hexdigest()}")
+
+    hash_estimates("api_estimate", 10, RecoveryConfig())
 
 
 if __name__ == "__main__":
