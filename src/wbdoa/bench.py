@@ -290,7 +290,7 @@ def _run_trial(args):
     K = len(angles)
     if method == "wgs":
         gamma = gamma_oracle(data.Y, array, scene, focusing)
-        est = estimate_doa(data, gamma=max(gamma, 1e-10), focusing=focusing, config=rec)
+        est = estimate_doa(data, gamma=gamma, focusing=focusing, config=rec)
         thetas = est.thetas
         if est.Khat > K:
             keep = np.argsort(est.betas)[::-1][:K]

@@ -107,7 +107,6 @@ def _cmd_estimate(args):
             raise ValueError(f"gamma overflows to {gamma}")
     except ValueError as exc:
         raise UsageError(f"bad estimate option: {exc}")
-    gamma = max(gamma, 1e-10)
     est = estimate_doa(data, gamma=gamma, focusing=focusing, config=rec)
     print(f"estimate: gamma={gamma:.6g} mode={args.gamma_mode} Khat={est.Khat} "
           f"angles={[round(float(t), 4) for t in est.thetas]}")

@@ -106,8 +106,6 @@ def psd_project(W: np.ndarray, basis: np.ndarray = None):
         raise RuntimeError(f"eigendecomposition failed on {W.shape} block") from exc
     neg = int(np.searchsorted(evals, 0.0))  # eigenvalues are ascending
     basis = evecs[:, :neg + BASIS_EXTRA]
-    if neg == 0:
-        return W, basis
     if 2 * neg <= evals.size:
         V = evecs[:, :neg]
         return W - (V * evals[:neg]) @ V.conj().T, basis

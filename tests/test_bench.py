@@ -5,6 +5,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
+from wbdoa import bench
 from wbdoa.bench import (
     ExperimentConfig,
     ResultTable,
@@ -357,6 +358,30 @@ class TestRunners:
         for a, b in zip(t1.rows, t2.rows):
             assert a["rmse_deg"] == b["rmse_deg"]
             assert a["fail_rate"] == b["fail_rate"]
+
+    def test_wgs_solves_with_the_oracle_gamma(self, monkeypatch):
+        # J = 1 at 120 dB: the oracle gamma (noise power alone, as one bin
+        # has no focusing error) falls below 1e-10, and each trial solves
+        # with exactly the value gamma_oracle returned
+        computed, solved = [], []
+        gamma_oracle, estimate_doa = bench.gamma_oracle, bench.estimate_doa
+
+        def oracle(*args, **kwargs):
+            computed.append(gamma_oracle(*args, **kwargs))
+            return computed[-1]
+
+        def estimate(data, gamma, *args, **kwargs):
+            solved.append(gamma)
+            return estimate_doa(data, gamma, *args, **kwargs)
+
+        monkeypatch.setattr(bench, "gamma_oracle", oracle)
+        monkeypatch.setattr(bench, "estimate_doa", estimate)
+        cfg = ExperimentConfig(scenario="rmse_vs_snr", trials=2, J=1, snr_grid_db=(120.0,),
+                               methods=("wgs",), workers=1)
+        table = run_experiment(cfg)
+        assert len(computed) == 2 and 0 < max(computed) < 1e-10
+        assert solved == computed
+        assert table.rows[0]["rmse_deg"] < 0.1
 
     def test_resolution_small(self):
         cfg = ExperimentConfig(scenario="resolution", trials=3, M=8, J=4,

@@ -270,6 +270,21 @@ class TestEstimate:
                                                                                 rel=1e-5)
         assert cli_main(["estimate", "--input", str(scene_path), "--gamma-mode", "nope"]) == 1
 
+    def test_solves_with_the_computed_gamma(self, tmp_path, capsys):
+        # one noiseless bin has neither noise nor focusing error, so the
+        # oracle gamma is rounding alone; the solve takes it as computed
+        doc = {"array": {"M": 8}, "subbands": {"J": 1},
+               "scene": {"angles_deg": [10.0], "seed": 3, "snr_db": None}}
+        scene_path = tmp_path / "one_bin.json"
+        scene_path.write_text(json.dumps(doc))
+        array, scene, data, focusing = _scene_from_doc(doc)
+        expected = gamma_oracle(data.Y, array, scene, focusing)
+        assert expected < 1e-20  # 7.9e-32 with numpy 2.4 on x86-64
+        assert cli_main(["estimate", "--input", str(scene_path)]) == 0
+        out = capsys.readouterr().out
+        assert float(out.split("gamma=", 1)[1].split()[0]) == pytest.approx(expected, rel=1e-5)
+        assert "angles=[10.0]" in out
+
 
 class TestBenchmark:
     CONFIG = {

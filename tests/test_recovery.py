@@ -363,7 +363,7 @@ class TestEstimateDoa:
         angles = tuple(np.sort(rng.uniform(-70.0, 70.0, 3)))
         scene = random_scene(angles, focusing, snr_db, seed)
         data = synthesize_scene(cfg, scene, focusing)
-        gamma = max(gamma_oracle(data.Y, cfg, scene, focusing), 1e-10)
+        gamma = gamma_oracle(data.Y, cfg, scene, focusing)
         est = estimate_doa(data, gamma, focusing)
         mirror = estimate_doa(SubbandData(data.Y.conj(), data.omegas), gamma, focusing)
         assert mirror.Khat == est.Khat
@@ -381,7 +381,7 @@ class TestEstimateDoa:
         cfg, focusing = pipeline_setup
         scene = random_scene((-5.0, 15.0, 40.0), focusing, snr_db, seed)
         data = synthesize_scene(cfg, scene, focusing)
-        gamma = max(gamma_oracle(data.Y, cfg, scene, focusing), 1e-10)
+        gamma = gamma_oracle(data.Y, cfg, scene, focusing)
         rec = RecoveryConfig(solver=SolverConfig(max_iter=20000, eps_abs=1e-6, eps_rel=1e-5))
         phases = np.exp(2j * np.pi * np.random.default_rng(seed).uniform(size=data.J))
         est = estimate_doa(data, gamma, focusing, rec)
@@ -447,17 +447,17 @@ class TestEstimateDoa:
         assert np.max(np.abs(est.thetas - np.array(angles))) <= 0.1
         assert est.diagnostics["dualityGap"] / est.diagnostics["dualObjective"] <= 1e-3
 
-    def test_zero_merge_radius(self, pipeline_setup):
-        # perfbench's noiseless scene of seed 3, scene 0: its fit has a
-        # 0.057 atom at -70.34 deg, under AMP_FLOOR of the largest; merging
-        # at radius 0 once zeroed every amplitude, so that atom was kept
-        # (radius 0 itself is TestMergeAtoms' test_zero_radius_*)
+    def test_minor_atom_at_default_radius(self, pipeline_setup):
+        # perfbench's noiseless scene of seed 3, scene 0: at API defaults its
+        # fit has a 0.057 atom at -70.34 deg, under AMP_FLOOR of the largest,
+        # which goes to minorAtoms and not to the estimate; every kept
+        # amplitude is positive (radius 0 is TestMergeAtoms' test_zero_radius_*)
         cfg, focusing = pipeline_setup
         rng = np.random.default_rng(np.random.SeedSequence([3, 16, 10]))
         spectra = (rng.standard_normal((3, 10)) + 1j * rng.standard_normal((3, 10))) / np.sqrt(2)
         scene = WidebandScene(angles_deg=(-5.0, 15.0, 40.0), source_spectra=spectra)
         data = synthesize_scene(cfg, scene, focusing)
-        gamma = max(gamma_oracle(data.Y, cfg, scene, focusing), 1e-10)
+        gamma = gamma_oracle(data.Y, cfg, scene, focusing)
         est = estimate_doa(data, gamma, focusing)
         assert np.all(est.betas > 0)
         assert np.all(np.abs(est.thetas + 70.34) > 1.0)

@@ -458,7 +458,7 @@ def _noiseless_draw(M, J, seed):
     focusing = FocusingSet.build(bench.default_alphas(J), M)
     scene = bench.random_scene((-5.0, 15.0, 40.0), focusing, None, seed)
     data = synthesize_scene(array, scene, focusing)
-    return data, max(gamma_oracle(data.Y, array, scene, focusing), 1e-10), focusing
+    return data, gamma_oracle(data.Y, array, scene, focusing), focusing
 
 
 class TestWarmSolve:
