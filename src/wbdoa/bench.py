@@ -180,6 +180,11 @@ class ResultTable:
     CSV_COLUMNS = ("method", "point", "rmse_deg", "fail_rate", "trials", "runtime_s")
 
     def add(self, method, point, rmse_deg, fail_rate, trials, runtime_s):
+        check_real("point", point)
+        if not np.isnan(rmse_deg):  # a NaN RMSE marks a Failed point
+            check_real("rmse_deg", rmse_deg, "nonnegative")
+        check_integer("trials", trials, 1)
+        check_real("runtime_s", runtime_s, "nonnegative")
         if not (0.0 <= fail_rate <= 1.0):
             raise ValueError("fail_rate must lie in [0, 1]")
         self.rows.append({

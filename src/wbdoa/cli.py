@@ -34,25 +34,36 @@ class UsageError(Exception):
     pass
 
 
+def _only(name, part, allowed):
+    """part if it has no key outside allowed, else a ValueError listing allowed."""
+    if set(part) - set(allowed):
+        raise ValueError(f"{name} takes only the keys {list(allowed)}, got {sorted(part)}")
+    return part
+
+
 def _scene_from_doc(doc):
     """Build (array, scene, synthesized measurements, focusing) from a scene JSON.
 
     Schema: {"array": {"M", "c", "omega1"},
              "subbands": {"alphas": [...]} or {"J": n},
              "scene": {"angles_deg": [...], "seed": int,
-                       "snr_db": x or null | "noise_variance": x,
-                       "spectra": optional [[re, im], ...] K x J pairs}}
+                       "snr_db": x or null, or "spectra": [[re, im], ...] K x J
+                       pairs with "noise_variance": x}}; any other key is refused
     """
     try:
-        arr = doc["array"]
+        _only("a scene JSON", doc, ("array", "subbands", "scene"))
+        arr = _only("array", doc["array"], ("M", "c", "omega1"))
         array = ArrayConfig(M=arr["M"], c=arr.get("c", ExperimentConfig.c),
                             omega1=arr.get("omega1", ExperimentConfig.omega1))
         sub = doc.get("subbands", {})
+        _only("subbands (J or alphas)", sub, ("alphas",) if "alphas" in sub else ("J",))
         if "alphas" in sub:
             alphas = np.asarray(sub["alphas"], dtype=float)
         else:
             alphas = default_alphas(sub.get("J", ExperimentConfig.J))
         sc = doc["scene"]
+        _only("scene (snr_db, or spectra with noise_variance)", sc, ("angles_deg", "seed",
+              *(("spectra", "noise_variance") if "spectra" in sc else ("snr_db",))))
         angles, seed = sc.get("angles_deg", ()), sc.get("seed", 0)
         focusing = FocusingSet.build(alphas, array.M)
         if "spectra" in sc:
@@ -81,34 +92,29 @@ def _cmd_estimate(args):
     if args.input.endswith(".json"):
         doc = _load_json(args.input)
         array, scene, data, focusing = _scene_from_doc(doc)
-        sigma2 = scene.noise_variance
     else:
         try:
             data = SubbandData.load_csv(args.input)
         except (OSError, KeyError, ValueError) as exc:
             raise UsageError(f"cannot load measurements from {args.input}: {exc}")
         focusing = FocusingSet.build(data.alphas, data.M)
-        array, scene, sigma2 = None, None, args.sigma2
+        array, scene = None, None
+    mode = "oracle" if args.sigma2 is None else "blind"
     try:
         rec = RecoveryConfig(solver=SolverConfig(max_iter=args.max_iter))
         # safety scales gamma: an under-estimate can make the problem infeasible in noise
         check_real("--gamma-safety", args.gamma_safety, "positive")
-        if args.gamma_mode == "oracle":
-            if scene is None:
-                raise ValueError("oracle mode requires the true scene (a scene JSON); "
-                                 "for a measurement CSV pass --gamma-mode blind --sigma2 S")
-            gamma = gamma_oracle(data.Y, array, scene, focusing)
-        else:
-            if sigma2 is None:
-                raise ValueError("blind mode requires a noise variance estimate")
-            gamma = gamma_blind(data.Y, sigma2, focusing)
+        if mode == "oracle" and scene is None:
+            raise ValueError("a measurement CSV needs --sigma2 S, its noise variance")
+        gamma = (gamma_blind(data.Y, args.sigma2, focusing) if mode == "blind"
+                 else gamma_oracle(data.Y, array, scene, focusing))
         gamma *= args.gamma_safety
         if not np.isfinite(gamma):
             raise ValueError(f"gamma overflows to {gamma}")
     except ValueError as exc:
         raise UsageError(f"bad estimate option: {exc}")
     est = estimate_doa(data, gamma=gamma, focusing=focusing, config=rec)
-    print(f"estimate: gamma={gamma:.6g} mode={args.gamma_mode} Khat={est.Khat} "
+    print(f"estimate: gamma={gamma:.6g} mode={mode} Khat={est.Khat} "
           f"angles={[round(float(t), 4) for t in est.thetas]}")
     if args.output:
         est.to_json(args.output)
@@ -140,7 +146,7 @@ def _cmd_benchmark(args):
 def _cmd_report(args):
     try:
         table = ResultTable.from_csv(args.table)
-        if args.format == "json":
+        if args.output.endswith(".json"):
             table.to_json(args.output)
         else:
             table.to_svg(args.output, log_y=args.log_y)
@@ -163,12 +169,10 @@ def build_parser():
     pe = sub.add_parser("estimate", help="scene JSON or measurement CSV -> DOA JSON")
     pe.add_argument("--input", required=True)
     pe.add_argument("--output")
-    pe.add_argument("--gamma-mode", choices=("oracle", "blind"), default="oracle",
-                    dest="gamma_mode", help="oracle (default) needs a scene JSON; a "
-                    "measurement CSV needs --gamma-mode blind --sigma2 S")
     pe.add_argument("--gamma-safety", type=float, default=1.0, dest="gamma_safety")
     pe.add_argument("--sigma2", type=float, default=None,
-                    help="noise variance per sensor and bin, for --gamma-mode blind")
+                    help="noise variance per sensor and bin, for the blind gamma; without "
+                    "it, gamma is the oracle of a scene JSON, and a CSV is refused")
     pe.add_argument("--max-iter", type=int, default=SolverConfig.max_iter, dest="max_iter")
     pe.set_defaults(func=_cmd_estimate)
 
@@ -182,8 +186,7 @@ def build_parser():
 
     pr = sub.add_parser("report", help="result CSV -> JSON/SVG")
     pr.add_argument("--table", required=True)
-    pr.add_argument("--format", choices=("json", "svg"), default="svg")
-    pr.add_argument("--output", required=True)
+    pr.add_argument("--output", required=True, help="a .json path writes JSON, any other SVG")
     pr.add_argument("--log-y", action="store_true", dest="log_y")
     pr.set_defaults(func=_cmd_report)
     return p

@@ -449,9 +449,37 @@ class TestEmitReport:
                 table.to_svg(tmp_path / "r.svg")
         assert not (tmp_path / "r.svg").exists()
 
-    def test_unknown_format(self, tmp_path, capsys):
+    def test_format_flag_refused(self, tmp_path, capsys):
+        # the output path decides the format, so the flag that once named it is refused
         p = tmp_path / "r.csv"
         self._table().to_csv(p)
-        assert cli_main(["report", "--table", str(p), "--format", "pdf",
-                         "--output", str(tmp_path / "r.pdf")]) == 1
-        assert not (tmp_path / "r.pdf").exists()
+        assert cli_main(["report", "--table", str(p), "--format", "json",
+                         "--output", str(tmp_path / "r.json")]) == 1
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --format" in err and "Traceback" not in err
+        assert not (tmp_path / "r.json").exists()
+
+    BAD_ROWS = {
+        "point-nan": ("point", "wgs,nan,1.0,0.0,4,0.0"),
+        "point-inf": ("point", "wgs,inf,1.0,0.0,4,0.0"),
+        "rmse-inf": ("rmse_deg", "wgs,5.0,inf,0.0,4,0.0"),
+        "rmse-negative": ("rmse_deg", "wgs,5.0,-1.0,0.0,4,0.0"),
+        "trials-zero": ("trials", "wgs,5.0,1.0,0.0,0,0.0"),
+        "runtime-inf": ("runtime_s", "wgs,5.0,1.0,0.0,4,inf"),
+        "runtime-negative": ("runtime_s", "wgs,5.0,1.0,0.0,4,-1.0"),
+    }
+
+    @pytest.mark.parametrize("field, row", BAD_ROWS.values(), ids=BAD_ROWS)
+    def test_row_out_of_range_refused(self, tmp_path, capsys, field, row):
+        # such rows once loaded and rendered as NaN SVG coordinates or as JSON
+        # Infinity/NaN tokens, which RFC 8259 does not allow
+        p = tmp_path / "r.csv"
+        self._table().to_csv(p)
+        p.write_text(p.read_text() + row + "\n")
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            ResultTable.from_csv(p)
+        for out in (tmp_path / "r.svg", tmp_path / "r.json"):
+            assert cli_main(["report", "--table", str(p), "--output", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: cannot report {p}: {field} must be")
+            assert not out.exists()

@@ -94,6 +94,28 @@ class TestSimulate:
         assert f"bad scene config: {key} " in err and "must be finite" in err
         assert "Traceback" not in err and not (tmp_path / "o.csv").exists()
 
+    IGNORED_KEYS = {
+        "noise-variance-without-spectra": {"scene": {"angles_deg": [10.0], "seed": 1,
+                                                     "noise_variance": 5.0}},
+        "snr-beside-spectra": {"scene": {"angles_deg": [10.0], "snr_db": 0,
+                                         "spectra": [[[1.0, 0.0]] * 6]}},
+        "unknown-top-level": {"wat": 1},
+        "unknown-in-scene": {"scene": {**SCENE["scene"], "wat": 1}},
+        "unknown-in-array": {"array": {**SCENE["array"], "d": 0.1}},
+        "J-and-alphas": {"subbands": {"J": 6, "alphas": [1.0, 0.9]}},
+    }
+
+    @pytest.mark.parametrize("change", IGNORED_KEYS.values(), ids=IGNORED_KEYS)
+    def test_key_it_would_ignore(self, tmp_path, capsys, change):
+        # each once simulated as if the key were absent, and exited 0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**SCENE, **change}))
+        assert cli_main(["simulate", "--config", str(bad),
+                         "--output", str(tmp_path / "o.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad scene config: ") and "takes only the keys" in err
+        assert "Traceback" not in err and not (tmp_path / "o.csv").exists()
+
     @pytest.mark.parametrize("snr_db", [None, 10.0])
     def test_nan_angle(self, tmp_path, capsys, snr_db):
         bad = tmp_path / "bad.json"
@@ -162,8 +184,7 @@ class TestEstimate:
         assert cli_main(["simulate", "--config", str(scene_path),
                          "--output", str(data_csv)]) == 0
         out = tmp_path / "est.json"
-        rc = cli_main(["estimate", "--input", str(data_csv),
-                       "--gamma-mode", "blind", "--sigma2", "0.0",
+        rc = cli_main(["estimate", "--input", str(data_csv), "--sigma2", "0.0",
                        "--output", str(out)])
         assert rc == 0
         doc = json.loads(out.read_text())
@@ -197,8 +218,7 @@ class TestEstimate:
         row[0] = "nan"
         lines[1] = ",".join(row)
         data_csv.write_text("\n".join(lines) + "\n")
-        assert cli_main(["estimate", "--input", str(data_csv),
-                         "--gamma-mode", "blind", "--sigma2", "0.0"]) == 1
+        assert cli_main(["estimate", "--input", str(data_csv), "--sigma2", "0.0"]) == 1
         assert "finite" in capsys.readouterr().err
         # a scene JSON whose spectra hold NaN (json accepts the literal)
         scene = dict(SCENE, scene={"angles_deg": [10.0],
@@ -223,31 +243,26 @@ class TestEstimate:
     def test_bad_estimate_option(self, scene_path, tmp_path, capsys, option, message):
         data_csv = tmp_path / "data.csv"
         cli_main(["simulate", "--config", str(scene_path), "--output", str(data_csv)])
-        assert cli_main(["estimate", "--input", str(data_csv), "--gamma-mode", "blind",
-                         "--sigma2", "0.01", *option]) == 1
+        assert cli_main(["estimate", "--input", str(data_csv), "--sigma2", "0.01",
+                         *option]) == 1
         assert message in capsys.readouterr().err
 
     def test_missing_csv(self, tmp_path):
         assert cli_main(["estimate", "--input", str(tmp_path / "nope.csv"),
-                         "--gamma-mode", "blind", "--sigma2", "0.0"]) == 1
+                         "--sigma2", "0.0"]) == 1
 
-    def test_oracle_on_csv_names_the_blind_mode(self, scene_path, tmp_path, capsys):
-        # a CSV carries no scene, so the default oracle mode cannot run on it
+    def test_csv_without_sigma2_names_it(self, scene_path, tmp_path, capsys):
+        # a CSV carries no scene, so without --sigma2 no gamma can be computed
         data_csv = tmp_path / "data.csv"
         cli_main(["simulate", "--config", str(scene_path), "--output", str(data_csv)])
         capsys.readouterr()
         assert cli_main(["estimate", "--input", str(data_csv)]) == 1
-        assert "--gamma-mode blind --sigma2" in capsys.readouterr().err
-
-    def test_blind_needs_sigma2(self, scene_path, tmp_path):
-        data_csv = tmp_path / "data.csv"
-        cli_main(["simulate", "--config", str(scene_path), "--output", str(data_csv)])
-        assert cli_main(["estimate", "--input", str(data_csv),
-                         "--gamma-mode", "blind"]) == 1
+        assert "--sigma2" in capsys.readouterr().err
 
     def test_gamma_modes(self, tmp_path, capsys):
         # oracle gamma is the realized power of the scene JSON's noise and
-        # focusing error; blind gamma is the bound from the measurements
+        # focusing error; blind gamma is the bound from the measurements and
+        # --sigma2, which a scene JSON once dropped for its oracle gamma
         doc = dict(SCENE, scene={"angles_deg": [10.0], "seed": 3, "snr_db": 10.0})
         scene_path = tmp_path / "noisy.json"
         scene_path.write_text(json.dumps(doc))
@@ -256,19 +271,27 @@ class TestEstimate:
                          "--output", str(data_csv)]) == 0
         array, scene, data, focusing = _scene_from_doc(doc)
         loaded = SubbandData.load_csv(data_csv)
+        oracle, sigma2 = gamma_oracle(data.Y, array, scene, focusing), 2.0 * scene.noise_variance
         runs = [
-            (["--input", str(scene_path)], gamma_oracle(data.Y, array, scene, focusing)),
-            (["--input", str(data_csv), "--gamma-mode", "blind", "--sigma2", "0.05"],
-             gamma_blind(loaded.Y, 0.05, FocusingSet.build(loaded.alphas, loaded.M))),
+            (["--input", str(scene_path)], oracle, "oracle"),
+            (["--input", str(data_csv), "--sigma2", "0.05"],
+             gamma_blind(loaded.Y, 0.05, FocusingSet.build(loaded.alphas, loaded.M)), "blind"),
+            (["--input", str(scene_path), "--sigma2", repr(sigma2)],
+             gamma_blind(data.Y, sigma2, focusing), "blind"),
         ]
+        assert runs[2][1] != pytest.approx(oracle, rel=0.1)
         capsys.readouterr()
-        for argv, expected in runs:
+        for argv, expected, mode in runs:
             assert expected > 0
             assert cli_main(["estimate", *argv]) == 0
             out = capsys.readouterr().out
             assert float(out.split("gamma=", 1)[1].split()[0]) == pytest.approx(expected,
                                                                                 rel=1e-5)
-        assert cli_main(["estimate", "--input", str(scene_path), "--gamma-mode", "nope"]) == 1
+            assert f" mode={mode} " in out
+        # the input decides the mode, so the flag that once named it is refused
+        assert cli_main(["estimate", "--input", str(scene_path), "--gamma-mode", "blind"]) == 1
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --gamma-mode" in err and "Traceback" not in err
 
     def test_solves_with_the_computed_gamma(self, tmp_path, capsys):
         # one noiseless bin has neither noise nor focusing error, so the
@@ -320,8 +343,7 @@ class TestBenchmark:
             table = tmp_path / "t.csv"
             assert cli_main(["benchmark", "--config", str(cfg), "--output", str(table),
                              *extra]) == 0
-            assert cli_main(["report", "--table", str(table), "--format", "json",
-                             "--output", str(path)]) == 0
+            assert cli_main(["report", "--table", str(table), "--output", str(path)]) == 0
         assert out[0].read_bytes() == out[1].read_bytes()
         assert json.loads(out[0].read_text())["rows"][0]["runtime_s"] == 0.0
         assert json.loads(out[2].read_text())["rows"][0]["runtime_s"] > 0.0
@@ -459,11 +481,11 @@ class TestReport:
         assert "nan" not in out.read_text()
 
     def test_json(self, tmp_path):
+        # a .json output is the JSON report; it once held SVG without --format json
         src = self._write_table(tmp_path)
         out = tmp_path / "t.json"
-        assert cli_main(["report", "--table", str(src), "--format", "json",
-                         "--output", str(out)]) == 0
-        assert len(json.loads(out.read_text())["rows"]) == 2
+        assert cli_main(["report", "--table", str(src), "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["rows"] == ResultTable.from_csv(src).rows
 
     def test_keeps_runtimes_read(self, tmp_path):
         # a table written with --timings keeps its runtimes in the report
@@ -472,8 +494,7 @@ class TestReport:
         t.add("wgs", 5.0, 0.5, 0.0, 2, 0.75)
         src, out = tmp_path / "t.csv", tmp_path / "out.json"
         t.to_csv(src, include_runtime=True)
-        assert cli_main(["report", "--table", str(src), "--format", "json",
-                         "--output", str(out)]) == 0
+        assert cli_main(["report", "--table", str(src), "--output", str(out)]) == 0
         rows = json.loads(out.read_text())["rows"]
         assert [r["runtime_s"] for r in rows] == [1.25, 0.75]
 
