@@ -18,6 +18,9 @@ from .model import (ArrayConfig, WidebandScene, check_angles, check_integer, che
 from .recovery import RecoveryConfig, estimate_doa
 from .solver import SolverConfig
 
+# the methods a study runs and a result row may name
+METHODS = ("wgs", "rss")
+
 
 def default_alphas(J: int) -> np.ndarray:
     """Frequency ratios of the J largest in-band bins of a 60-point DFT
@@ -102,7 +105,7 @@ def rmse(estimates, truths, fail_threshold_deg: float = None):
     return value, failures
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     scenario: str  # rmse_vs_snr | resolution
     trials: int = 100
@@ -115,32 +118,42 @@ class ExperimentConfig:
     J: int = 10
     c: float = 1500.0
     omega1: float = 2 * np.pi * 1000.0
-    methods: tuple = ("wgs", "rss")
+    methods: tuple = METHODS
     master_seed: int = 0
     init_err_deg: float = 2.0
     solver_eps_abs: float = 1e-6
     solver_eps_rel: float = 1e-5
     solver_max_iter: int = 20000
-    workers: int = None
+    workers: int = None  # None: the WBDOA_WORKERS environment variable, else 1
 
     def __post_init__(self):
         check_integer("trials", self.trials, 1)
         check_integer("master_seed", self.master_seed, 0)
-        if self.workers is not None:
-            check_integer("workers", self.workers, 1)
+        if self.workers is None:  # read here once; the variable obeys the field's rule
+            raw = os.environ.get("WBDOA_WORKERS", "1")
+            try:
+                workers = int(raw)
+            except ValueError:
+                workers = 0
+            if workers < 1:
+                raise ValueError(f"WBDOA_WORKERS must be an integer >= 1, got {raw!r}")
+            object.__setattr__(self, "workers", workers)
+        check_integer("workers", self.workers, 1)
         check_real("theta1_deg", self.theta1_deg)
         check_real("resolution_snr_db", self.resolution_snr_db)
         check_real("init_err_deg", self.init_err_deg, "nonnegative")
         for name in ("angles_deg", "snr_grid_db", "delta_theta_list"):
             if np.ndim(getattr(self, name)) != 1 or len(getattr(self, name)) == 0:
                 raise ValueError(f"{name} must be a nonempty flat list")
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         for name in ("snr_grid_db", "delta_theta_list"):
             for value in getattr(self, name):
                 check_real(f"each of {name}", value)
         if not self.methods:
             raise ValueError("method list must be nonempty")
-        if not set(self.methods) <= {"wgs", "rss"}:
+        if not set(self.methods) <= set(METHODS):
             raise ValueError(f"methods must be wgs and/or rss, got {list(self.methods)}")
+        object.__setattr__(self, "methods", tuple(self.methods))
         if self.scenario not in ("rmse_vs_snr", "resolution"):
             raise ValueError(f"unknown scenario {self.scenario!r}")
         # raise here, not mid-study, on what every trial would reject
@@ -166,27 +179,25 @@ class ExperimentConfig:
         extra = set(d) - known
         if extra:
             raise ValueError(f"unknown config keys: {sorted(extra)}")
-        d = dict(d)
-        for key in ("snr_grid_db", "angles_deg", "delta_theta_list", "methods"):
-            if key in d:
-                d[key] = tuple(d[key])
         return cls(**d)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ResultTable:
-    rows: list = field(default_factory=list)
+    rows: list = field(init=False, default_factory=list)
 
     CSV_COLUMNS = ("method", "point", "rmse_deg", "fail_rate", "trials", "runtime_s")
 
     def add(self, method, point, rmse_deg, fail_rate, trials, runtime_s):
+        if method not in METHODS:
+            raise ValueError(f"method must be wgs or rss, got {method!r}")
         check_real("point", point)
         if not np.isnan(rmse_deg):  # a NaN RMSE marks a Failed point
             check_real("rmse_deg", rmse_deg, "nonnegative")
+        if check_real("fail_rate", fail_rate, "nonnegative") > 1:
+            raise ValueError(f"fail_rate must be at most 1, got {fail_rate!r}")
         check_integer("trials", trials, 1)
         check_real("runtime_s", runtime_s, "nonnegative")
-        if not (0.0 <= fail_rate <= 1.0):
-            raise ValueError("fail_rate must lie in [0, 1]")
         self.rows.append({
             "method": method, "point": point, "rmse_deg": rmse_deg,
             "fail_rate": fail_rate, "trials": trials, "runtime_s": runtime_s,
@@ -268,7 +279,7 @@ class ResultTable:
             coords = " ".join(
                 f"{sx(p):.2f},{sy(np.log10(v) if log_y else v):.2f}" for p, v in pts
             )
-            color = colors.get(method, "#2ca02c")
+            color = colors[method]
             parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="2"/>')
             parts.append(f'<text x="{width - pad + 5}" y="{pad + 18 * mi}" fill="{color}">{method}</text>')
         parts.append("</svg>")
@@ -301,26 +312,9 @@ def _run_trial(args):
             keep = np.argsort(est.betas)[::-1][:K]
             thetas = np.sort(est.thetas[keep])
         return thetas
-    if method == "rss":
-        init = perturb_initial(angles, cfg.init_err_deg,
-                               trial_seed(cfg.master_seed, point_index, trial_index, stream=1))
-        return rss_estimate(data, np.clip(init, -89.0, 89.0))
-    raise ValueError(f"unknown method {method!r}")
-
-
-def worker_count(cfg: ExperimentConfig) -> int:
-    """cfg.workers, else the WBDOA_WORKERS environment variable (default 1),
-    which like the field must be an integer >= 1 (ValueError otherwise)."""
-    if cfg.workers is not None:
-        return cfg.workers
-    raw = os.environ.get("WBDOA_WORKERS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"WBDOA_WORKERS must be an integer >= 1, got {raw!r}")
-    return workers
+    init = perturb_initial(angles, cfg.init_err_deg,
+                           trial_seed(cfg.master_seed, point_index, trial_index, stream=1))
+    return rss_estimate(data, np.clip(init, -89.0, 89.0))
 
 
 def _collapse(estimate, gap_deg: float) -> np.ndarray:
@@ -354,12 +348,12 @@ def run_experiment(cfg: ExperimentConfig) -> ResultTable:
         points = [(d, (cfg.theta1_deg - d, cfg.theta1_deg), cfg.resolution_snr_db, 1000 + i,
                    d / 2) for i, d in enumerate(cfg.delta_theta_list)]
         collapse_deg, fail_cut = 0.1, 0.4
-    workers = worker_count(cfg)
     inputs = _study_inputs(cfg)
     table = ResultTable()
-    if workers > 1:  # import wbdoa loads no multiprocessing machinery
+    if cfg.workers > 1:  # import wbdoa loads no multiprocessing machinery
         from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+    with (ProcessPoolExecutor(max_workers=cfg.workers) if cfg.workers > 1
+          else nullcontext()) as pool:
         for value, angles, snr_db, point_index, threshold in points:
             for method in cfg.methods:
                 jobs = [(cfg, inputs, method, tuple(angles), snr_db, point_index, i)

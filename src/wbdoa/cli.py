@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -117,7 +118,8 @@ def _cmd_estimate(args):
     print(f"estimate: gamma={gamma:.6g} mode={mode} Khat={est.Khat} "
           f"angles={[round(float(t), 4) for t in est.thetas]}")
     if args.output:
-        est.to_json(args.output)
+        with open(args.output, "w") as fh:
+            fh.write(est.to_json())
     else:
         print(est.to_json())
     return 0
@@ -129,12 +131,8 @@ def _cmd_benchmark(args):
         cfg = ExperimentConfig.from_dict(doc)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad experiment config: {exc}")
-    try:
-        cfg.workers = bench.worker_count(cfg)  # WBDOA_WORKERS is read here once
-    except ValueError as exc:
-        raise UsageError(str(exc))
     if args.quick:
-        cfg.trials = min(cfg.trials, 20)
+        cfg = replace(cfg, trials=min(cfg.trials, 20))
     print(f"benchmark: scenario={cfg.scenario} trials={cfg.trials} "
           f"methods={list(cfg.methods)} master_seed={cfg.master_seed}")
     table = bench.run_experiment(cfg)
@@ -144,6 +142,8 @@ def _cmd_benchmark(args):
 
 
 def _cmd_report(args):
+    if args.log_y and args.output.endswith(".json"):
+        raise UsageError(f"--log-y scales an SVG plot, and {args.output} is a JSON output")
     try:
         table = ResultTable.from_csv(args.table)
         if args.output.endswith(".json"):
@@ -187,7 +187,7 @@ def build_parser():
     pr = sub.add_parser("report", help="result CSV -> JSON/SVG")
     pr.add_argument("--table", required=True)
     pr.add_argument("--output", required=True, help="a .json path writes JSON, any other SVG")
-    pr.add_argument("--log-y", action="store_true", dest="log_y")
+    pr.add_argument("--log-y", action="store_true", dest="log_y", help="SVG output only")
     pr.set_defaults(func=_cmd_report)
     return p
 

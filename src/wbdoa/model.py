@@ -111,7 +111,7 @@ class WidebandScene:
         return len(self.angles_deg)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SubbandData:
     """Single-snapshot measurements for J narrowband bins.
 
@@ -124,10 +124,10 @@ class SubbandData:
     omegas: np.ndarray
 
     def __post_init__(self):
-        self.Y = np.asarray(self.Y, dtype=complex)
+        object.__setattr__(self, "Y", np.asarray(self.Y, dtype=complex))
         if not np.all(np.isfinite(self.Y)):
             raise ValueError("Y must be finite (no NaN or Inf entries)")
-        self.omegas = np.asarray(self.omegas, dtype=float)
+        object.__setattr__(self, "omegas", np.asarray(self.omegas, dtype=float))
         if self.Y.ndim != 2 or self.Y.shape[1] != self.omegas.size:
             raise ValueError("Y must be M x J with one column per bin")
         w = self.omegas

@@ -37,20 +37,17 @@ class DoaEstimate:
     def Khat(self) -> int:
         return len(self.fs)
 
-    def to_json(self, path=None):
-        doc = {
+    def to_json(self) -> str:
+        """The estimate as JSON text; a diagnostics value JSON cannot hold
+        raises TypeError."""
+        return json.dumps({
             "angles_deg": [float(t) for t in self.thetas],
             "fs": [float(f) for f in self.fs],
             "betas": [float(b) for b in self.betas],
             "c_magnitudes": [[float(x) for x in np.abs(c)] for c in self.cs],
             "Khat": self.Khat,
-            "diagnostics": {k: v for k, v in self.diagnostics.items()
-                            if isinstance(v, (int, float, str, list))},
-        }
-        if path is None:
-            return json.dumps(doc, indent=2)
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2)
+            "diagnostics": self.diagnostics,
+        }, indent=2)
 
 
 # atoms below this fraction of the largest merged amplitude absorb the fidelity
@@ -174,9 +171,13 @@ def recover_amplitudes(Y: np.ndarray, fs, cs, focusing: FocusingSet) -> np.ndarr
     return _nnls(*np.linalg.qr(A), b)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RecoveryConfig:
-    solver: SolverConfig = None
+    solver: SolverConfig = None  # None: SolverConfig()
+
+    def __post_init__(self):
+        if not (self.solver is None or isinstance(self.solver, SolverConfig)):
+            raise ValueError(f"solver must be None or a SolverConfig, got {self.solver!r}")
 
 
 def primal_reconstruction(Y: np.ndarray, H: np.ndarray, gamma: float) -> np.ndarray:

@@ -44,7 +44,7 @@ BASIS_EXTRA = 2
 RITZ_TOL = 1e-3
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     max_iter: int = 50000
     eps_abs: float = 1e-7

@@ -15,7 +15,6 @@ from wbdoa.bench import (
     rmse,
     run_experiment,
     trial_seed,
-    worker_count,
 )
 from wbdoa.cli import cli_main
 from wbdoa.focusing import FocusingSet, noiseless_measurements
@@ -176,6 +175,14 @@ class TestExperimentConfig:
         back = ExperimentConfig.from_dict(json.loads(json.dumps(asdict(cfg))))
         assert back == cfg
 
+    def test_lists_become_tuples(self):
+        # the constructor and the JSON route give one config
+        doc = {"scenario": "rmse_vs_snr", "angles_deg": [-5.0, 15.0], "snr_grid_db": [0.0],
+               "delta_theta_list": [4.0, 3.0], "methods": ["wgs"]}
+        cfg = ExperimentConfig(**doc)
+        assert cfg == ExperimentConfig.from_dict(json.loads(json.dumps(doc)))
+        assert cfg.angles_deg == (-5.0, 15.0) and cfg.methods == ("wgs",)
+
     def test_unknown_key_rejected(self):
         for key, value in (("bogus", 1), ("peak_tol", 0.05), ("min_separation_f", 0.01)):
             with pytest.raises(ValueError, match="unknown config keys"):
@@ -267,13 +274,13 @@ class TestExperimentConfig:
         # held to the rule of the workers field, not clamped to 1
         monkeypatch.setenv("WBDOA_WORKERS", raw)
         with pytest.raises(ValueError, match="WBDOA_WORKERS must be an integer >= 1"):
-            worker_count(ExperimentConfig(scenario="rmse_vs_snr"))
+            ExperimentConfig(scenario="rmse_vs_snr")
 
     def test_worker_variable_read_only_without_field(self, monkeypatch):
-        cfg = ExperimentConfig(scenario="rmse_vs_snr")
         monkeypatch.setenv("WBDOA_WORKERS", "3")
-        assert worker_count(cfg) == 3
-        assert worker_count(replace(cfg, workers=2)) == 2
+        cfg = ExperimentConfig(scenario="rmse_vs_snr")
+        assert cfg.workers == 3
+        assert replace(cfg, workers=2).workers == 2
 
     def test_rss_bin_count_boundary(self):
         ExperimentConfig(scenario="rmse_vs_snr", methods=("rss",), J=4)
@@ -337,6 +344,16 @@ class TestResultTable:
         with pytest.raises(ValueError):
             ResultTable().add("wgs", 0.0, 1.0, 1.5, 10, 0.0)
 
+    def test_bool_fail_rate_refused(self):
+        # a bool is no rate: True was once stored as one
+        with pytest.raises(ValueError, match="^fail_rate must be finite and nonnegative"):
+            ResultTable().add("wgs", 0.0, 1.0, True, 10, 0.0)
+
+    def test_rows_enter_only_through_add(self):
+        with pytest.raises(TypeError):
+            ResultTable(rows=[{"method": "wgs", "point": float("nan"), "rmse_deg": float("inf"),
+                               "fail_rate": True, "trials": 0, "runtime_s": 0.0}])
+
 
 SMALL = dict(trials=3, M=8, J=4, snr_grid_db=(20.0,), angles_deg=(-10.0, 30.0),
              solver_eps_abs=1e-5, solver_eps_rel=1e-4, solver_max_iter=5000)
@@ -382,6 +399,16 @@ class TestRunners:
         assert len(computed) == 2 and 0 < max(computed) < 1e-10
         assert solved == computed
         assert table.rows[0]["rmse_deg"] < 0.1
+
+    def test_process_pool_gives_the_serial_rows(self):
+        # the frozen config and the study inputs are pickled to the workers
+        cfg = ExperimentConfig(scenario="rmse_vs_snr", **dict(SMALL, trials=2))
+
+        def rows(workers):
+            return [{k: v for k, v in r.items() if k != "runtime_s"}
+                    for r in run_experiment(replace(cfg, workers=workers)).rows]
+
+        assert rows(2) == rows(1)
 
     def test_resolution_small(self):
         cfg = ExperimentConfig(scenario="resolution", trials=3, M=8, J=4,
@@ -467,6 +494,9 @@ class TestEmitReport:
         "trials-zero": ("trials", "wgs,5.0,1.0,0.0,0,0.0"),
         "runtime-inf": ("runtime_s", "wgs,5.0,1.0,0.0,4,inf"),
         "runtime-negative": ("runtime_s", "wgs,5.0,1.0,0.0,4,-1.0"),
+        "method-unknown": ("method", "music,5.0,1.0,0.0,4,0.0"),
+        "fail-rate-above-one": ("fail_rate", "wgs,5.0,1.0,1.5,4,0.0"),
+        "fail-rate-nan": ("fail_rate", "wgs,5.0,1.0,nan,4,0.0"),
     }
 
     @pytest.mark.parametrize("field, row", BAD_ROWS.values(), ids=BAD_ROWS)

@@ -480,6 +480,15 @@ class TestReport:
         assert cli_main(["report", "--table", str(src), "--output", str(out), "--log-y"]) == 0
         assert "nan" not in out.read_text()
 
+    def test_log_y_with_json_refused(self, tmp_path, capsys):
+        # a JSON report has no axis to scale; the flag was once ignored there
+        src = self._write_table(tmp_path)
+        out = tmp_path / "t.json"
+        assert cli_main(["report", "--table", str(src), "--output", str(out), "--log-y"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --log-y ") and "Traceback" not in err
+        assert not out.exists()
+
     def test_json(self, tmp_path):
         # a .json output is the JSON report; it once held SVG without --format json
         src = self._write_table(tmp_path)

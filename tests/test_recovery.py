@@ -24,6 +24,7 @@ from wbdoa.model import (
 )
 from wbdoa.recovery import (
     PEAK_TOL,
+    DoaEstimate,
     RecoveryConfig,
     _nnls,
     estimate_doa,
@@ -534,7 +535,7 @@ class TestEstimateDoa:
         assert est.Khat == 1
         assert est.thetas[0] == pytest.approx(22.0, abs=0.5)
 
-    def test_diagnostics_and_json(self, pipeline_setup, tmp_path):
+    def test_diagnostics_and_json(self, pipeline_setup):
         cfg, focusing = pipeline_setup
         spectra = np.ones((1, 10), dtype=complex)
         scene = WidebandScene(angles_deg=(0.0,), source_spectra=spectra)
@@ -544,11 +545,16 @@ class TestEstimateDoa:
         d = est.diagnostics
         assert d["solverStatus"] == "Optimal"
         assert d["solverIterations"] >= 1
-        path = tmp_path / "est.json"
-        est.to_json(path)
-        doc = json.loads(path.read_text())
+        doc = json.loads(est.to_json())
         assert doc["Khat"] == est.Khat
         assert doc["angles_deg"] == [float(t) for t in est.thetas]
+
+    def test_json_refuses_what_it_cannot_hold(self):
+        # a diagnostics value JSON cannot hold once vanished from the text
+        est = DoaEstimate(fs=np.array([0.1]), cs=[np.ones(2)], betas=np.array([1.0]),
+                          diagnostics={"solverStatus": "Optimal", "atoms": {1, 2}})
+        with pytest.raises(TypeError):
+            est.to_json()
 
     def test_non_converged_solve_warns(self, pipeline_setup):
         # the acceptance noiseless scene with a budget far too small to
