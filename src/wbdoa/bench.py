@@ -8,6 +8,7 @@ import os
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -20,6 +21,15 @@ from .solver import SolverConfig
 
 # the methods a study runs and a result row may name
 METHODS = ("wgs", "rss")
+
+# The paper's fixed study settings: resolution pairs (THETA1_DEG - delta, THETA1_DEG)
+# at RESOLUTION_SNR_DB, RSS started within INIT_ERR_DEG of each source (Hung &
+# Kaveh, IEEE TASSP 1988), and a solve looser than the API default (ROADMAP,
+# Settled, "Loose solve").
+THETA1_DEG = 40.0
+RESOLUTION_SNR_DB = 10.0
+INIT_ERR_DEG = 2.0
+STUDY_RECOVERY = RecoveryConfig(solver=SolverConfig(max_iter=20000, eps_abs=1e-6, eps_rel=1e-5))
 
 
 def default_alphas(J: int) -> np.ndarray:
@@ -111,19 +121,13 @@ class ExperimentConfig:
     trials: int = 100
     snr_grid_db: tuple = (0.0, 5.0, 10.0, 15.0, 20.0)
     angles_deg: tuple = (-5.0, 15.0, 40.0)
-    theta1_deg: float = 40.0
     delta_theta_list: tuple = (12.0, 11.0, 10.0, 9.0, 8.0, 7.0, 6.0, 5.0, 4.0, 3.0)
-    resolution_snr_db: float = 10.0
     M: int = 16
     J: int = 10
     c: float = 1500.0
     omega1: float = 2 * np.pi * 1000.0
     methods: tuple = METHODS
     master_seed: int = 0
-    init_err_deg: float = 2.0
-    solver_eps_abs: float = 1e-6
-    solver_eps_rel: float = 1e-5
-    solver_max_iter: int = 20000
     workers: int = None  # None: the WBDOA_WORKERS environment variable, else 1
 
     def __post_init__(self):
@@ -139,9 +143,6 @@ class ExperimentConfig:
                 raise ValueError(f"WBDOA_WORKERS must be an integer >= 1, got {raw!r}")
             object.__setattr__(self, "workers", workers)
         check_integer("workers", self.workers, 1)
-        check_real("theta1_deg", self.theta1_deg)
-        check_real("resolution_snr_db", self.resolution_snr_db)
-        check_real("init_err_deg", self.init_err_deg, "nonnegative")
         for name in ("angles_deg", "snr_grid_db", "delta_theta_list"):
             if np.ndim(getattr(self, name)) != 1 or len(getattr(self, name)) == 0:
                 raise ValueError(f"{name} must be a nonempty flat list")
@@ -154,37 +155,30 @@ class ExperimentConfig:
         if not set(self.methods) <= set(METHODS):
             raise ValueError(f"methods must be wgs and/or rss, got {list(self.methods)}")
         object.__setattr__(self, "methods", tuple(self.methods))
+        for name in ("snr_grid_db", "delta_theta_list", "methods"):  # one row per point
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must not repeat a value, got {list(values)}")
         if self.scenario not in ("rmse_vs_snr", "resolution"):
             raise ValueError(f"unknown scenario {self.scenario!r}")
         # raise here, not mid-study, on what every trial would reject
         ArrayConfig(M=self.M, c=self.c, omega1=self.omega1)
         default_alphas(self.J)
-        SolverConfig(max_iter=self.solver_max_iter, eps_abs=self.solver_eps_abs,
-                     eps_rel=self.solver_eps_rel)
         if min(self.delta_theta_list) <= 0:
             raise ValueError("delta_theta_list entries must be positive")
         check_angles("angles_deg", self.angles_deg)
         for d in self.delta_theta_list:
-            check_angles(f"resolution pair at delta_theta {d!r}",
-                         (self.theta1_deg - d, self.theta1_deg))
+            check_angles(f"resolution pair at delta_theta {d!r}", (THETA1_DEG - d, THETA1_DEG))
         K = len(self.angles_deg) if self.scenario == "rmse_vs_snr" else 2
         if "rss" in self.methods and self.J < K + 1:
             raise ValueError(f"rss needs J >= K+1 = {K + 1} bins, got J={self.J}")
         if "rss" in self.methods and self.M <= K:
             raise ValueError(f"rss needs M > K = {K} sensors, got M={self.M}")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        known = {f.name for f in cls.__dataclass_fields__.values()}
-        extra = set(d) - known
-        if extra:
-            raise ValueError(f"unknown config keys: {sorted(extra)}")
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class ResultTable:
-    rows: list = field(init=False, default_factory=list)
+    rows: tuple = field(init=False, default=())  # read-only rows, entered through add
 
     CSV_COLUMNS = ("method", "point", "rmse_deg", "fail_rate", "trials", "runtime_s")
 
@@ -198,10 +192,10 @@ class ResultTable:
             raise ValueError(f"fail_rate must be at most 1, got {fail_rate!r}")
         check_integer("trials", trials, 1)
         check_real("runtime_s", runtime_s, "nonnegative")
-        self.rows.append({
+        object.__setattr__(self, "rows", self.rows + (MappingProxyType({
             "method": method, "point": point, "rmse_deg": rmse_deg,
             "fail_rate": fail_rate, "trials": trials, "runtime_s": runtime_s,
-        })
+        }),))
 
     def to_csv(self, path, include_runtime: bool = False):
         """Plain CSV; runtimes are zeroed by default so identical configs
@@ -287,32 +281,22 @@ class ResultTable:
             fh.write("\n".join(parts) + "\n")
 
 
-def _study_inputs(cfg: ExperimentConfig) -> tuple:
-    """What every trial of a study shares: the array, the focusing set (which
-    carries the bins) and the recovery settings."""
-    array = ArrayConfig(M=cfg.M, c=cfg.c, omega1=cfg.omega1)
-    solver = SolverConfig(max_iter=cfg.solver_max_iter, eps_abs=cfg.solver_eps_abs,
-                          eps_rel=cfg.solver_eps_rel)
-    rec = RecoveryConfig(solver=solver)
-    return array, FocusingSet.build(default_alphas(cfg.J), cfg.M), rec
-
-
 def _run_trial(args):
     """One (method, scene) trial; module-level for process pools."""
-    cfg, (array, focusing, rec), method, angles, snr_db, point_index, trial_index = args
+    cfg, array, focusing, method, angles, snr_db, point_index, trial_index = args
     seed = trial_seed(cfg.master_seed, point_index, trial_index)
     scene = random_scene(angles, focusing, snr_db, seed)
     data = synthesize_scene(array, scene, focusing)
     K = len(angles)
     if method == "wgs":
         gamma = gamma_oracle(data.Y, array, scene, focusing)
-        est = estimate_doa(data, gamma=gamma, focusing=focusing, config=rec)
+        est = estimate_doa(data, gamma=gamma, focusing=focusing, config=STUDY_RECOVERY)
         thetas = est.thetas
         if est.Khat > K:
             keep = np.argsort(est.betas)[::-1][:K]
             thetas = np.sort(est.thetas[keep])
         return thetas
-    init = perturb_initial(angles, cfg.init_err_deg,
+    init = perturb_initial(angles, INIT_ERR_DEG,
                            trial_seed(cfg.master_seed, point_index, trial_index, stream=1))
     return rss_estimate(data, np.clip(init, -89.0, 89.0))
 
@@ -333,8 +317,8 @@ def run_experiment(cfg: ExperimentConfig) -> ResultTable:
 
     ``rmse_vs_snr`` has one point per SNR of ``snr_grid_db`` for the fixed
     scene ``angles_deg``.  ``resolution`` has one point per delta-theta of
-    ``delta_theta_list``, the pair (theta1 - delta, theta1) at
-    ``resolution_snr_db``; there estimates within 0.1 deg collapse into
+    ``delta_theta_list``, the pair (THETA1_DEG - delta, THETA1_DEG) at
+    RESOLUTION_SNR_DB; there estimates within 0.1 deg collapse into
     one, a trial fails when fewer than two separated estimates are left or
     its own RMSE exceeds delta / 2, and a point is reported Failed (NaN
     RMSE) when at least 40% of trials fail.  The 40% cut sits between the
@@ -345,10 +329,11 @@ def run_experiment(cfg: ExperimentConfig) -> ResultTable:
         points = [(snr, cfg.angles_deg, snr, i, None) for i, snr in enumerate(cfg.snr_grid_db)]
         collapse_deg, fail_cut = None, np.inf
     else:
-        points = [(d, (cfg.theta1_deg - d, cfg.theta1_deg), cfg.resolution_snr_db, 1000 + i,
-                   d / 2) for i, d in enumerate(cfg.delta_theta_list)]
+        points = [(d, (THETA1_DEG - d, THETA1_DEG), RESOLUTION_SNR_DB, 1000 + i, d / 2)
+                  for i, d in enumerate(cfg.delta_theta_list)]
         collapse_deg, fail_cut = 0.1, 0.4
-    inputs = _study_inputs(cfg)
+    array = ArrayConfig(M=cfg.M, c=cfg.c, omega1=cfg.omega1)
+    focusing = FocusingSet.build(default_alphas(cfg.J), cfg.M)
     table = ResultTable()
     if cfg.workers > 1:  # import wbdoa loads no multiprocessing machinery
         from concurrent.futures import ProcessPoolExecutor
@@ -356,7 +341,7 @@ def run_experiment(cfg: ExperimentConfig) -> ResultTable:
           else nullcontext()) as pool:
         for value, angles, snr_db, point_index, threshold in points:
             for method in cfg.methods:
-                jobs = [(cfg, inputs, method, tuple(angles), snr_db, point_index, i)
+                jobs = [(cfg, array, focusing, method, tuple(angles), snr_db, point_index, i)
                         for i in range(cfg.trials)]
                 t0 = time.perf_counter()
                 estimates = list(pool.map(_run_trial, jobs, chunksize=1) if pool

@@ -128,7 +128,7 @@ def _cmd_estimate(args):
 def _cmd_benchmark(args):
     doc = _load_json(args.config)
     try:
-        cfg = ExperimentConfig.from_dict(doc)
+        cfg = ExperimentConfig(**doc)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad experiment config: {exc}")
     if args.quick:

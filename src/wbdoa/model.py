@@ -124,10 +124,13 @@ class SubbandData:
     omegas: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "Y", np.asarray(self.Y, dtype=complex))
+        # read-only copies, so no later write gets past the checks below
+        for name, dtype in (("Y", complex), ("omegas", float)):
+            value = np.array(getattr(self, name), dtype=dtype)
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
         if not np.all(np.isfinite(self.Y)):
             raise ValueError("Y must be finite (no NaN or Inf entries)")
-        object.__setattr__(self, "omegas", np.asarray(self.omegas, dtype=float))
         if self.Y.ndim != 2 or self.Y.shape[1] != self.omegas.size:
             raise ValueError("Y must be M x J with one column per bin")
         w = self.omegas

@@ -172,21 +172,50 @@ class TestExperimentConfig:
     def test_round_trip(self):
         # through JSON, as the CLI reads it: tuples come back as lists
         cfg = ExperimentConfig(scenario="rmse_vs_snr", trials=5, J=4)
-        back = ExperimentConfig.from_dict(json.loads(json.dumps(asdict(cfg))))
-        assert back == cfg
+        assert ExperimentConfig(**json.loads(json.dumps(asdict(cfg)))) == cfg
 
     def test_lists_become_tuples(self):
-        # the constructor and the JSON route give one config
+        # a JSON document and its tuple form give one config
         doc = {"scenario": "rmse_vs_snr", "angles_deg": [-5.0, 15.0], "snr_grid_db": [0.0],
                "delta_theta_list": [4.0, 3.0], "methods": ["wgs"]}
-        cfg = ExperimentConfig(**doc)
-        assert cfg == ExperimentConfig.from_dict(json.loads(json.dumps(doc)))
+        cfg = ExperimentConfig(**json.loads(json.dumps(doc)))
+        assert cfg == ExperimentConfig(**{k: tuple(v) if isinstance(v, list) else v
+                                          for k, v in doc.items()})
         assert cfg.angles_deg == (-5.0, 15.0) and cfg.methods == ("wgs",)
 
     def test_unknown_key_rejected(self):
         for key, value in (("bogus", 1), ("peak_tol", 0.05), ("min_separation_f", 0.01)):
-            with pytest.raises(ValueError, match="unknown config keys"):
-                ExperimentConfig.from_dict({"scenario": "resolution", key: value})
+            with pytest.raises(TypeError, match=f"unexpected keyword argument '{key}'"):
+                ExperimentConfig(**{"scenario": "resolution", key: value})
+
+    # former config key: (its bench constant, its old default)
+    FIXED = {"theta1_deg": (bench.THETA1_DEG, 40.0),
+             "resolution_snr_db": (bench.RESOLUTION_SNR_DB, 10.0),
+             "init_err_deg": (bench.INIT_ERR_DEG, 2.0),
+             "solver_eps_abs": (bench.STUDY_RECOVERY.solver.eps_abs, 1e-6),
+             "solver_eps_rel": (bench.STUDY_RECOVERY.solver.eps_rel, 1e-5),
+             "solver_max_iter": (bench.STUDY_RECOVERY.solver.max_iter, 20000)}
+
+    @pytest.mark.parametrize("key", FIXED)
+    def test_fixed_study_setting_is_a_constant(self, key):
+        # the paper fixes these for every study, so no config sets them
+        constant, old_default = self.FIXED[key]
+        assert constant == old_default
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{key}'"):
+            ExperimentConfig(scenario="resolution", **{key: old_default})
+
+    @pytest.mark.parametrize("change", [
+        {"snr_grid_db": (20.0, 20.0)},
+        {"snr_grid_db": (0.0, 20, 20.0)},
+        {"scenario": "resolution", "delta_theta_list": (4.0, 3.0, 4.0)},
+        {"methods": ("wgs", "wgs")},
+    ], ids=["snr-twice", "snr-int-and-float", "delta-twice", "method-twice"])
+    def test_repeated_sweep_value_refused(self, change):
+        # (20, 20) dB with wgs twice once wrote four rows for one (method, point),
+        # two of them with different RMSEs
+        name = next(k for k in change if k != "scenario")
+        with pytest.raises(ValueError, match=f"^{name} must not repeat a value"):
+            ExperimentConfig(**{"scenario": "rmse_vs_snr", **change})
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -206,29 +235,20 @@ class TestExperimentConfig:
         {"M": 3, "trials": 1, "snr_grid_db": (10.0,)},  # three sources need M >= 4
         {"scenario": "resolution", "M": 2, "trials": 1,
          "delta_theta_list": (12.0,)},  # a pair needs M >= 3
-        {"solver_max_iter": 0},
-        {"solver_eps_abs": 0.0},
         {"snr_grid_db": ()},
         {"snr_grid_db": (float("nan"),)},
         {"snr_grid_db": (float("-inf"),)},
         {"scenario": "resolution", "delta_theta_list": ()},
         {"scenario": "resolution", "delta_theta_list": (float("inf"),)},
-        {"scenario": "resolution", "resolution_snr_db": float("-inf")},
-        {"methods": ("rss",), "init_err_deg": -1.0},
-        {"methods": ("rss",), "init_err_deg": float("nan")},
-        {"solver_eps_abs": float("nan")},
-        {"solver_eps_rel": float("inf")},
-        {"solver_max_iter": 1.5},
         {"angles_deg": ()},
         {"angles_deg": (float("nan"),)},
         {"angles_deg": (95.0,)},
         {"angles_deg": (5.0, 5.0)},
-        {"scenario": "resolution", "theta1_deg": float("nan")},
         {"master_seed": -1},
         {"trials": 1.5},
         {"scenario": "resolution", "delta_theta_list": (-3.0,)},
         {"scenario": "resolution", "delta_theta_list": (0.0,)},
-        {"scenario": "resolution", "theta1_deg": -85.0, "delta_theta_list": (5.0,)},
+        {"scenario": "resolution", "delta_theta_list": (130.0,)},
         {"workers": "two"},
         {"workers": 1.5},
         {"workers": 0},
@@ -238,33 +258,22 @@ class TestExperimentConfig:
         {"trials": True},
         {"master_seed": False},
         {"workers": True},
-        {"solver_max_iter": True},
         {"angles_deg": ((1.0, 2.0),)},
         {"snr_grid_db": ((10.0,),)},
-        {"scenario": "resolution", "resolution_snr_db": (10.0,)},
-        {"solver_eps_abs": True},
-        {"solver_eps_rel": True},
-        {"solver_eps_abs": "1e-6"},
-        {"init_err_deg": True},
         {"angles_deg": (True, 20.0)},
         {"snr_grid_db": (True,)},
         {"omega1": True},
         {"c": True},
-        {"scenario": "resolution", "theta1_deg": True},
         {"scenario": "resolution", "delta_theta_list": (True,)},
     ], ids=["M1", "J25", "music", "wgs-music", "rss-J3", "resolution-rss-J2",
-            "rss-M3", "resolution-rss-M2", "max-iter-0", "eps-abs-0", "snr-empty",
-            "snr-nan", "snr-minus-inf",
-            "delta-empty", "delta-inf", "resolution-snr-minus-inf",
-            "init-err-negative", "init-err-nan", "eps-abs-nan", "eps-rel-inf",
-            "max-iter-fraction", "angles-empty", "angles-nan", "angles-95",
-            "angles-repeated", "theta1-nan", "seed-negative", "trials-fraction",
+            "rss-M3", "resolution-rss-M2", "snr-empty", "snr-nan", "snr-minus-inf",
+            "delta-empty", "delta-inf", "angles-empty", "angles-nan", "angles-95",
+            "angles-repeated", "seed-negative", "trials-fraction",
             "delta-negative", "delta-zero", "delta-past-endfire", "workers-text",
             "workers-fraction", "workers-zero", "M-fraction", "J-fraction",
-            "J-float", "trials-bool", "seed-bool", "workers-bool", "max-iter-bool",
-            "angles-nested", "snr-nested", "resolution-snr-list", "eps-abs-bool",
-            "eps-rel-bool", "eps-abs-text", "init-err-bool", "angles-bool", "snr-bool",
-            "omega1-bool", "c-bool", "theta1-bool", "delta-bool"])
+            "J-float", "trials-bool", "seed-bool", "workers-bool",
+            "angles-nested", "snr-nested", "angles-bool", "snr-bool",
+            "omega1-bool", "c-bool", "delta-bool"])
     def test_rejects_what_no_runner_can_use(self, change):
         with pytest.raises(ValueError):
             ExperimentConfig(**{"scenario": "rmse_vs_snr", **change})
@@ -310,13 +319,14 @@ class TestResultTable:
         assert back.rows[1]["fail_rate"] == 0.8
 
     def test_runtime_zeroed_by_default(self, tmp_path):
-        t = self._table()
+        t, slower = self._table(), ResultTable()
+        slower.add("wgs", 0.0, 1.25, 0.0, 10, 99.0)
+        slower.add("rss", 0.0, float("nan"), 0.8, 10, 1.0)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         t.to_csv(p1)
-        t.rows[0]["runtime_s"] = 99.0
-        t.to_csv(p2)
+        slower.to_csv(p2)
         assert p1.read_bytes() == p2.read_bytes()
-        t.to_csv(p1, include_runtime=True)
+        slower.to_csv(p1, include_runtime=True)
         assert b"99.0" in p1.read_bytes()
 
     def test_failed_text(self, tmp_path):
@@ -350,13 +360,20 @@ class TestResultTable:
             ResultTable().add("wgs", 0.0, 1.0, True, 10, 0.0)
 
     def test_rows_enter_only_through_add(self):
+        bad = {"method": "music", "point": float("nan"), "rmse_deg": float("inf"),
+               "fail_rate": True, "trials": 0, "runtime_s": 0.0}
         with pytest.raises(TypeError):
-            ResultTable(rows=[{"method": "wgs", "point": float("nan"), "rmse_deg": float("inf"),
-                               "fail_rate": True, "trials": 0, "runtime_s": 0.0}])
+            ResultTable(rows=[bad])
+        # an appended or edited row once reached to_json as NaN and Infinity tokens
+        t = self._table()
+        with pytest.raises(AttributeError):
+            t.rows.append(bad)
+        with pytest.raises(TypeError):
+            t.rows[0]["rmse_deg"] = float("inf")
+        assert len(t.rows) == 2 and t.rows[0]["rmse_deg"] == 1.25
 
 
-SMALL = dict(trials=3, M=8, J=4, snr_grid_db=(20.0,), angles_deg=(-10.0, 30.0),
-             solver_eps_abs=1e-5, solver_eps_rel=1e-4, solver_max_iter=5000)
+SMALL = dict(trials=3, M=8, J=4, snr_grid_db=(20.0,), angles_deg=(-10.0, 30.0))
 
 
 class TestRunners:
@@ -412,8 +429,7 @@ class TestRunners:
 
     def test_resolution_small(self):
         cfg = ExperimentConfig(scenario="resolution", trials=3, M=8, J=4,
-                               delta_theta_list=(20.0,), methods=("rss",),
-                               solver_max_iter=5000)
+                               delta_theta_list=(20.0,), methods=("rss",))
         table = run_experiment(cfg)
         assert len(table.rows) == 1
         assert table.rows[0]["point"] == 20.0

@@ -313,8 +313,6 @@ class TestBenchmark:
     CONFIG = {
         "scenario": "rmse_vs_snr", "trials": 2, "M": 8, "J": 4,
         "snr_grid_db": [20.0], "angles_deg": [-10.0, 30.0],
-        "solver_eps_abs": 1e-5, "solver_eps_rel": 1e-4,
-        "solver_max_iter": 5000,
     }
 
     def test_runs_and_writes(self, tmp_path):
@@ -363,6 +361,20 @@ class TestBenchmark:
         cfg.write_text(json.dumps({"scenario": "single" "_run"}))
         assert cli_main(["benchmark", "--config", str(cfg),
                          "--output", str(tmp_path / "t.csv")]) == 1
+
+    @pytest.mark.parametrize("key, old_default", [
+        ("theta1_deg", 40.0), ("resolution_snr_db", 10.0), ("init_err_deg", 2.0),
+        ("solver_eps_abs", 1e-6), ("solver_eps_rel", 1e-5), ("solver_max_iter", 20000)])
+    def test_fixed_study_setting_refused(self, tmp_path, capsys, key, old_default):
+        # these were config keys; the paper's fixed values are now bench constants
+        cfg = tmp_path / "bench.json"
+        cfg.write_text(json.dumps({"scenario": "resolution", "trials": 1, key: old_default}))
+        out = tmp_path / "t.csv"
+        assert cli_main(["benchmark", "--config", str(cfg), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad experiment config: ") and "Traceback" not in err
+        assert f"unexpected keyword argument '{key}'" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("change", [
         {"M": 1}, {"J": 25}, {"methods": ["music"]}, {"methods": ["rss"], "J": 3},
@@ -494,7 +506,8 @@ class TestReport:
         src = self._write_table(tmp_path)
         out = tmp_path / "t.json"
         assert cli_main(["report", "--table", str(src), "--output", str(out)]) == 0
-        assert json.loads(out.read_text())["rows"] == ResultTable.from_csv(src).rows
+        rows = ResultTable.from_csv(src).rows
+        assert json.loads(out.read_text())["rows"] == [dict(r) for r in rows]
 
     def test_keeps_runtimes_read(self, tmp_path):
         # a table written with --timings keeps its runtimes in the report

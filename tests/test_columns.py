@@ -135,7 +135,7 @@ class TestAgainstLoops:
     @given(scenes(), st.booleans())
     def test_gamma_blind(self, drawn, zero_column):
         cfg, scene, focusing, _ = drawn
-        Y = synthesize_scene(cfg, scene, focusing).Y
+        Y = synthesize_scene(cfg, scene, focusing).Y.copy()
         if zero_column:  # a silent band: no signal power, uniform weights
             Y[:, -1] = 0.0
         sigma2 = scene.noise_variance

@@ -260,6 +260,20 @@ class TestSubbandData:
             with pytest.raises(ValueError, match="finite"):
                 SubbandData(Y=Y, omegas=omegas)
 
+    def test_keeps_read_only_copies(self):
+        # the caller's arrays were once kept: writing them after construction
+        # reordered alphas and put a NaN past the finite check
+        Y, omegas = np.ones((2, 4), dtype=complex), np.array([4.0, 3.0, 2.0, 1.0])
+        data = SubbandData(Y=Y, omegas=omegas)
+        omegas[:] = [1.0, 2.0, 3.0, 4.0]
+        Y[0, 0] = np.nan
+        assert np.array_equal(data.alphas, [1.0, 0.75, 0.5, 0.25])
+        assert np.all(np.isfinite(data.Y))
+        for array in (data.Y, data.omegas):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+        assert Y.flags.writeable and omegas.flags.writeable
+
     def test_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
         Y = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))

@@ -42,13 +42,8 @@ SCALARS = {
                                      lambda v, field=field: ExperimentConfig("resolution",
                                                                              **{field: v}))
        for field, sign, name in (
-           ("theta1_deg", None, "theta1_deg"),
-           ("resolution_snr_db", None, "resolution_snr_db"),
            ("c", "positive", "c (propagation speed)"),
-           ("omega1", "positive", "omega1 (reference frequency)"),
-           ("init_err_deg", "nonnegative", "init_err_deg"),
-           ("solver_eps_abs", "positive", "eps_abs"),
-           ("solver_eps_rel", "positive", "eps_rel"))},
+           ("omega1", "positive", "omega1 (reference frequency)"))},
 }
 NOT_FINITE_REALS = [True, None, "1", float("nan"), float("inf"), float("-inf")]
 OF_ANOTHER_SIGN = {None: [], "nonnegative": [-1.0], "positive": [-1.0, 0]}
